@@ -151,8 +151,7 @@ def define_schema(store: Store, target: str):
 
 
 def insert_text(store: Store, text: str) -> int:
-    known = frozenset(store.typed) | frozenset(store.untyped)
-    decls = parse_program(text, store.tax, known=known)
+    decls = parse_program(text, store.tax, known=store.term_names())
     for d in decls:
         store.abox_insert(d.name, d.body)
     store.commit()

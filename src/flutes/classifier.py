@@ -469,7 +469,7 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
             continue
         if store.add_member(cls.name, name, apply_coercion(proof, term)):
             st.matched += 1
-    store.set_watermark(cls.name, len(store.typed_list), cls.dep_marks)
+    _advance(store, cls, len(store.typed_list), cls.dep_marks)
 
 
 def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
@@ -527,7 +527,13 @@ def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
     for t in produced:
         if store.add_member(cls.name, member_name(cls.name, t), t):
             st.matched += 1
-    store.set_watermark(cls.name, cls.watermark, sizes)
+    _advance(store, cls, cls.watermark, sizes)
+
+
+def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):
+    # an unchanged watermark record would only lengthen the catalog
+    if watermark != cls.watermark or dep_marks != cls.dep_marks:
+        store.set_watermark(cls.name, watermark, dep_marks)
 
 
 def find_members(store: Store, workers: int = 1, prune: bool = True

@@ -21,6 +21,7 @@ error, 2 store corruption.
 
 import argparse
 import sys
+from typing import Container
 
 from . import terms as T
 from .classifier import find_members, skolemize
@@ -48,8 +49,8 @@ class Session:
     def emit(self, line: str):
         print(line, file=self.out)
 
-    def known_names(self) -> frozenset:
-        return frozenset(self.store.typed) | frozenset(self.store.untyped)
+    def known_names(self) -> Container[str]:
+        return self.store.term_names()
 
     # -- command handlers --
 
@@ -177,11 +178,10 @@ def _member_handle(store: Store, class_name: str, t: T.Term) -> str:
     """The stored name of a class member term, for graph traversal."""
     if isinstance(t, T.TermAlias):
         return t.name
-    cls = store.kb_class(class_name)
-    for mname, term in cls.members:
-        if term == t:
-            return mname
-    raise RuleFailure(f"term is not a stored member of {class_name!r}")
+    mname = store.kb_class(class_name).name_of_term.get(t)
+    if mname is None:
+        raise RuleFailure(f"term is not a stored member of {class_name!r}")
+    return mname
 
 
 def run_session(store: Store, lines, out, timings: bool,

@@ -12,14 +12,17 @@ per line:
 
 Writes go to open append handles; commit() flushes and fsyncs every dirty
 file (a batch boundary).  A store constructed without a path lives purely
-in memory.  A single lock file serializes writer sessions per directory.
+in memory and renders no records at all.  A single lock file serializes
+writer sessions per directory.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import ChainMap
 from dataclasses import dataclass, field
+from typing import Container
 
 from .errors import (AliasCycleError, DuplicateNameError, StoreCorruptionError,
                      StoreError)
@@ -48,6 +51,7 @@ class KbClass:
     members: list[tuple[str, T.Term]] = field(default_factory=list)
     member_names: set[str] = field(default_factory=set)
     member_terms: set[T.Term] = field(default_factory=set)
+    name_of_term: dict[T.Term, str] = field(default_factory=dict)
     by_name: dict[str, int] = field(default_factory=dict)  # name -> member index
     watermark: int = 0                 # last typed id scanned (static classes)
     dep_marks: dict[str, int] = field(default_factory=dict)  # subset classes
@@ -61,6 +65,7 @@ class KbClass:
         self.members.append((mname, t))
         self.member_names.add(mname)
         self.member_terms.add(t)
+        self.name_of_term.setdefault(t, mname)
 
 
 class Store:
@@ -105,11 +110,14 @@ class Store:
             self._handles[filename] = fh
         return fh
 
-    def _log(self, filename: str, line: str):
-        fh = self._handle(filename)
-        if fh is not None:
-            fh.write(line + "\n")
-            self._dirty.add(filename)
+    def _log(self, filename: str, head: str, *args):
+        """Append the record (head arg ...) to a log; an in-memory store
+        skips it before rendering anything."""
+        if self.path is None:
+            return
+        line = " ".join([head, *map(_field, args)])
+        self._handle(filename).write(f"({line})\n")
+        self._dirty.add(filename)
 
     def commit(self):
         """Flush and fsync every file written since the last commit."""
@@ -140,14 +148,13 @@ class Store:
         a, b = _concept(a), _concept(b)
         self.tax.same_as(a, b)
         self._type_memo.clear()
-        self._log(CATALOG, f"(same-as {quote_string(a.name)} {quote_string(b.name)})")
+        self._log(CATALOG, "same-as", a.name, b.name)
 
     def add_is_a(self, child: str | Concept, parent: str | Concept):
         child, parent = _concept(child), _concept(parent)
         self.tax.add_is_a(child, parent)
         self._type_memo.clear()
-        self._log(CATALOG,
-                  f"(is-a {quote_string(child.name)} {quote_string(parent.name)})")
+        self._log(CATALOG, "is-a", child.name, parent.name)
 
     # -- term collections --
 
@@ -161,7 +168,7 @@ class Store:
         self._check_acyclic(name, refs)
         self.untyped[name] = t
         self._add_adjacency(name, refs)
-        self._log(UNTYPED, f"(term {quote_string(name)} {render_sexp(t)})")
+        self._log(UNTYPED, "term", name, t)
 
     def _check_acyclic(self, name: str, refs: set[str]):
         # the new term may complete a cycle only through terms that already
@@ -183,16 +190,19 @@ class Store:
         for r in refs:
             self.contained_by_map.setdefault(r, set()).add(name)
         if log:
-            rendered = " ".join(quote_string(r) for r in sorted(refs))
-            self._log(ADJACENCY, f"(adj {quote_string(name)} ({rendered}))")
+            self._log(ADJACENCY, "adj", name, sorted(refs))
 
     def promote(self, name: str):
         """Move an untyped term into the typed collection."""
         t = self.untyped.pop(name)
         self.typed[name] = (len(self.typed_list) + 1, t)
         self.typed_list.append((name, t))
-        self._log(TYPED, f"(term {quote_string(name)} {render_sexp(t)})")
-        self._log(UNTYPED, f"(promote {quote_string(name)})")
+        self._log(TYPED, "term", name, t)
+        self._log(UNTYPED, "promote", name)
+
+    def term_names(self) -> Container[str]:
+        """Every stored term name, typed or untyped, as a live view."""
+        return ChainMap(self.typed, self.untyped)
 
     def lookup(self, name: str) -> T.Term | None:
         if name in self.typed:
@@ -219,7 +229,7 @@ class Store:
             if ref not in self.classes:
                 raise StoreError(f"class {name!r} references unknown type {ref!r}")
         self.classes[name] = KbClass(name, ty)
-        self._log(CATALOG, f"(class {quote_string(name)} {render_sexp(ty)})")
+        self._log(CATALOG, "class", name, ty)
         self._handle(class_file(name))  # create the member file eagerly
 
     def kb_class(self, name: str) -> KbClass:
@@ -242,8 +252,7 @@ class Store:
         if t in cls.member_terms:
             return False
         cls._index(member_name, t)
-        self._log(class_file(class_name),
-                  f"(member {quote_string(member_name)} {render_sexp(t)})")
+        self._log(class_file(class_name), "member", member_name, t)
         if member_name not in self.contains_map:
             self._add_adjacency(member_name, T.alias_names(t))
         return True
@@ -253,10 +262,8 @@ class Store:
         cls = self.kb_class(class_name)
         cls.watermark = watermark
         cls.dep_marks = dict(dep_marks or {})
-        deps = " ".join(f"({quote_string(k)} {v})"
-                        for k, v in sorted(cls.dep_marks.items()))
-        self._log(CATALOG,
-                  f"(watermark {quote_string(class_name)} {watermark} ({deps}))")
+        self._log(CATALOG, "watermark", class_name, watermark,
+                  sorted(cls.dep_marks.items()))
 
     # -- containment graph --
 
@@ -417,8 +424,25 @@ class Store:
         return "\n".join(lines) + "\n"
 
 
+def _field(x) -> str:
+    """One field of a log record: strings quoted, integers bare, sequences
+    parenthesized, terms and types in their storage form."""
+    if isinstance(x, str):
+        return quote_string(x)
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return "(" + " ".join(map(_field, x)) + ")"
+    return render_sexp(x)
+
+
 def _concept(x: str | Concept) -> Concept:
-    return x if isinstance(x, Concept) else mk_concept(x)
+    # checked before the taxonomy changes: a positional label has no name
+    # to log, and label_match ignores relations on positions anyway
+    c = x if isinstance(x, Concept) else mk_concept(x)
+    if c.is_positional:
+        raise StoreError(f"taxonomy edits take named concepts, got {c!r}")
+    return c
 
 
 def _term_value(filename: str, lineno: int, node) -> T.Term:

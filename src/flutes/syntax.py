@@ -25,6 +25,7 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container
 
 from .errors import MalformedRecordError, ParseError
 from .taxonomy import Taxonomy
@@ -125,11 +126,13 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], tax: Taxonomy, declared: set[str]):
+    def __init__(self, tokens: list[Token], tax: Taxonomy, declared: set[str],
+                 known: Container[str]):
         self.tokens = tokens
         self.pos = 0
         self.tax = tax
         self.declared = declared
+        self.known = known
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -182,7 +185,7 @@ class _Parser:
             self.next()
             if self.at_punct("("):
                 return self.application(tok)
-            if in_args or tok.value in self.declared:
+            if in_args or tok.value in self.declared or tok.value in self.known:
                 return T.term_name(tok.value)
             return T.atom(tok.value)
         if self.at_punct("{"):
@@ -234,13 +237,14 @@ def declared_names(tokens: list[Token]) -> set[str]:
 
 
 def parse_program(text: str, tax: Taxonomy | None = None,
-                  known: frozenset[str] | set[str] = frozenset()) -> list[Declaration]:
+                  known: Container[str] = frozenset()) -> list[Declaration]:
     """Parse a declaration program.
 
     `known` supplies names already present in the store so that bare
-    identifiers referring to them parse as aliases rather than atoms.
+    identifiers referring to them parse as aliases rather than atoms; it is
+    only tested for membership, so a live view of the store's names serves.
     """
     tax = tax if tax is not None else Taxonomy()
     tokens = tokenize(text)
-    parser = _Parser(tokens, tax, declared_names(tokens) | set(known))
+    parser = _Parser(tokens, tax, declared_names(tokens), known)
     return parser.program()

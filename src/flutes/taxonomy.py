@@ -4,29 +4,47 @@ A taxonomy maintains a strict total order over concepts, an equivalence
 relation (synonyms, e.g. ``dob`` ~ ``birth_date``) and an acyclic is-a
 lattice (hyponym -> hypernym).  Record subtyping pairs field labels through
 ``label_match``, which consults all three.
+
+Concepts are interned: ``mk_concept`` and ``positional`` hand out one shared
+``Concept`` per name or index, and each concept computes its hash once.  A
+taxonomy memoises ``label_match``; its mutators, ``same_as`` and
+``add_is_a``, clear the memo, so every answer reflects the current edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import LatticeCycleError, TaxonomyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concept:
     """An interned label: either a named concept or a positional one.
 
-    Named and positional concepts are disjoint; interning is by value, so
-    two concepts built from the same string always compare equal.
+    Named and positional concepts are disjoint.  Equality is by value, so a
+    concept built directly equals the interned one; interning makes the
+    common case an identity test and a stored hash.
     """
 
     name: str | None = None
     position: int | None = None
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.name is None) == (self.position is None):
             raise TaxonomyError("concept is either named or positional")
+        object.__setattr__(self, "_hash", hash((self.name, self.position)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Concept):
+            return NotImplemented
+        return self.name == other.name and self.position == other.position
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_positional(self) -> bool:
@@ -45,16 +63,28 @@ class Concept:
         return f"Concept({self.name})"
 
 
+# The intern tables only grow, and an entry is determined by its key, so
+# sharing them across stores and taxonomies cannot leak state between them.
+_NAMED: dict[str, Concept] = {}
+_POSITIONAL: dict[int, Concept] = {}
+
+
 def mk_concept(name: str) -> Concept:
     if not isinstance(name, str) or not name:
         raise TaxonomyError("concept name must be a nonempty string")
-    return Concept(name=name)
+    c = _NAMED.get(name)
+    if c is None:
+        c = _NAMED[name] = Concept(name=name)
+    return c
 
 
 def positional(index: int) -> Concept:
     if index < 0:
         raise TaxonomyError("positional concept index must be >= 0")
-    return Concept(position=index)
+    c = _POSITIONAL.get(index)
+    if c is None:
+        c = _POSITIONAL[index] = Concept(position=index)
+    return c
 
 
 def compare(a: Concept, b: Concept) -> int:
@@ -67,13 +97,16 @@ class Taxonomy:
     """Mutable relation store.
 
     Mutations (``same_as``, ``add_is_a``) are expected to be serialized by
-    the caller; the query methods only read.
+    the caller; the query methods only read the relations.  The mutators are
+    the taxonomy epoch: each clears the ``label_match`` memo, which therefore
+    grows with the distinct label pairs queried since the last edit.
     """
 
     def __init__(self):
         self._parent: dict[Concept, Concept] = {}
         self._members: dict[Concept, set[Concept]] = {}
         self._isa: dict[Concept, set[Concept]] = {}
+        self._match: dict[tuple[Concept, Concept], bool] = {}
 
     # -- equivalence (union-find; the root is the least member, which makes
     # -- canonical() deterministic) --
@@ -105,6 +138,7 @@ class Taxonomy:
         self._parent[rb] = ra
         group = self._members.setdefault(ra, {ra})
         group.update(self._members.pop(rb, {rb}))
+        self._match.clear()
 
     # -- is-a lattice --
 
@@ -112,6 +146,7 @@ class Taxonomy:
         if self.label_leq(parent, child):
             raise LatticeCycleError(f"is-a edge {child!r} -> {parent!r} closes a cycle")
         self._isa.setdefault(child, set()).add(parent)
+        self._match.clear()
 
     def label_leq(self, sub: Concept, sup: Concept) -> bool:
         """Reflexive-transitive is-a reachability, stepping through synonyms."""
@@ -136,13 +171,48 @@ class Taxonomy:
         ``sub_label`` is a hyponym of ``sup_label``.
 
         Positional labels match only identical positions, regardless of any
-        asserted relations.
+        asserted relations.  Answers are memoised until the next edit.
         """
-        if sub_label == sup_label:
-            return True
-        if sub_label.is_positional or sup_label.is_positional:
-            return False
-        return self.label_leq(sub_label, sup_label)
+        key = (sub_label, sup_label)
+        hit = self._match.get(key)
+        if hit is None:
+            if sub_label == sup_label:
+                hit = True
+            elif sub_label.is_positional or sup_label.is_positional:
+                hit = False
+            else:
+                hit = self.label_leq(sub_label, sup_label)
+            self._match[key] = hit
+        return hit
+
+    def mutual_pair(self, labels: list[Concept]) -> tuple[Concept, Concept] | None:
+        """Two of the labels that ``label_match`` each other both ways, or
+        None when there are none.
+
+        Without is-a edges, named labels match mutually exactly when they
+        share a union-find root and positional labels only when identical,
+        so one pass decides.  Is-a edges can make labels with different
+        roots mutual (``x`` is-a ``y`` is-a ``z`` with ``x`` ~ ``z``), so
+        then every pair is checked.
+        """
+        if self._isa:
+            for i, a in enumerate(labels):
+                for b in labels[i + 1:]:
+                    if self.label_match(a, b) and self.label_match(b, a):
+                        return a, b
+            return None
+        roots: dict[Concept, Concept] = {}      # root -> first named label
+        positions: dict[Concept, Concept] = {}  # positional label -> itself
+        for label in labels:
+            if label.is_positional:
+                table, key = positions, label
+            else:
+                table, key = roots, self.find(label)
+            first = table.get(key)
+            if first is not None:
+                return first, label
+            table[key] = label
+        return None
 
     def join(self, a: Concept, b: Concept) -> Concept | None:
         """Least common ancestor in the lattice, or None when undefined."""

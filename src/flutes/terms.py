@@ -242,11 +242,10 @@ def sort_fields(fields: Iterable[tuple[Concept, Node]]) -> tuple:
 def _check_labels(tax: Taxonomy, labels: list[Concept], what: str) -> None:
     # mutual label_match (synonymy or identity) makes subtype field pairing
     # ambiguous, so such label pairs are rejected outright
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if tax.label_match(a, b) and tax.label_match(b, a):
-                raise MalformedRecordError(
-                    f"{what} labels {a!r} and {b!r} are equivalent")
+    pair = tax.mutual_pair(labels)
+    if pair is not None:
+        a, b = pair
+        raise MalformedRecordError(f"{what} labels {a!r} and {b!r} are equivalent")
 
 
 def record(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Term]]) -> Record:

@@ -3,7 +3,9 @@ import io
 import pytest
 
 from flutes import terms as T
-from flutes.cli import main, run_session
+from flutes.cli import Session, _member_handle, main, run_session
+from flutes.errors import RuleFailure
+from flutes.classifier import find_members
 from flutes.sexp import render_sexp
 from flutes.store import Store
 
@@ -91,6 +93,14 @@ class TestCommands:
         assert code == 0
         assert "inserted\t2" in out.splitlines()
         assert "untyped\t2" in out.splitlines()
+
+    def test_stored_names_parse_as_aliases(self):
+        session = Session(Store(), io.StringIO())
+        session.run_line('insert ky := {"name"="Kentucky"};')
+        session.run_line('insert sue := {"home" = ky, "state" = Ohio};')
+        fields = {c.name: v for c, v in session.store.lookup("sue").fields}
+        assert fields["home"] == T.term_name("ky")
+        assert fields["state"] == T.atom("Ohio")
 
     def test_same_as_enables_classification(self, tmp_path, capsys,
                                             corpus_file):
@@ -214,6 +224,16 @@ class TestAnalytics:
         lines = out.splitlines()
         assert "failures\t2" in lines
         assert "count\t0" in lines
+
+    def test_member_handle_names_members_only(self):
+        store = build_worked_store()
+        find_members(store)
+        for mname, term in store.kb_class("person").members:
+            assert _member_handle(store, "person", term) == mname
+        stranger = T.record(store.tax, [("dob", T.string("2000-01-01")),
+                                        ("name", T.string("Nobody"))])
+        with pytest.raises(RuleFailure, match="not a stored member"):
+            _member_handle(store, "person", stranger)
 
     def test_run_unknown_analytic_fails(self, tmp_path, capsys):
         code, out = run_script(tmp_path, capsys, ["run-analytic ghost"])

@@ -2,12 +2,16 @@ import os
 
 import pytest
 
+from flutes import store as store_module
+from flutes.classifier import find_members
 from flutes.errors import (AliasCycleError, DuplicateNameError,
                            StoreCorruptionError, StoreError)
-from flutes.store import Store, class_file
+from flutes.store import CATALOG, Store, class_file
 from flutes.syntax import parse_program
-from flutes.taxonomy import mk_concept
+from flutes.taxonomy import mk_concept, positional
 from flutes import terms as T
+
+from termgen import build_worked_store
 
 
 CORPUS = """
@@ -232,6 +236,20 @@ class TestPersistence:
         with pytest.raises(StoreCorruptionError, match="typed.fsx:3"):
             Store(path)
 
+    def test_repeated_find_members_leave_catalog_alone(self, tmp_path):
+        path = str(tmp_path / "kb")
+        s = build_worked_store(path)
+        find_members(s)
+        catalog = os.path.join(path, CATALOG)
+        lines = len(open(catalog).read().splitlines())
+        for _ in range(50):
+            find_members(s)
+        assert len(open(catalog).read().splitlines()) == lines
+        state = s.dump_state()
+        s.close()
+        with Store(path) as reopened:
+            assert reopened.dump_state() == state
+
     def test_unparseable_line_detected(self, tmp_path):
         path = str(tmp_path / "kb")
         self.build(path)
@@ -239,6 +257,34 @@ class TestPersistence:
             fh.write("(member \"m\"\n")
         with pytest.raises(StoreCorruptionError):
             Store(path)
+
+
+class TestInMemory:
+    def test_renders_no_log_records(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError(f"rendered {x!r}")
+        monkeypatch.setattr(store_module, "render_sexp", refuse)
+        monkeypatch.setattr(store_module, "quote_string", refuse)
+        s = build_worked_store()
+        s.add_is_a("check", "payment")
+        find_members(s)
+        assert len(s.kb_class("fi_related").members) == 1
+
+    def test_positional_taxonomy_edit_rejected(self):
+        s = Store()
+        with pytest.raises(StoreError, match="named concepts"):
+            s.same_as(positional(0), "a")
+        with pytest.raises(StoreError, match="named concepts"):
+            s.add_is_a("a", positional(1))
+        assert not s.tax.equiv(positional(0), mk_concept("a"))
+
+    def test_term_names_is_a_live_view(self):
+        s = Store()
+        names = s.term_names()
+        assert "joe" not in names
+        load_corpus(s)
+        s.promote("joe")
+        assert "joe" in names and "sue" in names and "ghost" not in names
 
 
 class TestStats:

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flutes.errors import LatticeCycleError, TaxonomyError
-from flutes.taxonomy import Taxonomy, compare, mk_concept, positional
+from flutes.errors import LatticeCycleError, MalformedRecordError, TaxonomyError
+from flutes.taxonomy import Concept, Taxonomy, compare, mk_concept, positional
+from flutes import terms as T
 
 
 def names(*xs):
@@ -20,6 +21,17 @@ class TestConcept:
         assert mk_concept("dob") == mk_concept("dob")
         assert positional(2) == positional(2)
         assert mk_concept("a") != positional(0)
+
+    def test_constructors_share_one_concept(self):
+        assert mk_concept("dob") is mk_concept("dob")
+        assert positional(3) is positional(3)
+
+    def test_direct_construction_equals_interned(self):
+        built = Concept(name="dob")
+        assert built == mk_concept("dob") and mk_concept("dob") == built
+        assert hash(built) == hash(mk_concept("dob"))
+        assert Concept(position=1) == positional(1)
+        assert Concept(name="x") != Concept(position=0)
 
     def test_order_positional_first_then_lexicographic(self):
         p0, p1 = positional(0), positional(1)
@@ -159,3 +171,131 @@ class TestJoin:
         tax.add_is_a(b, mid)
         tax.add_is_a(mid, top)
         assert tax.join(a, b) == mid
+
+
+class TestLabelMemo:
+    def test_same_as_after_a_query_is_seen(self):
+        tax = Taxonomy()
+        dob, bd = names("dob", "birth_date")
+        assert not tax.label_match(dob, bd)
+        tax.same_as(dob, bd)
+        assert tax.label_match(dob, bd)
+        assert tax.label_match(bd, dob)
+
+    def test_is_a_after_a_query_is_seen(self):
+        tax = Taxonomy()
+        check, payment, asset = names("check", "payment", "asset")
+        assert not tax.label_match(check, payment)
+        tax.add_is_a(check, payment)
+        assert tax.label_match(check, payment)
+        assert not tax.label_match(check, asset)
+        tax.add_is_a(payment, asset)
+        assert tax.label_match(check, asset)
+
+    def test_rejected_edge_changes_nothing(self):
+        tax = Taxonomy()
+        a, b = names("a", "b")
+        tax.add_is_a(a, b)
+        assert not tax.label_match(b, a)
+        with pytest.raises(LatticeCycleError):
+            tax.add_is_a(b, a)
+        assert not tax.label_match(b, a)
+        assert tax.label_match(a, b)
+
+
+# -- model-based check of the memo against an uncached reference ---------------
+
+POOL = [mk_concept(n) for n in ("a", "b", "c")] + [positional(0)]
+NAMED = POOL[:-1]
+
+
+class Reference:
+    """Label relations recomputed from the raw edges on every query."""
+
+    def __init__(self):
+        self.synonyms: list[tuple[Concept, Concept]] = []
+        self.isa: list[tuple[Concept, Concept]] = []
+
+    def group(self, c):
+        out, stack = {c}, [c]
+        while stack:
+            x = stack.pop()
+            for p, q in self.synonyms:
+                for u, v in ((p, q), (q, p)):
+                    if u == x and v not in out:
+                        out.add(v)
+                        stack.append(v)
+        return out
+
+    def leq(self, sub, sup):
+        target = self.group(sup)
+        seen, stack = set(self.group(sub)), list(self.group(sub))
+        while stack:
+            x = stack.pop()
+            if x in target:
+                return True
+            for child, parent in self.isa:
+                if child == x:
+                    for y in self.group(parent) - seen:
+                        seen.add(y)
+                        stack.append(y)
+        return False
+
+    def match(self, sub, sup):
+        if sub == sup:
+            return True
+        if sub.is_positional or sup.is_positional:
+            return False
+        return self.leq(sub, sup)
+
+    def ambiguous(self, labels):
+        return any(self.match(a, b) and self.match(b, a)
+                   for i, a in enumerate(labels) for b in labels[i + 1:])
+
+
+named = st.sampled_from(NAMED)
+# is-a edges are drawn twice as often as synonyms: a synonym closing an is-a
+# path into a cycle is the case that separates the two record checks
+operations = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["same_as", "is_a", "is_a"]), named, named),
+    st.tuples(st.just("record"), st.lists(st.sampled_from(POOL), max_size=5)),
+), max_size=12)
+
+
+def check_record(tax, ref, labels):
+    expected = ref.ambiguous(labels)
+    for build, value in ((T.record, T.num(1)), (T.record_ty, T.num_ty)):
+        try:
+            build(tax, [(label, value) for label in labels])
+        except MalformedRecordError:
+            assert expected, labels
+        else:
+            assert not expected, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(operations)
+@example([("is_a", NAMED[0], NAMED[1]), ("is_a", NAMED[1], NAMED[2]),
+          ("same_as", NAMED[0], NAMED[2])])
+def test_memo_agrees_with_uncached_reference(ops):
+    tax, ref = Taxonomy(), Reference()
+    for op in ops:
+        if op[0] == "same_as":
+            tax.same_as(op[1], op[2])
+            ref.synonyms.append((op[1], op[2]))
+        elif op[0] == "is_a":
+            closes_cycle = ref.leq(op[2], op[1])
+            try:
+                tax.add_is_a(op[1], op[2])
+            except LatticeCycleError:
+                assert closes_cycle
+            else:
+                assert not closes_cycle
+                ref.isa.append((op[1], op[2]))
+        else:
+            check_record(tax, ref, op[1])
+        # query every pair after every step, so a stale memo entry shows
+        for a in POOL:
+            for b in POOL:
+                assert tax.label_match(a, b) == ref.match(a, b), (a, b)
+                check_record(tax, ref, [a, b])

@@ -39,6 +39,25 @@ class TestConstructors:
         r = T.record(tax, [("check", T.num(1)), ("payment", T.num(2))])
         assert len(r.fields) == 2
 
+    def test_mutual_hyponyms_with_distinct_roots_rejected(self, tax):
+        # x is-a y is-a z, x ~ z: x and y match both ways though their
+        # union-find roots differ
+        x, y, z = (mk_concept(n) for n in "xyz")
+        tax.add_is_a(x, y)
+        tax.add_is_a(y, z)
+        tax.same_as(x, z)
+        assert tax.find(x) != tax.find(y)
+        with pytest.raises(MalformedRecordError, match="equivalent"):
+            T.record(tax, [("x", T.num(1)), ("y", T.num(2))])
+        with pytest.raises(MalformedRecordError, match="equivalent"):
+            T.record_ty(tax, [("x", T.num_ty), ("y", T.num_ty)])
+        T.record(tax, [("x", T.num(1)), ("w", T.num(2))])
+
+    def test_duplicate_positions_rejected(self, tax):
+        with pytest.raises(MalformedRecordError):
+            T.record(tax, [(positional(0), T.num(1)), (positional(0), T.num(2))])
+        T.record(tax, [(positional(0), T.num(1)), (positional(1), T.num(2))])
+
     def test_num_rejects_non_finite(self):
         with pytest.raises(TermError):
             T.num_f(float("inf"))
