@@ -7,7 +7,7 @@ persisted term store.  See README.md for the tour.
 from . import terms
 from .benchgen import GenConfig, generate, run_experiment
 from .classifier import (FindReport, eval_ground_prop, find_members,
-                         promote_untyped, prune_candidates, skolemize)
+                         promote_untyped, skolemize)
 from .errors import (ClassDependencyError, FlutesError, ParseError,
                      RuleFailure, StoreCorruptionError, StoreError,
                      TypeCheckError, UnsupportedPropError)
@@ -17,9 +17,9 @@ from .sexp import parse_sexp, render_sexp
 from .store import KbClass, Store
 from .syntax import parse_program
 from .taxonomy import Concept, Taxonomy, mk_concept, positional
-from .typecheck import (apply_coercion, check_term, coercion_of,
-                        infer_static_type, is_identity_shaped, prove_subtype)
-from .unify import unify, unify_many
+from .typecheck import (apply_coercion, check_term, infer_static_type,
+                        is_identity_shaped, prove_subtype)
+from .unify import unify
 
 __version__ = "0.1.0"
 
@@ -28,10 +28,9 @@ __all__ = [
     "FlutesError", "GenConfig", "KbClass", "ParseError", "RuleFailure",
     "RuleReport", "Store", "StoreCorruptionError", "StoreError", "Taxonomy",
     "TypeCheckError", "UnsupportedPropError", "apply_coercion", "check_term",
-    "coercion_of", "eval_ground_prop", "find_members", "generate",
-    "infer_static_type", "is_identity_shaped", "mk_analytic", "mk_concept",
-    "oracle_extensions", "parse_program", "parse_sexp", "positional",
-    "promote_untyped", "prove_subtype", "prune_candidates", "render_sexp",
-    "run_analytic", "run_experiment", "skolemize", "terms", "unify",
-    "unify_many",
+    "eval_ground_prop", "find_members", "generate", "infer_static_type",
+    "is_identity_shaped", "mk_analytic", "mk_concept", "oracle_extensions",
+    "parse_program", "parse_sexp", "positional", "promote_untyped",
+    "prove_subtype", "render_sexp", "run_analytic", "run_experiment",
+    "skolemize", "terms", "unify",
 ]

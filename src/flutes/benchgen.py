@@ -158,9 +158,9 @@ def insert_text(store: Store, text: str) -> int:
     return len(decls)
 
 
-def _phase(store: Store, phase: str, emit, workers: int, prune: bool) -> bool:
+def _phase(store: Store, phase: str, emit, prune: bool) -> bool:
     start = time.perf_counter()
-    report = find_members(store, workers=workers, prune=prune)
+    report = find_members(store, prune=prune)
     elapsed = time.perf_counter() - start
     expected = oracle_extensions(store)
     all_agree = True
@@ -180,8 +180,7 @@ def _phase(store: Store, phase: str, emit, workers: int, prune: bool) -> bool:
     return all_agree
 
 
-def run_experiment(cfg: GenConfig, out=None, workers: int = 1,
-                   prune: bool = True) -> int:
+def run_experiment(cfg: GenConfig, out=None, prune: bool = True) -> int:
     """Generate, load, classify, increment, reclassify, and cross-check.
 
     Writes a key<TAB>value report and returns 0 when every class
@@ -200,9 +199,9 @@ def run_experiment(cfg: GenConfig, out=None, workers: int = 1,
     store = Store()
     emit(f"inserted\t{insert_text(store, generate(cfg))}")
     define_schema(store, "p0")
-    ok = _phase(store, "initial", emit, workers, prune)
+    ok = _phase(store, "initial", emit, prune)
     emit(f"inserted\t{insert_text(store, generate_increment(cfg))}")
-    ok = _phase(store, "increment", emit, workers, prune) and ok
+    ok = _phase(store, "increment", emit, prune) and ok
     emit(f"agree\t{str(ok).lower()}")
     return 0 if ok else 1
 

@@ -11,12 +11,11 @@ per-class watermarks, so re-runs only consider tuples that involve at
 least one member added since the previous run.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import terms as T
-from .errors import (ClassDependencyError, EvalError, StoreError,
+from .errors import (ClassDependencyError, EvalError,
                      UnsupportedPropError)
 from .rules import eval_term, member_name
 from .store import Store, KbClass, type_alias_names
@@ -229,40 +228,6 @@ def _pruned_indices(store: Store, kcls: KbClass, pattern: T.Term):
     return sorted(kcls.by_name[m] for m in linked if m in kcls.by_name)
 
 
-def prune_candidates(store: Store, clause: SkolemClause,
-                     fixed: dict[str, str], disjunct: int = 0
-                     ) -> dict[str, set[str]]:
-    """Candidate member names for each unfixed skolem of a disjunct, after
-    propagating the bindings induced by the fixed members."""
-    cls_of = dict(clause.skolems)
-    lits = [l for l in clause.disjuncts[disjunct] if isinstance(l, EqLit)]
-    subst: dict[str, T.Term] = {}
-    for lit in lits:
-        if lit.skolem not in fixed:
-            continue
-        kcls = store.kb_class(cls_of[lit.skolem])
-        idx = kcls.by_name.get(fixed[lit.skolem])
-        if idx is None:
-            raise StoreError(
-                f"{fixed[lit.skolem]!r} is not a member of {cls_of[lit.skolem]!r}")
-        s = unify(lit.pattern, kcls.members[idx][1], subst)
-        if s is None:
-            return {lit.skolem: set()
-                    for lit in lits if lit.skolem not in fixed}
-        subst = s
-    out: dict[str, set[str]] = {}
-    for lit in lits:
-        if lit.skolem in fixed:
-            continue
-        kcls = store.kb_class(cls_of[lit.skolem])
-        idxs = _pruned_indices(store, kcls, T.substitute(subst, lit.pattern))
-        if idxs is None:
-            out[lit.skolem] = set(kcls.member_names)
-        else:
-            out[lit.skolem] = {kcls.members[i][0] for i in idxs}
-    return out
-
-
 # -- reports -------------------------------------------------------------------
 
 @dataclass
@@ -298,14 +263,6 @@ class FindReport:
 
 # -- disjunct evaluation --------------------------------------------------------
 
-class _Counters:
-    __slots__ = ("candidates", "tuples")
-
-    def __init__(self):
-        self.candidates = 0
-        self.tuples = 0
-
-
 class _DisjunctRun:
     """Solves one disjunct of a subset class over fixed candidate windows.
 
@@ -316,7 +273,7 @@ class _DisjunctRun:
 
     def __init__(self, store: Store, clause: SkolemClause,
                  eq_lits, checks, windows, prune: bool,
-                 binding: T.Term, bind_ty: T.Type, counters: _Counters):
+                 binding: T.Term, bind_ty: T.Type, stats: ClassStats):
         self.store = store
         self.clause = clause
         self.cls_of = dict(clause.skolems)
@@ -326,16 +283,16 @@ class _DisjunctRun:
         self.prune = prune
         self.binding = binding
         self.bind_ty = bind_ty
-        self.counters = counters
+        self.stats = stats
 
-    def solve_chunk(self, drive: int, candidates) -> list[T.Term]:
-        """Enumerate the drive literal over the given candidates, then solve
-        the remaining literals in order; returns coerced member terms."""
+    def solve(self, drive: int) -> list[T.Term]:
+        """Enumerate the drive literal over its window, then solve the
+        remaining literals in order; returns coerced member terms."""
         out: list[T.Term] = []
         rest = [i for i in range(len(self.eq_lits)) if i != drive]
         lit = self.eq_lits[drive]
-        for _, mterm in candidates:
-            self.counters.candidates += 1
+        for _, mterm in self.candidates_at(drive, {}):
+            self.stats.candidates += 1
             s = self._bind(lit, mterm, {})
             if s is None:
                 continue
@@ -405,7 +362,7 @@ class _DisjunctRun:
                     self._descend(rest, k + 1, s, enum_bound, nxt, out)
             return
         for _, mterm in self.candidates_at(pos, subst):
-            self.counters.candidates += 1
+            self.stats.candidates += 1
             s = self._bind(lit, mterm, subst)
             if s is None:
                 continue
@@ -434,7 +391,7 @@ class _DisjunctRun:
                 continue
             if not self._member_of(cname, cur):
                 return
-        self.counters.tuples += 1
+        self.stats.tuples += 1
         mt = T.substitute(subst, self.binding)
         if T.free_vars(mt):
             return
@@ -448,13 +405,6 @@ class _DisjunctRun:
 
 
 # -- the classifier --------------------------------------------------------------
-
-def _chunks(seq, n):
-    if n <= 1 or len(seq) <= 1:
-        return [seq]
-    size = -(-len(seq) // n)
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
-
 
 def _run_static(store: Store, cls: KbClass, st: ClassStats):
     target = store.resolve_class_type(cls.name)
@@ -473,7 +423,7 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
 
 
 def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
-                pool, workers: int, prune: bool, st: ClassStats):
+                prune: bool, st: ClassStats):
     bind_ty = store.resolve_class_type(cls.name)
     binding = cls.definition.binding_term
     cls_of = dict(clause.skolems)
@@ -482,18 +432,15 @@ def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
     marks = {d: cls.dep_marks.get(d, 0) for d in dep_names}
     produced: list[T.Term] = []
 
-    def make_run(eq_lits, checks, windows, counters):
+    def make_run(eq_lits, checks, windows):
         return _DisjunctRun(store, clause, eq_lits, checks, windows,
-                            prune, binding, bind_ty, counters)
+                            prune, binding, bind_ty, st)
 
     for disjunct in clause.disjuncts:
         eq_lits = [l for l in disjunct if isinstance(l, EqLit)]
         checks = [l for l in disjunct if isinstance(l, CheckLit)]
         if not eq_lits:
-            counters = _Counters()
-            produced.extend(make_run([], checks, [], counters).solve_empty())
-            st.candidates += counters.candidates
-            st.tuples += counters.tuples
+            produced.extend(make_run([], checks, []).solve_empty())
             continue
         for drive in range(len(eq_lits)):
             windows = []
@@ -505,24 +452,7 @@ def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
                     windows.append((0, marks[dep]))
                 else:
                     windows.append((0, sizes[dep]))
-            probe = make_run(eq_lits, checks, windows, _Counters())
-            cands = probe.candidates_at(drive, {})
-            if not cands:
-                continue
-            parts = _chunks(cands, workers)
-            runs = [make_run(eq_lits, checks, windows, _Counters())
-                    for _ in parts]
-            if pool is None or len(parts) == 1:
-                results = [run.solve_chunk(drive, part)
-                           for run, part in zip(runs, parts)]
-            else:
-                futures = [pool.submit(run.solve_chunk, drive, part)
-                           for run, part in zip(runs, parts)]
-                results = [f.result() for f in futures]
-            for run, sols in zip(runs, results):
-                st.candidates += run.counters.candidates
-                st.tuples += run.counters.tuples
-                produced.extend(sols)
+            produced.extend(make_run(eq_lits, checks, windows).solve(drive))
 
     for t in produced:
         if store.add_member(cls.name, member_name(cls.name, t), t):
@@ -536,33 +466,25 @@ def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, in
         store.set_watermark(cls.name, watermark, dep_marks)
 
 
-def find_members(store: Store, workers: int = 1, prune: bool = True
-                 ) -> FindReport:
+def find_members(store: Store, prune: bool = True) -> FindReport:
     """Promote newly typeable terms, then bring every class's member
     collection up to date, dependencies first."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     t0 = perf_counter()
     order = dependency_order(store)
     clauses = {name: skolemize(store.kb_class(name).definition)
                for name in order if store.kb_class(name).is_subset}
     report = FindReport(order=order)
     report.promoted = promote_untyped(store)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for name in order:
-            cls = store.kb_class(name)
-            st = ClassStats()
-            report.per_class[name] = st
-            t1 = perf_counter()
-            if cls.is_subset:
-                _run_subset(store, cls, clauses[name], pool, workers, prune, st)
-            else:
-                _run_static(store, cls, st)
-            st.elapsed = perf_counter() - t1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    for name in order:
+        cls = store.kb_class(name)
+        st = ClassStats()
+        report.per_class[name] = st
+        t1 = perf_counter()
+        if cls.is_subset:
+            _run_subset(store, cls, clauses[name], prune, st)
+        else:
+            _run_static(store, cls, st)
+        st.elapsed = perf_counter() - t1
     store.commit()
     report.elapsed = perf_counter() - t0
     return report

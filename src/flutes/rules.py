@@ -1,10 +1,10 @@
 """Grammar rules with functional right-hand sides.
 
-A lambda rule rewrites one member of its input class through a term body
-(field selections, record building); an analytic does the same through an
-arbitrary host function.  Either way the result must be subsumed by the
-declared output type, is coerced to it, and only then stored, so no rule
-can corrupt a class collection.  Failures are reported per member and never
+An analytic rewrites each member of its input class through a host
+function; a lambda rule is the analytic whose function evaluates a term body
+(field selections, record building).  The result must be subsumed by the
+output class's type, is coerced to it, and only then stored, so no rule can
+corrupt a class collection.  Failures are reported per member and never
 abort a run.
 """
 
@@ -17,8 +17,7 @@ from typing import Callable, Optional
 from .errors import EvalError, RuleFailure, StoreError, TermError
 from .store import Store
 from .taxonomy import Taxonomy
-from .typecheck import (apply_coercion, infer_static_type, prove_subtype,
-                        resolve_type)
+from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
 
 Env = Callable[[str], Optional[T.Term]]
@@ -72,42 +71,6 @@ def _deref(t: T.Term, env: Env) -> T.Term:
     return t
 
 
-# ---------------------------------------------------------------------------
-# lambda rules
-
-
-@dataclass(frozen=True)
-class LambdaRule:
-    name: str
-    param: str
-    input_class: str
-    body: T.Term
-    output_type: T.Type
-
-
-def lambda_rule(name: str, param: str, input_class: str, body: T.Term,
-                output_type: T.Type) -> LambdaRule:
-    extra = T.free_vars(body) - {param}
-    if extra:
-        raise TermError(f"rule {name!r} body has unbound variables {sorted(extra)}")
-    return LambdaRule(name, param, input_class, body, output_type)
-
-
-def apply_lambda(store: Store, rule: LambdaRule, member: T.Term) -> T.Term:
-    """Rewrite one input-class member; RuleFailure when the rule does not
-    apply or its result escapes the output type."""
-    try:
-        out_ty = resolve_type(rule.output_type, store._class_lookup)
-    except Exception as exc:
-        raise RuleFailure(f"rule {rule.name!r}: bad output type: {exc}") from exc
-    try:
-        result = eval_term(T.substitute({rule.param: member}, rule.body),
-                           store.lookup, store.tax)
-    except EvalError as exc:
-        raise RuleFailure(f"rule {rule.name!r}: {exc}") from exc
-    return check_and_coerce(store, result, out_ty, f"rule {rule.name!r}")
-
-
 def check_and_coerce(store: Store, result: T.Term, out_ty: T.Type,
                      who: str) -> T.Term:
     if not isinstance(result, T.Term):
@@ -119,19 +82,6 @@ def check_and_coerce(store: Store, result: T.Term, out_ty: T.Type,
     if proof is None:
         raise RuleFailure(f"{who}: result type is not subsumed by the output type")
     return apply_coercion(proof, result)
-
-
-def run_lambda(store: Store, rule: LambdaRule) -> "RuleReport":
-    """Apply a rule to every member of its input class and collect the
-    rewrites; storage of results is the analytics path's job."""
-    report = RuleReport(rule.name)
-    for mname, term in list(store.kb_class(rule.input_class).members):
-        report.processed += 1
-        try:
-            report.results.append((mname, apply_lambda(store, rule, term)))
-        except RuleFailure as exc:
-            report.failures.append((mname, str(exc)))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +111,28 @@ def mk_analytic(store: Store, name: str, input_class: str, output_class: str,
     return analytic
 
 
+def lambda_rule(store: Store, name: str, param: str, input_class: str,
+                output_class: str, body: T.Term,
+                registry: dict[str, Analytic] | None = None) -> Analytic:
+    """The lambda abstraction `param -> body` as an analytic: its function
+    evaluates the body with the member substituted for `param`."""
+    extra = T.free_vars(body) - {param}
+    if extra:
+        raise TermError(f"rule {name!r} body has unbound variables {sorted(extra)}")
+
+    def rewrite(member: T.Term) -> T.Term:
+        return eval_term(T.substitute({param: member}, body),
+                         store.lookup, store.tax)
+
+    return mk_analytic(store, name, input_class, output_class, rewrite,
+                       registry)
+
+
 @dataclass
 class RuleReport:
     name: str
     processed: int = 0
     inserted: int = 0
-    results: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
     def lines(self) -> list[str]:

@@ -1,8 +1,9 @@
 """S-expression storage form for terms, types, and propositions.
 
 One value per line: the writer never emits a newline, and strings escape
-``\\``, ``"``, newline, tab, and carriage return.  The grammar is
-head-symbol tagged and fully parenthesized:
+``\\``, ``"``, newline, tab, and carriage return.  That string literal and
+the regex token scanner are shared with the declaration syntax.  The
+grammar is head-symbol tagged and fully parenthesized:
 
   term  := (num F) | (str S) | (atom L) | (record ((L term) ...))
          | (list term ...) | (bottom L) | (select term L)
@@ -30,12 +31,25 @@ from . import terms as T
 
 _SAFE_SYM = re.compile(r"[A-Za-z_][A-Za-z0-9_.:/#-]*\Z")
 
+# The string literal shared by the storage form and the declaration
+# syntax: double quotes, with these five characters escaped.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_QUOTE = str.maketrans(_ESCAPES)
+_UNESCAPE = {esc[1]: c for c, esc in _ESCAPES.items()}
+_ESCAPE_SEQ = re.compile(r"\\(.)", re.S)
 
 
 def quote_string(s: str) -> str:
-    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
+    return '"' + s.translate(_QUOTE) + '"'
+
+
+def unquote_string(literal: str) -> str:
+    """The inverse of quote_string, for a literal that string_tokens
+    matched as STRING."""
+    body = literal[1:-1]
+    if "\\" not in body:
+        return body
+    return _ESCAPE_SEQ.sub(lambda m: _UNESCAPE[m[1]], body)
 
 
 def _name(s: str) -> str:
@@ -128,86 +142,100 @@ def _render_prop(p: T.Prop) -> str:
 
 
 # ---------------------------------------------------------------------------
+# scanning, shared with the declaration syntax
+
+
+def string_tokens(raw: str = "") -> str:
+    """Pattern alternatives for the string literal: a well-formed literal
+    (STRING), or else the longest well-formed start of one (badstring),
+    which `scan` reports.  `raw` names characters besides the quote and the
+    backslash that may not appear unescaped."""
+    char = '[^"\\\\' + re.escape(raw) + ']*'
+    body = f'{char}(?:\\\\[{re.escape("".join(_UNESCAPE))}]{char})*'
+    return f'(?P<STRING>"{body}")|(?P<badstring>"{body})'
+
+
+def token_pattern(skip: str, *tokens: str) -> re.Pattern:
+    """A pattern for `scan`: `skip` (whitespace, comments), or one of the
+    token alternatives followed by any whitespace, which then costs no
+    match of its own."""
+    return re.compile(f"(?P<skip>{skip})|(?:{'|'.join(tokens)})\\s*")
+
+
+def scan(pattern: re.Pattern, text: str, where=None):
+    """The tokens of `text` as (kind, value, offset) triples.
+
+    Each token alternative of `pattern` is a group named after the kind of
+    token it matches, and some alternative must match at every offset.  A
+    STRING is unquoted and a NUMBER converted by float; `badstring` and
+    `bad` (any other character) are errors.  `where` maps an offset to the
+    (line, col) that a ParseError carries.
+    """
+    def error(message, offset):
+        return ParseError(message, *(where(offset) if where else ()))
+
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind == "STRING":
+            yield kind, unquote_string(m[kind]), m.start()
+        elif kind == "NUMBER":
+            raw = m[kind]
+            try:
+                yield kind, float(raw), m.start()
+            except ValueError:
+                raise error(f"invalid number {raw!r}", m.start()) from None
+        elif kind == "badstring":
+            end = m.end(kind)
+            if text.startswith("\\", end):
+                raise error("bad string escape", end + 1)
+            raise error("unterminated string", m.start())
+        elif kind == "bad":
+            raise error(f"unexpected character {m[kind]!r}", m.start())
+        elif kind != "skip":
+            yield kind, m[kind], m.start()
+
+
+# ---------------------------------------------------------------------------
 # reading
 
 
 class _Sym(str):
-    """A bare symbol token, distinct from a quoted string."""
+    """A bare symbol, distinct from a quoted string."""
 
 
-class _Punct(str):
-    """A parenthesis token, distinct from string content like ")"."""
-
-
-_OPEN, _CLOSE = _Punct("("), _Punct(")")
-
-
-def tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield _OPEN if c == "(" else _CLOSE
-            i += 1
-        elif c == '"':
-            i += 1
-            out = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\":
-                    i += 1
-                    if i >= n or text[i] not in _UNESCAPES:
-                        raise ParseError("bad string escape")
-                    out.append(_UNESCAPES[text[i]])
-                else:
-                    out.append(text[i])
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated string")
-            i += 1
-            yield "".join(out)
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tok = text[i:j]
-            i = j
-            if tok[0].isdigit() or (tok[0] in "+-" and len(tok) > 1 and tok[1].isdigit()):
-                try:
-                    yield float(tok)
-                except ValueError:
-                    raise ParseError(f"invalid number {tok!r}") from None
-            else:
-                yield _Sym(tok)
+# Any other run of characters is a symbol, or a number when it starts with
+# a digit or with a sign and a digit.
+_TOKEN = token_pattern(
+    r"\s+", r"(?P<OPEN>\()", r"(?P<CLOSE>\))", string_tokens(),
+    r'(?P<NUMBER>[+-]?\d[^\s()"]*)', r'(?P<SYMBOL>[^\s()"]+)')
 
 
 def read_node(text: str):
     """Read exactly one node (nested lists of symbols/strings/numbers)."""
-    tokens = list(tokenize(text))
-    node, rest = _read(tokens, 0)
-    if rest != len(tokens):
-        raise ParseError("trailing tokens after S-expression")
-    return node
-
-
-def _read(tokens, i):
-    if i >= len(tokens):
+    tokens = scan(_TOKEN, text)
+    top: list = []
+    items, open_lists = top, []
+    for kind, value, _ in tokens:
+        if not open_lists and (top or kind == "CLOSE"):
+            for _ in tokens:        # a lexical error further on comes first
+                pass
+            raise ParseError("trailing tokens after S-expression" if top
+                             else "unexpected ')'")
+        if kind == "OPEN":
+            open_lists.append(items)
+            items = []
+        elif kind == "CLOSE":
+            done, items = items, open_lists.pop()
+            items.append(done)
+        elif kind == "SYMBOL":
+            items.append(_Sym(value))
+        else:
+            items.append(value)
+    if open_lists:
+        raise ParseError("unbalanced parenthesis")
+    if not top:
         raise ParseError("unexpected end of input")
-    tok = tokens[i]
-    if isinstance(tok, _Punct):
-        if tok == ")":
-            raise ParseError("unexpected ')'")
-        items = []
-        i += 1
-        while i < len(tokens) and not (isinstance(tokens[i], _Punct)
-                                       and tokens[i] == ")"):
-            item, i = _read(tokens, i)
-            items.append(item)
-        if i >= len(tokens):
-            raise ParseError("unbalanced parenthesis")
-        return items, i + 1
-    return tok, i + 1
+    return top[0]
 
 
 _TERM_HEADS = {"num", "str", "atom", "record", "list", "bottom", "select",

@@ -11,9 +11,9 @@ per line:
   adjacency.fsx      (adj "name" ("ref" ...))
 
 Writes go to open append handles; commit() flushes and fsyncs every dirty
-file (a batch boundary).  A store constructed without a path lives purely
-in memory and renders no records at all.  A single lock file serializes
-writer sessions per directory.
+file, the catalog last (a batch boundary).  A store constructed without a
+path lives purely in memory and renders no records at all.  A single lock
+file serializes writer sessions per directory.
 """
 
 from __future__ import annotations
@@ -120,8 +120,10 @@ class Store:
         self._dirty.add(filename)
 
     def commit(self):
-        """Flush and fsync every file written since the last commit."""
-        for filename in sorted(self._dirty):
+        """Flush and fsync every file written since the last commit, the
+        catalog last: its watermarks must not become durable before the
+        terms and members they cover."""
+        for filename in sorted(self._dirty, key=lambda f: (f == CATALOG, f)):
             fh = self._handles[filename]
             fh.flush()
             os.fsync(fh.fileno())

@@ -24,17 +24,24 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Container
+from typing import Container, NamedTuple
 
 from .errors import MalformedRecordError, ParseError
+from .sexp import scan, string_tokens, token_pattern
 from .taxonomy import Taxonomy
 from . import terms as T
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789-")
-
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# A number is a digit, or "-" and a digit, followed by digits, ".", "e" or
+# "E", and a sign right after an exponent; float() decides if it is valid.
+_TOKEN = token_pattern(
+    r"\s+|#[^\n]*", string_tokens("\n"),
+    r"(?P<NUMBER>-?\d(?:[\d.eE]|(?<=[eE])[+-])*)",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)", r"(?P<PUNCT>:=|[{}();,:=])",
+    r"(?P<bad>.)")
+_NEWLINE = re.compile(r"\n")
 
 
 @dataclass(frozen=True)
@@ -43,8 +50,7 @@ class Declaration:
     body: T.Term
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT STRING NUMBER PUNCT EOF
     value: object
     line: int
@@ -52,76 +58,15 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    line_starts = [0, *(m.end() for m in _NEWLINE.finditer(text))]
 
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+    def where(offset: int) -> tuple[int, int]:
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            advance()
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                advance()
-        elif c == '"':
-            sl, sc = line, col
-            advance()
-            out = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\":
-                    advance()
-                    if i >= n or text[i] not in _STRING_ESCAPES:
-                        raise ParseError("bad string escape", line, col)
-                    out.append(_STRING_ESCAPES[text[i]])
-                elif text[i] == "\n":
-                    raise ParseError("unterminated string", sl, sc)
-                else:
-                    out.append(text[i])
-                advance()
-            if i >= n:
-                raise ParseError("unterminated string", sl, sc)
-            advance()
-            tokens.append(Token("STRING", "".join(out), sl, sc))
-        elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            sl, sc = line, col
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            raw = text[i:j]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"invalid number {raw!r}", sl, sc) from None
-            advance(j - i)
-            tokens.append(Token("NUMBER", value, sl, sc))
-        elif c in _IDENT_START:
-            sl, sc = line, col
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            name = text[i:j]
-            advance(j - i)
-            tokens.append(Token("IDENT", name, sl, sc))
-        elif c == ":" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(Token("PUNCT", ":=", line, col))
-            advance(2)
-        elif c in "{}();,:=":
-            tokens.append(Token("PUNCT", c, line, col))
-            advance()
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+    tokens = [Token(kind, value, *where(offset))
+              for kind, value, offset in scan(_TOKEN, text, where)]
+    tokens.append(Token("EOF", None, *where(len(text))))
     return tokens
 
 

@@ -213,27 +213,3 @@ class Taxonomy:
                 return first, label
             table[key] = label
         return None
-
-    def join(self, a: Concept, b: Concept) -> Concept | None:
-        """Least common ancestor in the lattice, or None when undefined."""
-        common = self._ancestors(a) & self._ancestors(b)
-        if not common:
-            return None
-        minimal = [
-            c for c in common
-            if not any(o != c and self.label_leq(o, c) for o in common)
-        ]
-        return min(minimal, key=Concept.sort_key)
-
-    def _ancestors(self, c: Concept) -> set[Concept]:
-        seen = {self.find(c)}
-        queue = [self.find(c)]
-        while queue:
-            rep = queue.pop()
-            for m in self._members.get(rep, {rep}):
-                for parent in self._isa.get(m, ()):
-                    prep = self.find(parent)
-                    if prep not in seen:
-                        seen.add(prep)
-                        queue.append(prep)
-        return seen

@@ -488,14 +488,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}__{i}"
 
 
-def compose(s1: Subst, s2: Subst) -> dict[str, Term]:
-    """Substitution equivalent to applying s1 first, then s2."""
-    out = {k: substitute(s2, v) for k, v in s1.items()}
-    for k, v in s2.items():
-        out.setdefault(k, v)
-    return out
-
-
 def alias_names(t: Term) -> set[str]:
     """All term-alias names occurring anywhere in a term."""
     out: set[str] = set()

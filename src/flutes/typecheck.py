@@ -215,17 +215,8 @@ def is_identity_shaped(proof: Proof) -> bool:
 # coercions
 
 
-@dataclass(frozen=True)
-class Coercion:
-    proof: Proof
-
-
-def coercion_of(proof: Proof) -> Coercion:
-    return Coercion(proof)
-
-
-def apply_coercion(c: Coercion | Proof, t: T.Term) -> T.Term:
-    proof = c.proof if isinstance(c, Coercion) else c
+def apply_coercion(proof: Proof, t: T.Term) -> T.Term:
+    """The term t, coerced along a subtyping proof to the supertype."""
     return _coerce(proof, t)
 
 

@@ -21,14 +21,6 @@ def unify(a: T.Term, b: T.Term,
     return None
 
 
-def unify_many(pairs, subst: dict[str, T.Term] | None = None):
-    bindings = dict(subst) if subst else {}
-    for a, b in pairs:
-        if not _unify(a, b, bindings):
-            return None
-    return _expand(bindings)
-
-
 def _walk(t: T.Term, bindings: dict[str, T.Term]) -> T.Term:
     while isinstance(t, T.Var) and t.name in bindings:
         t = bindings[t.name]

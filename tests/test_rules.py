@@ -1,8 +1,8 @@
 import pytest
 
 from flutes.errors import EvalError, RuleFailure, StoreError, TermError
-from flutes.rules import (LambdaRule, apply_lambda, eval_term, lambda_rule,
-                          member_name, mk_analytic, run_analytic, run_lambda)
+from flutes.rules import (eval_term, lambda_rule, member_name, mk_analytic,
+                          run_analytic)
 from flutes.store import Store
 from flutes.syntax import parse_program
 from flutes.typecheck import check_term
@@ -83,49 +83,60 @@ class TestEvalTerm:
 class TestLambdaRules:
     def test_projection_rule(self, store):
         person_members(store)
+        store.mk_kb_class("names", T.record_ty(store.tax, [("name", T.str_ty)]))
         rule = lambda_rule(
-            "names", "p", "person",
-            T.record(store.tax, [("name", T.record_select(T.Var("p"), "name"))]),
-            T.record_ty(store.tax, [("name", T.str_ty)]))
-        joe = store.kb_class("person").members[0][1]
-        out = apply_lambda(store, rule, joe)
-        assert out == T.record(store.tax, [("name", T.string("Joe"))])
+            store, "names", "p", "person", "names",
+            T.record(store.tax, [("name", T.record_select(T.Var("p"), "name"))]))
+        report = run_analytic(store, rule)
+        assert (report.processed, report.inserted) == (2, 2)
+        assert not report.failures
+        assert store.kb_class("names").member_terms == {
+            T.record(store.tax, [("name", T.string(n))]) for n in ("Joe", "Sue")}
 
     def test_identity_rule(self, store):
         person_members(store)
-        rule = lambda_rule("idp", "p", "person", T.Var("p"),
-                           T.type_name("person"))
-        joe = store.kb_class("person").members[0][1]
-        assert apply_lambda(store, rule, joe) == joe
+        store.mk_kb_class("people", T.type_name("person"))
+        rule = lambda_rule(store, "idp", "p", "person", "people", T.Var("p"))
+        assert run_analytic(store, rule).inserted == 2
+        assert (store.kb_class("people").member_terms
+                == store.kb_class("person").member_terms)
 
     def test_unbound_body_vars_rejected(self, store):
         with pytest.raises(TermError):
-            lambda_rule("bad", "p", "person", T.Var("q"), T.num_ty)
+            lambda_rule(store, "bad", "p", "person", "person", T.Var("q"))
 
     def test_missing_field_is_rule_failure(self, store):
         person_members(store)
-        rule = lambda_rule("sel", "p", "person",
-                           T.record_select(T.Var("p"), "absent"), T.str_ty)
-        joe = store.kb_class("person").members[0][1]
-        with pytest.raises(RuleFailure):
-            apply_lambda(store, rule, joe)
+        store.mk_kb_class("strs", T.str_ty)
+        rule = lambda_rule(store, "sel", "p", "person", "strs",
+                           T.record_select(T.Var("p"), "absent"))
+        report = run_analytic(store, rule)
+        assert report.inserted == 0
+        assert [m for m, _ in report.failures] == ["joe", "sue"]
+        assert all("no field matching" in msg for _, msg in report.failures)
 
     def test_failed_subsumption_is_rule_failure(self, store):
         person_members(store)
-        rule = lambda_rule("wrong", "p", "person",
-                           T.record_select(T.Var("p"), "name"), T.num_ty)
-        joe = store.kb_class("person").members[0][1]
-        with pytest.raises(RuleFailure):
-            apply_lambda(store, rule, joe)
+        store.mk_kb_class("nums", T.num_ty)
+        rule = lambda_rule(store, "wrong", "p", "person", "nums",
+                           T.record_select(T.Var("p"), "name"))
+        report = run_analytic(store, rule)
+        assert report.inserted == 0 and len(report.failures) == 2
+        assert all("not subsumed" in msg for _, msg in report.failures)
+        assert not store.kb_class("nums").members
 
-    def test_run_lambda_isolates_failures(self, store):
-        person_members(store)
-        # sue's dob parses as a string; build a body that fails only on joe
-        body = T.record_select(T.Var("p"), "name")
-        rule = LambdaRule("sel", "p", "person", body, T.str_ty)
-        report = run_lambda(store, rule)
-        assert report.processed == 2
-        assert len(report.results) == 2 and not report.failures
+    def test_failures_are_isolated_per_member(self, store):
+        # t1 has no name field, joe has one: one failure, one result
+        store.mk_kb_class("entries", T.record_ty(store.tax, []))
+        store.add_member("entries", "joe", store.lookup("joe"))
+        store.add_member("entries", "t1", store.lookup("t1"))
+        store.mk_kb_class("strs", T.str_ty)
+        rule = lambda_rule(store, "sel", "p", "entries", "strs",
+                           T.record_select(T.Var("p"), "name"))
+        report = run_analytic(store, rule)
+        assert (report.processed, report.inserted) == (2, 1)
+        assert [m for m, _ in report.failures] == ["t1"]
+        assert store.kb_class("strs").member_terms == {T.string("Joe")}
 
 
 class TestAnalytics:

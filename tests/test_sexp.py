@@ -45,7 +45,8 @@ class TestParsing:
     def test_errors(self):
         for bad in ["", "(", ")", "(record", '(str "unterminated',
                     "(num x)", "(frobnicate 1)", "(num 1) (num 2)",
-                    '(str "bad \\z escape")', "(pred zz (num 1) (num 2))"]:
+                    '(str "bad \\z escape")', "(pred zz (num 1) (num 2))",
+                    "(str x)"]:
             with pytest.raises(ParseError):
                 parse_sexp(bad)
 

@@ -6,7 +6,7 @@ from flutes import store as store_module
 from flutes.classifier import find_members
 from flutes.errors import (AliasCycleError, DuplicateNameError,
                            StoreCorruptionError, StoreError)
-from flutes.store import CATALOG, Store, class_file
+from flutes.store import CATALOG, TYPED, Store, class_file
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept, positional
 from flutes import terms as T
@@ -249,6 +249,28 @@ class TestPersistence:
         s.close()
         with Store(path) as reopened:
             assert reopened.dump_state() == state
+
+    def test_commit_makes_the_catalog_durable_last(self, tmp_path, monkeypatch):
+        # the catalog's watermarks may only become durable after the
+        # members and typed terms they vouch for
+        path = str(tmp_path / "kb")
+        s = build_worked_store(path)
+        s.commit()
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            ino = os.fstat(fd).st_ino
+            synced.extend(f for f in os.listdir(path)
+                          if os.stat(os.path.join(path, f)).st_ino == ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(store_module.os, "fsync", fsync)
+        find_members(s)
+        assert synced[-1] == CATALOG
+        assert TYPED in synced and class_file("person") in synced
+        assert len(synced) == len(set(synced))  # one fsync per dirty file
+        s.close()
 
     def test_unparseable_line_detected(self, tmp_path):
         path = str(tmp_path / "kb")

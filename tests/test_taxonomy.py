@@ -144,35 +144,6 @@ class TestLabelMatch:
         assert not tax.label_match(a, positional(0))
 
 
-class TestJoin:
-    def test_join_of_siblings_is_parent(self):
-        tax = Taxonomy()
-        check, cc, payment = names("check", "cc", "payment")
-        tax.add_is_a(check, payment)
-        tax.add_is_a(cc, payment)
-        assert tax.join(check, cc) == payment
-
-    def test_join_with_self_and_ancestor(self):
-        tax = Taxonomy()
-        a, b = names("a", "b")
-        tax.add_is_a(a, b)
-        assert tax.join(a, a) == a
-        assert tax.join(a, b) == b
-
-    def test_join_unrelated_is_none(self):
-        tax = Taxonomy()
-        a, b = names("a", "b")
-        assert tax.join(a, b) is None
-
-    def test_join_picks_least_common_ancestor(self):
-        tax = Taxonomy()
-        a, b, mid, top = names("a", "b", "mid", "top")
-        tax.add_is_a(a, mid)
-        tax.add_is_a(b, mid)
-        tax.add_is_a(mid, top)
-        assert tax.join(a, b) == mid
-
-
 class TestLabelMemo:
     def test_same_as_after_a_query_is_seen(self):
         tax = Taxonomy()

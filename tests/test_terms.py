@@ -127,11 +127,6 @@ class TestVariables:
         assert q.var != "t"
         assert q.body == T.equals(T.Var(q.var), T.Var("t"))
 
-    def test_compose_applies_in_order(self):
-        s = T.compose({"x": T.Var("y")}, {"y": T.num(3)})
-        assert T.substitute(s, T.Var("x")) == T.num(3)
-        assert T.substitute(s, T.Var("y")) == T.num(3)
-
     def test_alias_names(self, tax):
         t = T.record(tax, [("a", T.term_name("joe")),
                            ("b", T.term_list([T.term_name("t1")]))])

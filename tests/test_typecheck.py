@@ -6,7 +6,7 @@ from flutes.errors import AliasCycleError, CoercionDomainError, TypeCheckError
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 from flutes import terms as T
 from flutes.typecheck import (
-    EnumLeaf, RecordNode, apply_coercion, check_term, coercion_of,
+    EnumLeaf, RecordNode, apply_coercion, check_term,
     infer_static_type, is_identity_shaped, prove_subtype, resolve_type,
     select_field_type,
 )
@@ -167,7 +167,7 @@ class TestCoercion:
     def test_worked_example(self, tax):
         sub = infer_static_type(joe(tax), tax)
         proof = prove_subtype(sub, person_ty(tax), tax)
-        coerced = apply_coercion(coercion_of(proof), joe(tax))
+        coerced = apply_coercion(proof, joe(tax))
         assert coerced == T.record(tax, [("dob", T.string("1984-06-27")),
                                          ("name", T.string("Joe"))])
         assert [c.name for c, _ in coerced.fields] == ["dob", "name"]
@@ -176,14 +176,14 @@ class TestCoercion:
         t = joe(tax)
         sub = infer_static_type(t, tax)
         proof = prove_subtype(sub, sub, tax)
-        assert apply_coercion(coercion_of(proof), t) == t
+        assert apply_coercion(proof, t) == t
 
     def test_extra_fields_dropped(self, tax):
         t = T.record(tax, [("name", T.string("Joe")),
                            ("dob", T.string("1984-06-27")),
                            ("shoe_size", T.num(11))])
         proof = prove_subtype(infer_static_type(t, tax), person_ty(tax), tax)
-        coerced = apply_coercion(coercion_of(proof), t)
+        coerced = apply_coercion(proof, t)
         assert infer_static_type(coerced, tax) == person_ty(tax)
 
     def test_aliases_and_bottoms_pass_through(self, tax):

@@ -2,7 +2,7 @@ import random
 
 from flutes.taxonomy import Taxonomy
 from flutes import terms as T
-from flutes.unify import unify, unify_many
+from flutes.unify import unify
 
 import termgen
 
@@ -46,7 +46,7 @@ class TestBasics:
         assert unify(T.Var("x"), wrap) is None
 
     def test_var_chains_resolve(self):
-        s = unify_many([(T.Var("x"), T.Var("y")), (T.Var("y"), T.num(1))])
+        s = unify(T.Var("y"), T.num(1), unify(T.Var("x"), T.Var("y")))
         assert s == {"x": T.num(1), "y": T.num(1)}
 
     def test_lists_by_position(self):
@@ -56,8 +56,7 @@ class TestBasics:
         assert unify(a, T.term_list([T.num(1)])) is None
 
     def test_conflicting_bindings_fail(self):
-        pairs = [(T.Var("x"), T.num(1)), (T.Var("x"), T.num(2))]
-        assert unify_many(pairs) is None
+        assert unify(T.Var("x"), T.num(2), unify(T.Var("x"), T.num(1))) is None
 
     def test_extends_existing_substitution(self):
         s = unify(T.Var("x"), T.num(1))
