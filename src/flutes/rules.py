@@ -112,8 +112,7 @@ def mk_analytic(store: Store, name: str, input_class: str, output_class: str,
 
 
 def lambda_rule(store: Store, name: str, param: str, input_class: str,
-                output_class: str, body: T.Term,
-                registry: dict[str, Analytic] | None = None) -> Analytic:
+                output_class: str, body: T.Term) -> Analytic:
     """The lambda abstraction `param -> body` as an analytic: its function
     evaluates the body with the member substituted for `param`."""
     extra = T.free_vars(body) - {param}
@@ -124,8 +123,7 @@ def lambda_rule(store: Store, name: str, param: str, input_class: str,
         return eval_term(T.substitute({param: member}, body),
                          store.lookup, store.tax)
 
-    return mk_analytic(store, name, input_class, output_class, rewrite,
-                       registry)
+    return mk_analytic(store, name, input_class, output_class, rewrite)
 
 
 @dataclass

@@ -10,10 +10,11 @@ per line:
   class_<name>.fsx   (member "mname" <term>)
   adjacency.fsx      (adj "name" ("ref" ...))
 
-Writes go to open append handles; commit() flushes and fsyncs every dirty
-file, the catalog last (a batch boundary).  A store constructed without a
-path lives purely in memory and renders no records at all.  A single lock
-file serializes writer sessions per directory.
+Writes go to open append handles, except catalog records, which are held in
+memory: commit() flushes and fsyncs every dirty file and only then appends
+and fsyncs the held catalog records (a batch boundary).  A store constructed
+without a path lives purely in memory and renders no records at all.  A
+single lock file serializes writer sessions per directory.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class Store:
         self._type_memo: dict[str, T.Type | None] = {}
         self._handles: dict[str, object] = {}
         self._dirty: set[str] = set()
+        self._catalog: list[str] = []     # catalog records held until commit
         self._locked = False
         if path is not None:
             os.makedirs(path, exist_ok=True)
@@ -116,18 +118,28 @@ class Store:
         if self.path is None:
             return
         line = " ".join([head, *map(_field, args)])
-        self._handle(filename).write(f"({line})\n")
-        self._dirty.add(filename)
+        if filename == CATALOG:
+            self._catalog.append(f"({line})\n")
+        else:
+            self._handle(filename).write(f"({line})\n")
+            self._dirty.add(filename)
 
     def commit(self):
-        """Flush and fsync every file written since the last commit, the
-        catalog last: its watermarks must not become durable before the
-        terms and members they cover."""
-        for filename in sorted(self._dirty, key=lambda f: (f == CATALOG, f)):
-            fh = self._handles[filename]
-            fh.flush()
-            os.fsync(fh.fileno())
+        """Flush and fsync every file written since the last commit, then
+        write and fsync the held catalog records: no watermark may reach
+        the disk before the terms and members it covers."""
+        for filename in sorted(self._dirty):
+            self._sync(filename)
         self._dirty.clear()
+        if self._catalog:
+            self._handle(CATALOG).write("".join(self._catalog))
+            self._catalog.clear()
+            self._sync(CATALOG)
+
+    def _sync(self, filename: str):
+        fh = self._handles[filename]
+        fh.flush()
+        os.fsync(fh.fileno())
 
     def close(self):
         self.commit()

@@ -272,6 +272,27 @@ class TestPersistence:
         assert len(synced) == len(set(synced))  # one fsync per dirty file
         s.close()
 
+    def test_catalog_records_wait_for_commit(self, tmp_path):
+        # more catalog records than an I/O buffer holds must still not
+        # reach the file before the batch's other files are fsynced
+        path = str(tmp_path / "kb")
+        s = build_worked_store(path)
+        s.commit()
+        catalog = os.path.join(path, CATALOG)
+        size = os.path.getsize(catalog)
+        for i in range(500):
+            s.same_as(f"label_{i:04d}_written_mid_batch", f"alias_{i:04d}")
+        s.abox_insert("late", T.string("x"))
+        assert os.path.getsize(catalog) == size
+        s.commit()
+        assert os.path.getsize(catalog) > size + 16384
+        state = s.dump_state()
+        s.close()
+        with Store(path) as reopened:
+            assert reopened.dump_state() == state
+            assert reopened.tax.label_match(mk_concept("alias_0499"),
+                                            mk_concept("label_0499_written_mid_batch"))
+
     def test_unparseable_line_detected(self, tmp_path):
         path = str(tmp_path / "kb")
         self.build(path)
