@@ -5,10 +5,10 @@ whose inferred type is subsumed by the class type.  Subset classes (types
 with a binding term and a proposition) are compiled into clauses: prefix
 existentials become skolem slots tied to other classes, the matrix is
 normalized to disjunctive normal form, and equalities against a skolem
-variable become match literals solved by unification against candidate
-members.  Candidate scans are restricted by the containment graph and by
-per-class watermarks, so re-runs only consider tuples that involve at
-least one member added since the previous run.
+variable become match literals, solved by matching the pattern one way
+against candidate members.  Candidate scans are restricted by the
+containment graph and by per-class watermarks, so re-runs only consider
+tuples that involve at least one member added since the previous run.
 """
 
 from dataclasses import dataclass, field
@@ -20,14 +20,13 @@ from .errors import (ClassDependencyError, EvalError,
 from .rules import eval_term, member_name
 from .store import Store, KbClass, type_alias_names
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
-from .unify import unify
 
 
 # -- compiled clause form ----------------------------------------------------
 
 @dataclass(frozen=True)
 class EqLit:
-    """pattern === skolem; solved by unifying the pattern against candidate
+    """pattern === skolem; solved by matching the pattern against candidate
     members of the skolem's class."""
     pattern: T.Term
     skolem: str
@@ -211,6 +210,46 @@ def eval_ground_prop(p: T.Prop, store: Store) -> bool:
     raise EvalError(f"cannot evaluate proposition {type(p).__name__}")
 
 
+# -- one-way matching ----------------------------------------------------------
+
+def match(pattern: T.Term, ground: T.Term,
+          subst: dict[str, T.Term]) -> dict[str, T.Term] | None:
+    """Extend a ground substitution so that it maps the pattern onto a
+    ground term, or None.
+
+    Equal to ``unify(pattern, ground, subst)`` when `ground` and the values
+    of `subst` hold no variable, as members and the bindings made from them
+    never do (``Var`` is untypeable, and a term with free variables never
+    becomes a member): only the pattern's variables bind, so there is no
+    occurs check and nothing to expand.
+    """
+    s = dict(subst)
+    return s if _match(pattern, ground, s) else None
+
+
+def _match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
+    if isinstance(pat, T.Var):
+        bound = s.get(pat.name)
+        if bound is None:
+            s[pat.name] = t
+            return True
+        return bound == t
+    if type(pat) is not type(t):
+        return False
+    if isinstance(pat, T.Record):
+        if len(pat.fields) != len(t.fields):
+            return False
+        return all(pl == tl and _match(pv, tv, s)
+                   for (pl, pv), (tl, tv) in zip(pat.fields, t.fields))
+    if isinstance(pat, T.List):
+        if len(pat.items) != len(t.items):
+            return False
+        return all(_match(pi, ti, s) for pi, ti in zip(pat.items, t.items))
+    if isinstance(pat, T.FieldSelection):
+        return pat.label == t.label and _match(pat.base, t.base, s)
+    return pat == t
+
+
 # -- candidate pruning --------------------------------------------------------
 
 def _pruned_indices(store: Store, kcls: KbClass, pattern: T.Term):
@@ -324,10 +363,11 @@ class _DisjunctRun:
         return kcls.members[lo:hi]
 
     def _bind(self, lit: EqLit, mterm: T.Term, subst):
-        s = unify(lit.pattern, mterm, subst)
-        if s is None:
+        # match the pattern, then bind (or check) the skolem itself
+        s = match(lit.pattern, mterm, subst)
+        if s is None or s.setdefault(lit.skolem, mterm) != mterm:
             return None
-        return unify(T.var(lit.skolem), mterm, s)
+        return s
 
     def _eval_checks(self, checks, subst):
         """Evaluate every check that substitution made ground; returns the
@@ -354,8 +394,8 @@ class _DisjunctRun:
         lit = self.eq_lits[pos]
         cur = subst.get(lit.skolem, T.var(lit.skolem))
         if not isinstance(cur, T.Var):
-            # solved by an earlier unification; just check consistency
-            s = unify(lit.pattern, cur, subst)
+            # bound by an earlier literal; just check consistency
+            s = match(lit.pattern, cur, subst)
             if s is not None:
                 nxt = self._eval_checks(pending, s)
                 if nxt is not None:

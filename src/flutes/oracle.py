@@ -5,7 +5,9 @@ watermarks, no containment pruning, no unification.  Equality literals
 are solved by one-way structural matching against candidate members,
 enumerated in full.  Shares only the type-theoretic core (inference,
 subsumption, coercion) and ground proposition evaluation with the
-production path, so the two can meaningfully disagree.
+production path, so the two can meaningfully disagree.  Subsumption goes
+through ``prove_subtype_uncached``, never the taxonomy's proof memo, so a
+stale memo cannot fool the engine and the oracle alike.
 """
 
 from . import terms as T
@@ -13,7 +15,7 @@ from .classifier import dependency_order, eval_ground_prop
 from .errors import EvalError, UnsupportedPropError
 from .rules import member_name
 from .store import Store, KbClass
-from .typecheck import apply_coercion, infer_static_type, prove_subtype
+from .typecheck import apply_coercion, infer_static_type, prove_subtype_uncached
 
 Ext = dict[str, list[tuple[str, T.Term]]]
 
@@ -40,7 +42,7 @@ def _static_ext(store: Store, cls: KbClass) -> list[tuple[str, T.Term]]:
         ty = store.type_of(name)
         if ty is None:
             continue
-        proof = prove_subtype(ty, target, store.tax)
+        proof = prove_subtype_uncached(ty, target, store.tax)
         if proof is None:
             continue
         coerced = apply_coercion(proof, term)
@@ -143,7 +145,7 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext
         ty = infer_static_type(mt, store.tax, store.type_of)
         if ty is None:
             return
-        proof = prove_subtype(ty, bind_ty, store.tax)
+        proof = prove_subtype_uncached(ty, bind_ty, store.tax)
         if proof is None:
             return
         coerced = apply_coercion(proof, mt)

@@ -13,12 +13,13 @@ per line:
 Writes go to open append handles, except catalog records, which are held in
 memory: commit() flushes and fsyncs every dirty file and only then appends
 and fsyncs the held catalog records (a batch boundary).  A store constructed
-without a path lives purely in memory and renders no records at all.  A
-single lock file serializes writer sessions per directory.
+without a path lives purely in memory and renders no records at all.  An
+exclusive flock on the file `lock` serializes writer sessions per directory.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
 from collections import ChainMap
@@ -80,28 +81,46 @@ class Store:
         self.contains_map: dict[str, set[str]] = {}
         self.contained_by_map: dict[str, set[str]] = {}
         self._type_memo: dict[str, T.Type | None] = {}
+        self._types: dict[T.Type, T.Type] = {}   # one instance per static type
         self._handles: dict[str, object] = {}
         self._dirty: set[str] = set()
         self._catalog: list[str] = []     # catalog records held until commit
-        self._locked = False
+        self._lock_fd: int | None = None
         if path is not None:
             os.makedirs(path, exist_ok=True)
             if lock:
                 self._acquire_lock()
-            self._replay()
+            try:
+                self._replay()
+            except BaseException:
+                self._release_lock()
+                raise
 
     # -- locking and file plumbing --
 
     def _acquire_lock(self):
-        lock_path = os.path.join(self.path, LOCK)
+        """Hold an exclusive flock on the lock file until close().  The
+        kernel drops it when the holder dies, so a lock file left by a dead
+        session does not block; the pid written into it only names the
+        holder in the error.  The file is never unlinked: a session that
+        opened it just before the unlink could then lock an orphaned inode
+        while a third locks a new file."""
+        fd = os.open(os.path.join(self.path, LOCK), os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreError(
-                f"store {self.path!r} is locked by another session") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        self._locked = True
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 32).decode("ascii", "replace")
+            os.close(fd)
+            raise StoreError(f"store {self.path!r} is locked by another session"
+                             f" (pid {holder or '?'})") from None
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        self._lock_fd = fd
+
+    def _release_lock(self):
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)   # closing the last descriptor unlocks
+            self._lock_fd = None
 
     def _handle(self, filename: str):
         if self.path is None:
@@ -146,9 +165,7 @@ class Store:
         for fh in self._handles.values():
             fh.close()
         self._handles.clear()
-        if self._locked:
-            os.unlink(os.path.join(self.path, LOCK))
-            self._locked = False
+        self._release_lock()
 
     def __enter__(self):
         return self
@@ -161,14 +178,25 @@ class Store:
     def same_as(self, a: str | Concept, b: str | Concept):
         a, b = _concept(a), _concept(b)
         self.tax.same_as(a, b)
-        self._type_memo.clear()
+        self._forget_types()
         self._log(CATALOG, "same-as", a.name, b.name)
 
     def add_is_a(self, child: str | Concept, parent: str | Concept):
         child, parent = _concept(child), _concept(parent)
         self.tax.add_is_a(child, parent)
-        self._type_memo.clear()
+        self._forget_types()
         self._log(CATALOG, "is-a", child.name, parent.name)
+
+    def _forget_types(self):
+        # field selections infer through label_match, so an edit may change
+        # inferred types; the taxonomy has cleared its proof memo
+        self._type_memo.clear()
+        self._types.clear()
+
+    def _intern(self, ty: T.Type) -> T.Type:
+        """The shared instance equal to ty, so that proof-memo keys built
+        from it hit by identity."""
+        return self._types.setdefault(ty, ty)
 
     # -- term collections --
 
@@ -224,12 +252,13 @@ class Store:
         return self.untyped.get(name)
 
     def type_of(self, name: str) -> T.Type | None:
-        """Inferred type of a typed term; None for unknown or untyped names."""
+        """Inferred type of a typed term, interned; None for unknown or
+        untyped names."""
         if name not in self.typed:
             return None
         if name not in self._type_memo:
-            self._type_memo[name] = infer_static_type(
-                self.typed[name][1], self.tax, self.type_of)
+            ty = infer_static_type(self.typed[name][1], self.tax, self.type_of)
+            self._type_memo[name] = None if ty is None else self._intern(ty)
         return self._type_memo[name]
 
     # -- classes --
@@ -253,8 +282,9 @@ class Store:
         return cls
 
     def resolve_class_type(self, name: str) -> T.Type:
-        """The class's fully alias-expanded static member type."""
-        return resolve_type(self.kb_class(name).definition, self._class_lookup)
+        """The class's fully alias-expanded static member type, interned."""
+        return self._intern(resolve_type(self.kb_class(name).definition,
+                                         self._class_lookup))
 
     def _class_lookup(self, name: str) -> T.Type | None:
         cls = self.classes.get(name)

@@ -24,6 +24,7 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -125,6 +126,8 @@ class _Parser:
             return T.Str(tok.value)
         if tok.kind == "NUMBER":
             self.next()
+            if not math.isfinite(tok.value):  # float() overflowed to inf
+                raise ParseError("number out of range", tok.line, tok.col)
             return T.num_f(tok.value)
         if tok.kind == "IDENT":
             self.next()

@@ -7,8 +7,9 @@ lattice (hyponym -> hypernym).  Record subtyping pairs field labels through
 
 Concepts are interned: ``mk_concept`` and ``positional`` hand out one shared
 ``Concept`` per name or index, and each concept computes its hash once.  A
-taxonomy memoises ``label_match``; its mutators, ``same_as`` and
-``add_is_a``, clear the memo, so every answer reflects the current edges.
+taxonomy memoises ``label_match`` and holds the memo of subtype proofs
+(``typecheck.prove_subtype``); its mutators, ``same_as`` and ``add_is_a``,
+clear both, so every answer reflects the current edges.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ class Taxonomy:
 
     Mutations (``same_as``, ``add_is_a``) are expected to be serialized by
     the caller; the query methods only read the relations.  The mutators are
-    the taxonomy epoch: each clears the ``label_match`` memo, which therefore
-    grows with the distinct label pairs queried since the last edit.
+    the taxonomy epoch: each clears the ``label_match`` memo and the proof
+    memo, which therefore grow with the distinct label pairs and (subtype,
+    supertype) pairs queried since the last edit.
     """
 
     def __init__(self):
@@ -107,6 +109,8 @@ class Taxonomy:
         self._members: dict[Concept, set[Concept]] = {}
         self._isa: dict[Concept, set[Concept]] = {}
         self._match: dict[tuple[Concept, Concept], bool] = {}
+        # (sub, sup) -> Proof or None, filled by typecheck.prove_subtype
+        self.proofs: dict[tuple[object, object], object] = {}
 
     # -- equivalence (union-find; the root is the least member, which makes
     # -- canonical() deterministic) --
@@ -138,7 +142,7 @@ class Taxonomy:
         self._parent[rb] = ra
         group = self._members.setdefault(ra, {ra})
         group.update(self._members.pop(rb, {rb}))
-        self._match.clear()
+        self._forget()
 
     # -- is-a lattice --
 
@@ -146,7 +150,12 @@ class Taxonomy:
         if self.label_leq(parent, child):
             raise LatticeCycleError(f"is-a edge {child!r} -> {parent!r} closes a cycle")
         self._isa.setdefault(child, set()).add(parent)
+        self._forget()
+
+    def _forget(self) -> None:
+        # every memoised answer may depend on the edge just added
         self._match.clear()
+        self.proofs.clear()
 
     def label_leq(self, sub: Concept, sup: Concept) -> bool:
         """Reflexive-transitive is-a reachability, stepping through synonyms."""

@@ -92,19 +92,44 @@ class StrTy(Type):
     pass
 
 
+# The composite types compute their hash once, on first use, and keep it in
+# the instance dict (it is not a field, so equality and repr ignore it): they
+# key the proof memo and the store's intern table, and hashing a wide record
+# type field by field on every lookup would cost what the memo saves.  A type
+# that is never hashed (most that inference builds and drops) costs nothing
+# extra.
+
 @dataclass(frozen=True)
 class ListTy(Type):
     elem: "Type"
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.elem,))
+        return h
 
 
 @dataclass(frozen=True)
 class RecordTy(Type):
     fields: tuple[tuple[Concept, "Type"], ...]
 
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.fields,))
+        return h
+
 
 @dataclass(frozen=True)
 class EnumTy(Type):
     concepts: tuple[Concept, ...]
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.concepts,))
+        return h
 
 
 @dataclass(frozen=True)

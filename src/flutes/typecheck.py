@@ -3,8 +3,12 @@
 Inference produces only static types (never subset types).  Subtype proofs
 are deterministic: supertype record fields are processed in label order and
 each takes the first unconsumed subtype field that label-matches and proves
-recursively.  A coercion replays a proof over a term: matched fields are
-renamed to the supertype's labels, unmatched subtype fields are dropped.
+recursively.  A proof depends only on the two types and the taxonomy, so
+``prove_subtype`` memoises its answers (failures included) in the
+taxonomy's proof memo, which every taxonomy edit clears;
+``prove_subtype_uncached`` is the recursive search behind it.  A coercion
+replays a proof over a term: matched fields are renamed to the supertype's
+labels, unmatched subtype fields are dropped.
 """
 
 from __future__ import annotations
@@ -157,8 +161,26 @@ class RecordNode(Proof):
     dropped: tuple[Concept, ...]
 
 
+_MISS = object()
+
+
 def prove_subtype(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
-    """A proof that sub <= sup, or None.  Both types must be static."""
+    """A proof that sub <= sup, or None.  Both types must be static.
+
+    Answers come from the taxonomy's proof memo; with interned types (as
+    ``Store.type_of`` and ``Store.resolve_class_type`` return them) a hit
+    is an identity test.
+    """
+    key = (sub, sup)
+    proof = tax.proofs.get(key, _MISS)
+    if proof is _MISS:
+        proof = tax.proofs[key] = prove_subtype_uncached(sub, sup, tax)
+    return proof
+
+
+def prove_subtype_uncached(sub: T.Type, sup: T.Type,
+                           tax: Taxonomy) -> Proof | None:
+    """``prove_subtype`` without the memo: searches for the proof anew."""
     for ty in (sub, sup):
         if isinstance(ty, (T.SubsetTy, T.TyAlias)):
             raise TypeCheckError(f"prove_subtype needs static types, got {ty!r}")
@@ -173,7 +195,7 @@ def prove_subtype(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
                        for c in sub.concepts)
         return EnumLeaf() if included else None
     if isinstance(sub, T.ListTy) and isinstance(sup, T.ListTy):
-        child = prove_subtype(sub.elem, sup.elem, tax)
+        child = prove_subtype_uncached(sub.elem, sup.elem, tax)
         return ListNode(child) if child is not None else None
     if isinstance(sub, T.RecordTy) and isinstance(sup, T.RecordTy):
         pairs = []
@@ -183,7 +205,7 @@ def prove_subtype(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
             for i, (sub_label, sub_fty) in enumerate(sub.fields):
                 if i in consumed or not tax.label_match(sub_label, sup_label):
                     continue
-                child = prove_subtype(sub_fty, sup_fty, tax)
+                child = prove_subtype_uncached(sub_fty, sup_fty, tax)
                 if child is not None:
                     hit = (sup_label, sub_label, child)
                     consumed.add(i)

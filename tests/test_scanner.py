@@ -81,6 +81,8 @@ PARSE_ERRORS = [
     ('a := "x";\nb := {"k" "v"};', "2:11: expected ':' or '=', got 'v'"),
     ('joe := ;', "1:8: expected a term, got ';'"),
     ('a := "x"; a := "y";', "1:11: duplicate declaration of 'a'"),
+    ('x := {"a" = 1e999};', '1:13: number out of range'),
+    ('x := f(\n  -1e400);', '2:3: number out of range'),
 ]
 
 

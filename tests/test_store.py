@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -227,6 +229,47 @@ class TestPersistence:
             s.close()
         s2 = Store(path)
         s2.close()
+
+    def test_stale_lock_of_a_dead_pid_opens(self, tmp_path):
+        path = str(tmp_path / "kb")
+        os.makedirs(path)
+        with open(os.path.join(path, "lock"), "w") as fh:
+            fh.write("999999")
+        s = Store(path)
+        try:
+            with pytest.raises(StoreError, match=rf"locked .*\(pid {os.getpid()}\)"):
+                Store(path)
+        finally:
+            s.close()
+
+    def test_session_that_dies_holding_the_lock_does_not_block(self, tmp_path):
+        path = str(tmp_path / "kb")
+        code = ("import os, sys\n"
+                "from flutes import Store, terms\n"
+                "s = Store(sys.argv[1])\n"
+                "s.abox_insert('a', terms.num(1))\n"
+                "s.commit()\n"
+                "os._exit(0)  # dies without close()\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code, path], env=env,
+                       check=True, timeout=60)
+        assert os.path.exists(os.path.join(path, "lock"))
+        with Store(path) as s:
+            assert s.lookup("a") == T.num(1)
+
+    def test_failed_open_releases_the_lock(self, tmp_path):
+        path = str(tmp_path / "kb")
+        self.build(path)
+        typed = os.path.join(path, "typed.fsx")
+        with open(typed) as fh:
+            good = fh.read()
+        with open(typed, "a") as fh:
+            fh.write("(term \"x\" (unknownhead))\n")
+        with pytest.raises(StoreCorruptionError):
+            Store(path)
+        with open(typed, "w") as fh:
+            fh.write(good)
+        Store(path).close()
 
     def test_corrupt_line_detected(self, tmp_path):
         path = str(tmp_path / "kb")
