@@ -482,6 +482,13 @@ def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
         if not eq_lits:
             produced.extend(make_run([], checks, []).solve_empty())
             continue
+        if any(marks[cls_of[v]] == 0 and sizes[cls_of[v]]
+               for v in _guards(clause, disjunct)):
+            # a guard class just gained its first member, which admits
+            # tuples below the marks that earlier runs rejected
+            full = [(0, sizes[cls_of[lit.skolem]]) for lit in eq_lits]
+            produced.extend(make_run(eq_lits, checks, full).solve(0))
+            continue
         for drive in range(len(eq_lits)):
             windows = []
             for i, lit in enumerate(eq_lits):
@@ -500,8 +507,20 @@ def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
     _advance(store, cls, cls.watermark, sizes)
 
 
+def _guards(clause: SkolemClause, disjunct) -> set[str]:
+    """The disjunct's guard skolems: bound by no literal, so they only ask
+    that their class be non-empty."""
+    bound: set[str] = set()
+    for lit in disjunct:
+        if isinstance(lit, EqLit):
+            bound |= {lit.skolem} | T.free_vars(lit.pattern)
+        else:
+            bound |= T.free_vars(lit.prop)
+    return {v for v, _ in clause.skolems} - bound
+
+
 def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):
-    # an unchanged watermark record would only lengthen the catalog
+    # an unchanged watermark record would only lengthen the log
     if watermark != cls.watermark or dep_marks != cls.dep_marks:
         store.set_watermark(cls.name, watermark, dep_marks)
 

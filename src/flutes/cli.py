@@ -15,8 +15,9 @@ Commands, one per line (# starts a comment):
   stats                                collection counts
   quit                                 end the session
 
-Reports are line-oriented key<TAB>value.  Exit codes: 0 ok, 1 command
-error, 2 store corruption.
+Reports are line-oriented key<TAB>value; opening a store whose torn log
+tail was cut off reports torn_tail<TAB><bytes>.  Exit codes: 0 ok, 1
+command error, 2 store corruption.
 """
 
 import argparse
@@ -229,6 +230,8 @@ def main(argv=None) -> int:
     except FlutesError as exc:
         print(f"error\t{exc}", file=out)
         return 1
+    if store.torn_tail:
+        print(f"torn_tail\t{store.torn_tail[0]}", file=out)
     try:
         if args.script:
             try:

@@ -1,20 +1,25 @@
 """Embedded persistent term store.
 
-One directory holds five kinds of append-only S-expression logs, one record
-per line:
+A store directory holds one append-only S-expression log, `log.fsx`, one
+record per line, in the order the changes were made:
 
-  catalog.fsx        (class "name" <type>) | (same-as "a" "b") | (is-a "a" "b")
-                     | (watermark "class" N ((dep M) ...))    [latest wins]
-  untyped.fsx        (term "name" <term>) | (promote "name")
-  typed.fsx          (term "name" <term>)                     [line = typed id]
-  class_<name>.fsx   (member "mname" <term>)
-  adjacency.fsx      (adj "name" ("ref" ...))
+  (flutes-log 1)                      format version, first record of the log
+  (class "name" <type>) | (same-as "a" "b") | (is-a "a" "b")
+  (term "name" <term>)                an untyped term
+  (promote "name")                    typed ids follow promotion order
+  (member "class" "mname" <term>)
+  (watermark "class" N (("dep" M) ...))
+  (commit N crc)                      ends a batch of N records
 
-Writes go to open append handles, except catalog records, which are held in
-memory: commit() flushes and fsyncs every dirty file and only then appends
-and fsyncs the held catalog records (a batch boundary).  A store constructed
-without a path lives purely in memory and renders no records at all.  An
-exclusive flock on the file `lock` serializes writer sessions per directory.
+Mutations render their record into an in-memory batch; commit() appends
+the batch and its marker, where crc is zlib.crc32 of the batch's bytes,
+with one write and one fsync.  Replay applies a batch only once its marker
+checks out, and derives adjacency from the term and member records.  A
+batch that fails its marker is a torn tail when no valid marker follows it
+(it is truncated and reported in `torn_tail`) and corruption otherwise.  A
+store constructed without a path lives purely in memory and renders no
+records at all.  An exclusive flock on the file `lock` serializes writer
+sessions per directory.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import fcntl
 import os
 import re
+import zlib
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Container
@@ -35,15 +41,10 @@ from . import terms as T
 
 _CLASS_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
-CATALOG = "catalog.fsx"
-UNTYPED = "untyped.fsx"
-TYPED = "typed.fsx"
-ADJACENCY = "adjacency.fsx"
+LOG = "log.fsx"
 LOCK = "lock"
-
-
-def class_file(name: str) -> str:
-    return f"class_{name}.fsx"
+_VERSION = "(flutes-log 1)\n"
+_MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
 @dataclass
@@ -82,10 +83,11 @@ class Store:
         self.contained_by_map: dict[str, set[str]] = {}
         self._type_memo: dict[str, T.Type | None] = {}
         self._types: dict[T.Type, T.Type] = {}   # one instance per static type
-        self._handles: dict[str, object] = {}
-        self._dirty: set[str] = set()
-        self._catalog: list[str] = []     # catalog records held until commit
+        self._batch: list[str] = []       # records rendered since the last commit
+        self._log_fd: int | None = None
+        self._log_size = 0                # bytes of log.fsx up to the last marker
         self._lock_fd: int | None = None
+        self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
             os.makedirs(path, exist_ok=True)
             if lock:
@@ -96,7 +98,7 @@ class Store:
                 self._release_lock()
                 raise
 
-    # -- locking and file plumbing --
+    # -- locking and the log --
 
     def _acquire_lock(self):
         """Hold an exclusive flock on the lock file until close().  The
@@ -122,50 +124,52 @@ class Store:
             os.close(self._lock_fd)   # closing the last descriptor unlocks
             self._lock_fd = None
 
-    def _handle(self, filename: str):
-        if self.path is None:
-            return None
-        fh = self._handles.get(filename)
-        if fh is None:
-            fh = open(os.path.join(self.path, filename), "a", encoding="utf-8")
-            self._handles[filename] = fh
-        return fh
-
-    def _log(self, filename: str, head: str, *args):
-        """Append the record (head arg ...) to a log; an in-memory store
-        skips it before rendering anything."""
+    def _log(self, head: str, *args):
+        """Add the record (head arg ...) to the current batch; an in-memory
+        store skips it before rendering anything."""
         if self.path is None:
             return
-        line = " ".join([head, *map(_field, args)])
-        if filename == CATALOG:
-            self._catalog.append(f"({line})\n")
-        else:
-            self._handle(filename).write(f"({line})\n")
-            self._dirty.add(filename)
+        self._batch.append("(" + " ".join([head, *map(_field, args)]) + ")\n")
 
     def commit(self):
-        """Flush and fsync every file written since the last commit, then
-        write and fsync the held catalog records: no watermark may reach
-        the disk before the terms and members it covers."""
-        for filename in sorted(self._dirty):
-            self._sync(filename)
-        self._dirty.clear()
-        if self._catalog:
-            self._handle(CATALOG).write("".join(self._catalog))
-            self._catalog.clear()
-            self._sync(CATALOG)
+        """Append the batch and its (commit N crc) marker to the log with one
+        write and one fsync.  Watermarks follow the members they cover in
+        the same file, so no order between files has to be kept."""
+        if not self._batch:
+            return
+        first = self._log_size == 0
+        records = [_VERSION, *self._batch] if first else self._batch
+        data = "".join(records).encode("utf-8")
+        data += b"(commit %d %d)\n" % (len(records), zlib.crc32(data))
+        if self._log_fd is None:
+            self._log_fd = os.open(self._log_path(),
+                                   os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self._log_fd, view):]
+            os.fsync(self._log_fd)
+        except BaseException:
+            # a batch that may be only partly on disk must not stay there
+            # for the next batch's marker to turn into corruption
+            os.ftruncate(self._log_fd, self._log_size)
+            raise
+        if first:
+            _fsync_dir(self.path)   # the directory entry of a new log
+        self._log_size += len(data)
+        self._batch.clear()
 
-    def _sync(self, filename: str):
-        fh = self._handles[filename]
-        fh.flush()
-        os.fsync(fh.fileno())
+    def _log_path(self) -> str:
+        return os.path.join(self.path, LOG)
 
     def close(self):
-        self.commit()
-        for fh in self._handles.values():
-            fh.close()
-        self._handles.clear()
-        self._release_lock()
+        try:
+            self.commit()
+        finally:
+            if self._log_fd is not None:
+                os.close(self._log_fd)
+                self._log_fd = None
+            self._release_lock()
 
     def __enter__(self):
         return self
@@ -179,13 +183,13 @@ class Store:
         a, b = _concept(a), _concept(b)
         self.tax.same_as(a, b)
         self._forget_types()
-        self._log(CATALOG, "same-as", a.name, b.name)
+        self._log("same-as", a.name, b.name)
 
     def add_is_a(self, child: str | Concept, parent: str | Concept):
         child, parent = _concept(child), _concept(parent)
         self.tax.add_is_a(child, parent)
         self._forget_types()
-        self._log(CATALOG, "is-a", child.name, parent.name)
+        self._log("is-a", child.name, parent.name)
 
     def _forget_types(self):
         # field selections infer through label_match, so an edit may change
@@ -208,9 +212,12 @@ class Store:
             raise DuplicateNameError(f"term {name!r} already bound")
         refs = T.alias_names(t)
         self._check_acyclic(name, refs)
+        self._put_term(name, t, refs)
+        self._log("term", name, t)
+
+    def _put_term(self, name: str, t: T.Term, refs: set[str]):
         self.untyped[name] = t
         self._add_adjacency(name, refs)
-        self._log(UNTYPED, "term", name, t)
 
     def _check_acyclic(self, name: str, refs: set[str]):
         # the new term may complete a cycle only through terms that already
@@ -227,20 +234,20 @@ class Store:
             seen.add(cur)
             stack.extend(self.contains_map.get(cur, ()))
 
-    def _add_adjacency(self, name: str, refs: set[str], log: bool = True):
+    def _add_adjacency(self, name: str, refs: set[str]):
         self.contains_map[name] = set(refs)
         for r in refs:
             self.contained_by_map.setdefault(r, set()).add(name)
-        if log:
-            self._log(ADJACENCY, "adj", name, sorted(refs))
 
     def promote(self, name: str):
         """Move an untyped term into the typed collection."""
+        self._promote(name)
+        self._log("promote", name)
+
+    def _promote(self, name: str):
         t = self.untyped.pop(name)
         self.typed[name] = (len(self.typed_list) + 1, t)
         self.typed_list.append((name, t))
-        self._log(TYPED, "term", name, t)
-        self._log(UNTYPED, "promote", name)
 
     def term_names(self) -> Container[str]:
         """Every stored term name, typed or untyped, as a live view."""
@@ -271,9 +278,11 @@ class Store:
         for ref in sorted(type_alias_names(ty)):
             if ref not in self.classes:
                 raise StoreError(f"class {name!r} references unknown type {ref!r}")
+        self._put_class(name, ty)
+        self._log("class", name, ty)
+
+    def _put_class(self, name: str, ty: T.Type):
         self.classes[name] = KbClass(name, ty)
-        self._log(CATALOG, "class", name, ty)
-        self._handle(class_file(name))  # create the member file eagerly
 
     def kb_class(self, name: str) -> KbClass:
         cls = self.classes.get(name)
@@ -295,19 +304,27 @@ class Store:
         cls = self.kb_class(class_name)
         if t in cls.member_terms:
             return False
-        cls._index(member_name, t)
-        self._log(class_file(class_name), "member", member_name, t)
+        self._put_member(class_name, member_name, t)
+        self._log("member", class_name, member_name, t)
+        return True
+
+    def _put_member(self, class_name: str, member_name: str, t: T.Term):
+        self.classes[class_name]._index(member_name, t)
         if member_name not in self.contains_map:
             self._add_adjacency(member_name, T.alias_names(t))
-        return True
 
     def set_watermark(self, class_name: str, watermark: int,
                       dep_marks: dict[str, int] | None = None):
-        cls = self.kb_class(class_name)
+        self.kb_class(class_name)           # raises for an unknown class
+        dep_marks = dict(dep_marks or {})
+        self._put_watermark(class_name, watermark, dep_marks)
+        self._log("watermark", class_name, watermark, sorted(dep_marks.items()))
+
+    def _put_watermark(self, class_name: str, watermark: int,
+                       dep_marks: dict[str, int]):
+        cls = self.classes[class_name]
         cls.watermark = watermark
-        cls.dep_marks = dict(dep_marks or {})
-        self._log(CATALOG, "watermark", class_name, watermark,
-                  sorted(cls.dep_marks.items()))
+        cls.dep_marks = dep_marks
 
     # -- containment graph --
 
@@ -360,94 +377,89 @@ class Store:
     # -- replay --
 
     def _replay(self):
-        self._replay_catalog()
-        self._replay_untyped()
-        self._replay_typed()
-        self._replay_adjacency()
-        for name in self.classes:
-            self._replay_class(name)
-
-    def _lines(self, filename: str):
-        full = os.path.join(self.path, filename)
-        if not os.path.exists(full):
-            return
-        with open(full, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh.read().split("\n"), start=1):
-                if line.strip():
-                    yield lineno, line
-
-    def _replay_node(self, filename: str, lineno: int, line: str):
-        try:
-            node = read_node(line)
-        except Exception as exc:
-            raise StoreCorruptionError(f"{filename}:{lineno}: {exc}") from exc
-        if not isinstance(node, list) or not node or not isinstance(node[0], str):
-            raise StoreCorruptionError(f"{filename}:{lineno}: not a record")
-        return node
-
-    def _replay_catalog(self):
-        for lineno, line in self._lines(CATALOG):
-            node = self._replay_node(CATALOG, lineno, line)
-            head = str(node[0])
-            try:
-                if head == "same-as" and len(node) == 3:
-                    self.tax.same_as(mk_concept(node[1]), mk_concept(node[2]))
-                elif head == "is-a" and len(node) == 3:
-                    self.tax.add_is_a(mk_concept(node[1]), mk_concept(node[2]))
-                elif head == "class" and len(node) == 3:
-                    self.classes[str(node[1])] = KbClass(str(node[1]),
-                                                         build_value(node[2]))
-                elif head == "watermark" and len(node) == 4:
-                    cls = self.classes[str(node[1])]
-                    cls.watermark = int(node[2])
-                    cls.dep_marks = {str(d[0]): int(d[1]) for d in node[3]}
-                else:
-                    raise StoreCorruptionError(
-                        f"{CATALOG}:{lineno}: unknown record {head!r}")
-            except StoreCorruptionError:
-                raise
-            except Exception as exc:
-                raise StoreCorruptionError(f"{CATALOG}:{lineno}: {exc}") from exc
-
-    def _replay_untyped(self):
-        for lineno, line in self._lines(UNTYPED):
-            node = self._replay_node(UNTYPED, lineno, line)
-            head = str(node[0])
-            if head == "term" and len(node) == 3:
-                self.untyped[str(node[1])] = _term_value(UNTYPED, lineno, node[2])
-            elif head == "promote" and len(node) == 2:
-                self.untyped.pop(str(node[1]), None)
-            else:
+        """Apply every batch whose marker checks out, streaming the log and
+        holding one batch at a time; truncate a torn tail."""
+        path = self._log_path()
+        if not os.path.exists(path):
+            old = sorted(f for f in os.listdir(self.path) if f.endswith(".fsx"))
+            if old:
                 raise StoreCorruptionError(
-                    f"{UNTYPED}:{lineno}: unknown record {head!r}")
+                    f"store {self.path!r} has the old one-file-per-collection "
+                    f"layout ({', '.join(old)}) and no {LOG}; this version "
+                    f"reads only {LOG}")
+            return
+        batch: list[tuple[int, bytes]] = []
+        crc = good = size = good_line = lineno = 0
+        failed: str | None = None   # the first batch since `good` that failed
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                size += len(raw)
+                marker = _MARKER.fullmatch(raw)
+                if marker is None:
+                    batch.append((lineno, raw))
+                    crc = zlib.crc32(raw, crc)
+                    continue
+                if int(marker[1]) == len(batch) and int(marker[2]) == crc:
+                    if failed is not None:
+                        raise StoreCorruptionError(failed)
+                    self._apply(batch, first=good == 0)
+                    good, good_line = size, lineno
+                elif failed is None:
+                    failed = self._diagnose(batch, lineno)
+                batch, crc = [], 0
+        if size > good:
+            os.truncate(path, good)
+            self.torn_tail = (size - good, lineno - good_line)
+        self._log_size = good
 
-    def _replay_typed(self):
-        for lineno, line in self._lines(TYPED):
-            node = self._replay_node(TYPED, lineno, line)
-            if str(node[0]) != "term" or len(node) != 3:
-                raise StoreCorruptionError(f"{TYPED}:{lineno}: unknown record")
-            name = str(node[1])
-            t = _term_value(TYPED, lineno, node[2])
-            self.typed[name] = (len(self.typed_list) + 1, t)
-            self.typed_list.append((name, t))
+    def _apply(self, batch: list[tuple[int, bytes]], first: bool):
+        if first and batch[0][1] != _VERSION.encode():
+            raise StoreCorruptionError(f"{LOG}:1: expected {_VERSION.strip()}")
+        for lineno, raw in batch:
+            try:
+                fn, args = self._decode(raw)
+                fn(*args)
+            except Exception as exc:
+                raise StoreCorruptionError(f"{LOG}:{lineno}: {exc}") from exc
 
-    def _replay_adjacency(self):
-        for lineno, line in self._lines(ADJACENCY):
-            node = self._replay_node(ADJACENCY, lineno, line)
-            if str(node[0]) != "adj" or len(node) != 3 or not isinstance(node[2], list):
-                raise StoreCorruptionError(f"{ADJACENCY}:{lineno}: unknown record")
-            self._add_adjacency(str(node[1]), {str(r) for r in node[2]}, log=False)
+    def _diagnose(self, batch: list[tuple[int, bytes]], marker_line: int) -> str:
+        """The error for a batch that failed its marker: its first record
+        that does not decode, else the marker itself."""
+        for lineno, raw in batch:
+            try:
+                self._decode(raw)
+            except Exception as exc:
+                return f"{LOG}:{lineno}: {exc}"
+        return (f"{LOG}:{marker_line}: record count or checksum does not "
+                f"match the batch before it")
 
-    def _replay_class(self, name: str):
-        filename = class_file(name)
-        cls = self.classes[name]
-        for lineno, line in self._lines(filename):
-            node = self._replay_node(filename, lineno, line)
-            if str(node[0]) != "member" or len(node) != 3:
-                raise StoreCorruptionError(f"{filename}:{lineno}: unknown record")
-            mname = str(node[1])
-            t = _term_value(filename, lineno, node[2])
-            cls._index(mname, t)
+    def _decode(self, raw: bytes):
+        """The method that replays one record, and its arguments."""
+        node = read_node(raw.decode("utf-8"))
+        if not isinstance(node, list) or not node or not isinstance(node[0], str):
+            raise ValueError("not a record")
+        head, args = node[0], node[1:]
+        shape = (head, len(args))
+        if shape == ("term", 2):
+            t = _term_value(args[1])
+            return self._put_term, (str(args[0]), t, T.alias_names(t))
+        if shape == ("promote", 1):
+            return self._promote, (str(args[0]),)
+        if shape == ("member", 3):
+            return self._put_member, (str(args[0]), str(args[1]),
+                                      _term_value(args[2]))
+        if shape == ("watermark", 3):
+            return self._put_watermark, (
+                str(args[0]), int(args[1]), {str(d[0]): int(d[1]) for d in args[2]})
+        if shape == ("class", 2):
+            return self._put_class, (str(args[0]), build_value(args[1]))
+        if shape == ("same-as", 2):
+            return self.tax.same_as, (mk_concept(args[0]), mk_concept(args[1]))
+        if shape == ("is-a", 2):
+            return self.tax.add_is_a, (mk_concept(args[0]), mk_concept(args[1]))
+        if shape == ("flutes-log", 1) and args[0] == 1:
+            return _nothing, ()
+        raise ValueError(f"unknown record {head!r}")
 
     def dump_state(self) -> str:
         """Canonical rendering of all in-memory state, for equality checks."""
@@ -489,14 +501,24 @@ def _concept(x: str | Concept) -> Concept:
     return c
 
 
-def _term_value(filename: str, lineno: int, node) -> T.Term:
-    try:
-        value = build_value(node)
-    except Exception as exc:
-        raise StoreCorruptionError(f"{filename}:{lineno}: {exc}") from exc
+def _term_value(node) -> T.Term:
+    value = build_value(node)
     if not isinstance(value, T.Term):
-        raise StoreCorruptionError(f"{filename}:{lineno}: not a term")
+        raise ValueError("not a term")
     return value
+
+
+def _nothing():
+    pass
+
+
+def _fsync_dir(path: str):
+    """Make a newly created file's directory entry durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def type_alias_names(ty: T.Type) -> set[str]:

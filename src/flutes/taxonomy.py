@@ -109,6 +109,9 @@ class Taxonomy:
         self._members: dict[Concept, set[Concept]] = {}
         self._isa: dict[Concept, set[Concept]] = {}
         self._match: dict[tuple[Concept, Concept], bool] = {}
+        # roots of the synonym classes with an outgoing is-a edge, built
+        # on first use after an edit
+        self._upward: set[Concept] | None = None
         # (sub, sup) -> Proof or None, filled by typecheck.prove_subtype
         self.proofs: dict[tuple[object, object], object] = {}
 
@@ -156,6 +159,7 @@ class Taxonomy:
         # every memoised answer may depend on the edge just added
         self._match.clear()
         self.proofs.clear()
+        self._upward = None
 
     def label_leq(self, sub: Concept, sup: Concept) -> bool:
         """Reflexive-transitive is-a reachability, stepping through synonyms."""
@@ -198,20 +202,18 @@ class Taxonomy:
         """Two of the labels that ``label_match`` each other both ways, or
         None when there are none.
 
-        Without is-a edges, named labels match mutually exactly when they
-        share a union-find root and positional labels only when identical,
-        so one pass decides.  Is-a edges can make labels with different
-        roots mutual (``x`` is-a ``y`` is-a ``z`` with ``x`` ~ ``z``), so
-        then every pair is checked.
+        Named labels that share a union-find root match mutually, and
+        positional labels only when identical, so one pass over the roots
+        finds those pairs.  Is-a edges can make labels with different roots
+        mutual (``x`` is-a ``y`` is-a ``z`` with ``x`` ~ ``z``), but only
+        when the synonym class of each has an outgoing is-a edge, so only
+        such labels are then checked pairwise.
         """
-        if self._isa:
-            for i, a in enumerate(labels):
-                for b in labels[i + 1:]:
-                    if self.label_match(a, b) and self.label_match(b, a):
-                        return a, b
-            return None
         roots: dict[Concept, Concept] = {}      # root -> first named label
         positions: dict[Concept, Concept] = {}  # positional label -> itself
+        upward: list[Concept] = []              # labels whose class has is-a edges
+        if self._upward is None:
+            self._upward = {self.find(c) for c in self._isa}
         for label in labels:
             if label.is_positional:
                 table, key = positions, label
@@ -221,4 +223,10 @@ class Taxonomy:
             if first is not None:
                 return first, label
             table[key] = label
+            if key in self._upward:
+                upward.append(label)
+        for i, a in enumerate(upward):
+            for b in upward[i + 1:]:
+                if self.label_match(a, b) and self.label_match(b, a):
+                    return a, b
         return None

@@ -6,6 +6,7 @@ from flutes import terms as T
 from flutes.classifier import (CheckLit, EqLit, dependency_order,
                                find_members, promote_untyped, skolemize)
 from flutes.errors import ClassDependencyError, UnsupportedPropError
+from flutes.oracle import oracle_extensions
 from flutes.store import Store
 from flutes.syntax import parse_program
 
@@ -301,6 +302,26 @@ class TestIncrementality:
         assert T.triple("fi-related", T.term_name("joe"),
                         T.term_name("sue")) in \
             store.kb_class("fi_related").member_terms
+
+    def test_guard_existential_rechecked_when_its_class_fills(self, store):
+        # z is bound by no literal: it only asks that `flagged` be non-empty
+        store.mk_kb_class("flagged", T.record_ty(store.tax, [("flag", T.str_ty)]))
+        store.mk_kb_class("originator", T.subset_ty(
+            T.var("x"), T.type_name("person"),
+            T.exists("o", T.type_name("orig_of"),
+            T.exists("z", T.type_name("flagged"),
+                T.equals(T.triple("orig-of", T.var("x"), T.var("y")),
+                         T.var("o"))))))
+        find_members(store)
+        assert not store.kb_class("originator").members
+        insert_program(store, 'f1 := {"flag"="yes"};')
+        find_members(store)
+        engine = store.kb_class("originator").member_terms
+        assert engine == oracle_extensions(store)["originator"]
+        assert engine == {T.term_name("joe")}
+        # once the guard's mark has moved, later runs stay incremental
+        report = find_members(store)
+        assert report.per_class["originator"].candidates == 0
 
 
 class TestChecksAndFilters:

@@ -257,13 +257,19 @@ class TestStoreHandling:
         path = tmp_path / "kb"
         s = Store(str(path))
         s.abox_insert("a", T.num(1))
+        s.commit()
+        s.abox_insert("b", T.num(2))
         s.close()
-        (path / "untyped.fsx").write_text("(garbage\n", encoding="utf-8")
+        log = path / "log.fsx"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        # garbage inside the first batch, before the second batch's marker
+        log.write_text("".join(lines[:1] + ["(garbage\n"] + lines[1:]),
+                       encoding="utf-8")
         code = main(["--store", str(path),
                      "--script", write_script(tmp_path, ["stats"])])
         out = capsys.readouterr().out
         assert code == 2
-        assert "untyped.fsx:1" in out
+        assert "log.fsx:2" in out
 
     def test_state_persists_between_sessions(self, tmp_path, capsys,
                                              corpus_file):

@@ -8,7 +8,8 @@ from flutes import store as store_module
 from flutes.classifier import find_members
 from flutes.errors import (AliasCycleError, DuplicateNameError,
                            StoreCorruptionError, StoreError)
-from flutes.store import CATALOG, TYPED, Store, class_file
+from flutes.store import LOG, Store
+from flutes.sexp import read_node
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept, positional
 from flutes import terms as T
@@ -257,78 +258,121 @@ class TestPersistence:
         with Store(path) as s:
             assert s.lookup("a") == T.num(1)
 
+    def two_batches(self, path):
+        """The built store plus a second batch, so that the first batch has
+        a valid marker after it; returns the log's lines."""
+        self.build(path)
+        with Store(path) as s:
+            s.abox_insert("late", T.string("x"))
+        with open(os.path.join(path, LOG), "rb") as fh:
+            return fh.read().splitlines(keepends=True)
+
+    def write_log(self, path, lines):
+        with open(os.path.join(path, LOG), "wb") as fh:
+            fh.write(b"".join(lines))
+
     def test_failed_open_releases_the_lock(self, tmp_path):
         path = str(tmp_path / "kb")
-        self.build(path)
-        typed = os.path.join(path, "typed.fsx")
-        with open(typed) as fh:
-            good = fh.read()
-        with open(typed, "a") as fh:
-            fh.write("(term \"x\" (unknownhead))\n")
+        good = self.two_batches(path)
+        self.write_log(path, good[:2] + [b'(term "x" (unknownhead))\n'] + good[2:])
         with pytest.raises(StoreCorruptionError):
             Store(path)
-        with open(typed, "w") as fh:
-            fh.write(good)
+        self.write_log(path, good)
         Store(path).close()
 
     def test_corrupt_line_detected(self, tmp_path):
         path = str(tmp_path / "kb")
-        self.build(path)
-        with open(os.path.join(path, "typed.fsx"), "a") as fh:
-            fh.write("(term \"x\" (unknownhead))\n")
-        with pytest.raises(StoreCorruptionError, match="typed.fsx:3"):
+        good = self.two_batches(path)
+        self.write_log(path, good[:2] + [b'(term "x" (unknownhead))\n'] + good[2:])
+        with pytest.raises(StoreCorruptionError, match=f"{LOG}:3: "):
             Store(path)
+
+    def test_unparseable_line_detected(self, tmp_path):
+        path = str(tmp_path / "kb")
+        good = self.two_batches(path)
+        self.write_log(path, good[:2] + [b'(member "person" "m"\n'] + good[2:])
+        with pytest.raises(StoreCorruptionError,
+                           match=f"{LOG}:3: unbalanced parenthesis"):
+            Store(path)
+
+    def test_checksum_mismatch_before_a_valid_marker_detected(self, tmp_path):
+        path = str(tmp_path / "kb")
+        good = self.two_batches(path)
+        marker = next(i for i, line in enumerate(good) if line.startswith(b"(commit"))
+        # a record that still decodes, changed in place
+        bad = good[marker - 1].replace(b"0", b"1", 1)
+        assert bad != good[marker - 1]
+        self.write_log(path, good[:marker - 1] + [bad] + good[marker:])
+        with pytest.raises(StoreCorruptionError,
+                           match=f"{LOG}:{marker + 1}: record count or checksum"):
+            Store(path)
+
+    def test_old_layout_refused(self, tmp_path):
+        path = tmp_path / "kb"
+        path.mkdir()
+        (path / "catalog.fsx").write_text('(same-as "a" "b")\n')
+        (path / "untyped.fsx").write_text('(term "x" (num 1.0))\n')
+        for _ in range(2):  # the refusal releases the lock
+            with pytest.raises(StoreCorruptionError,
+                               match="old one-file-per-collection layout"):
+                Store(str(path))
+        assert not (path / LOG).exists()
 
     def test_repeated_find_members_leave_catalog_alone(self, tmp_path):
         path = str(tmp_path / "kb")
         s = build_worked_store(path)
         find_members(s)
-        catalog = os.path.join(path, CATALOG)
-        lines = len(open(catalog).read().splitlines())
+        log = os.path.join(path, LOG)
+        size = os.path.getsize(log)
         for _ in range(50):
             find_members(s)
-        assert len(open(catalog).read().splitlines()) == lines
+        assert os.path.getsize(log) == size
         state = s.dump_state()
         s.close()
         with Store(path) as reopened:
             assert reopened.dump_state() == state
 
-    def test_commit_makes_the_catalog_durable_last(self, tmp_path, monkeypatch):
-        # the catalog's watermarks may only become durable after the
-        # members and typed terms they vouch for
+    def test_commit_makes_one_fsync(self, tmp_path, monkeypatch):
         path = str(tmp_path / "kb")
-        s = build_worked_store(path)
-        s.commit()
         synced = []
         real_fsync = os.fsync
 
         def fsync(fd):
             ino = os.fstat(fd).st_ino
-            synced.extend(f for f in os.listdir(path)
-                          if os.stat(os.path.join(path, f)).st_ino == ino)
+            synced.extend(os.path.basename(p) for p in (path, os.path.join(path, LOG))
+                          if os.stat(p).st_ino == ino)
             real_fsync(fd)
 
         monkeypatch.setattr(store_module.os, "fsync", fsync)
-        find_members(s)
-        assert synced[-1] == CATALOG
-        assert TYPED in synced and class_file("person") in synced
-        assert len(synced) == len(set(synced))  # one fsync per dirty file
+        s = Store(path)
+        s.commit()
+        assert synced == []                 # opening and an empty commit write nothing
+        s.abox_insert("a", T.num(1))
+        s.commit()
+        assert synced == [LOG, "kb"]        # the new log, then its directory
+        del synced[:]
+        s.same_as("dob", "birth_date")
+        s.abox_insert("b", T.num(2))
+        s.commit()
+        s.commit()
+        assert synced == [LOG]              # one per non-empty commit
         s.close()
+        assert synced == [LOG]
+        Store(path).close()
+        assert synced == [LOG]
 
-    def test_catalog_records_wait_for_commit(self, tmp_path):
-        # more catalog records than an I/O buffer holds must still not
-        # reach the file before the batch's other files are fsynced
+    def test_log_unchanged_mid_batch(self, tmp_path):
         path = str(tmp_path / "kb")
         s = build_worked_store(path)
         s.commit()
-        catalog = os.path.join(path, CATALOG)
-        size = os.path.getsize(catalog)
+        log = os.path.join(path, LOG)
+        size = os.path.getsize(log)
         for i in range(500):
             s.same_as(f"label_{i:04d}_written_mid_batch", f"alias_{i:04d}")
         s.abox_insert("late", T.string("x"))
-        assert os.path.getsize(catalog) == size
+        assert os.path.getsize(log) == size
         s.commit()
-        assert os.path.getsize(catalog) > size + 16384
+        assert os.path.getsize(log) > size + 16384
         state = s.dump_state()
         s.close()
         with Store(path) as reopened:
@@ -336,13 +380,31 @@ class TestPersistence:
             assert reopened.tax.label_match(mk_concept("alias_0499"),
                                             mk_concept("label_0499_written_mid_batch"))
 
-    def test_unparseable_line_detected(self, tmp_path):
+    def test_watermarks_follow_their_members(self, tmp_path):
         path = str(tmp_path / "kb")
-        self.build(path)
-        with open(os.path.join(path, class_file("person")), "a") as fh:
-            fh.write("(member \"m\"\n")
-        with pytest.raises(StoreCorruptionError):
-            Store(path)
+        s = build_worked_store(path)
+        find_members(s)
+        for d in parse_program('t2 := {"amount" = 7.0, "type"=cc()};'
+                               "o2 := orig-of(sue, t2); r2 := recv-of(joe, t2);",
+                               s.tax, known=s.term_names()):
+            s.abox_insert(d.name, d.body)
+        find_members(s)
+        s.close()
+        # within each batch, every member record of a class comes before a
+        # watermark record of that class
+        unmarked = set()
+        members = 0
+        with open(os.path.join(path, LOG), encoding="utf-8") as fh:
+            for line in fh:
+                node = read_node(line)
+                if node[0] == "member":
+                    unmarked.add(node[1])
+                    members += 1
+                elif node[0] == "watermark":
+                    unmarked.discard(node[1])
+                elif node[0] == "commit":
+                    assert not unmarked
+        assert members == 10
 
 
 class TestInMemory:

@@ -270,3 +270,38 @@ def test_memo_agrees_with_uncached_reference(ops):
             for b in POOL:
                 assert tax.label_match(a, b) == ref.match(a, b), (a, b)
                 check_record(tax, ref, [a, b])
+
+
+# -- mutual_pair against a check of every pair ---------------------------------
+
+WIDE = [mk_concept(f"w{i}") for i in range(6)] + [positional(0), positional(1)]
+wide_named = st.sampled_from(WIDE[:6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["same_as", "is_a"]),
+                          wide_named, wide_named), max_size=10),
+       st.lists(st.lists(st.sampled_from(WIDE), max_size=6), max_size=4))
+@example([("is_a", WIDE[4], WIDE[5]), ("same_as", WIDE[0], WIDE[1])],
+         [[WIDE[0], WIDE[2], WIDE[1]]])
+@example([("is_a", WIDE[0], WIDE[1]), ("is_a", WIDE[1], WIDE[2]),
+          ("same_as", WIDE[0], WIDE[2]), ("is_a", WIDE[3], WIDE[4])],
+         [[WIDE[3], WIDE[1], WIDE[5], WIDE[0]], [WIDE[2], WIDE[1]],
+          [WIDE[6], WIDE[3], WIDE[6]]])
+def test_mutual_pair_agrees_with_every_pair(edits, label_lists):
+    tax = Taxonomy()
+    for step in [None, *edits]:
+        if step is not None:
+            op, a, b = step
+            try:
+                (tax.same_as if op == "same_as" else tax.add_is_a)(a, b)
+            except LatticeCycleError:
+                pass
+        for labels in label_lists:
+            mutual = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                      if tax.label_match(a, b) and tax.label_match(b, a)]
+            pair = tax.mutual_pair(labels)
+            if pair is None:
+                assert not mutual, labels
+            else:
+                assert pair in mutual, (pair, labels)
