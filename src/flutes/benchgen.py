@@ -167,7 +167,7 @@ def _phase(store: Store, phase: str, emit, prune: bool) -> bool:
     for name in report.order:
         st = report.per_class[name]
         cls = store.kb_class(name)
-        agree = cls.member_terms == expected[name]
+        agree = cls.member_terms.keys() == expected[name]
         all_agree = all_agree and agree
         emit(f"{phase}.{name}.members\t{len(cls.members)}")
         emit(f"{phase}.{name}.scanned\t{st.scanned}")

@@ -45,14 +45,6 @@ class SkolemClause:
     disjuncts: tuple[tuple[object, ...], ...]
 
 
-_INVERSE = {
-    T.PredOp.LT: T.PredOp.GE,
-    T.PredOp.GE: T.PredOp.LT,
-    T.PredOp.LE: T.PredOp.GT,
-    T.PredOp.GT: T.PredOp.LE,
-}
-
-
 def skolemize(ty: T.SubsetTy) -> SkolemClause:
     """Compile a subset type's proposition into a skolem clause.
 
@@ -117,8 +109,6 @@ def _classify_literal(prop: T.Prop, neg: bool, skolems: set[str]):
             return EqLit(a, b.name)
         if isinstance(a, T.Var) and a.name in skolems:
             return EqLit(b, a.name)
-    if isinstance(prop, T.BuiltinPred) and neg and prop.op in _INVERSE:
-        return CheckLit(False, T.BuiltinPred(_INVERSE[prop.op], prop.args))
     return CheckLit(neg, prop)
 
 
@@ -324,29 +314,14 @@ class _DisjunctRun:
         self.bind_ty = bind_ty
         self.stats = stats
 
-    def solve(self, drive: int) -> list[T.Term]:
-        """Enumerate the drive literal over its window, then solve the
-        remaining literals in order; returns coerced member terms."""
-        out: list[T.Term] = []
-        rest = [i for i in range(len(self.eq_lits)) if i != drive]
-        lit = self.eq_lits[drive]
-        for _, mterm in self.candidates_at(drive, {}):
-            self.stats.candidates += 1
-            s = self._bind(lit, mterm, {})
-            if s is None:
-                continue
-            pending = self._eval_checks(self.checks, s)
-            if pending is None:
-                continue
-            self._descend(rest, 0, s, {lit.skolem}, pending, out)
-        return out
-
-    def solve_empty(self) -> list[T.Term]:
-        """Disjunct with no equality literals: evaluate checks directly."""
+    def solve(self, order: list[int]) -> list[T.Term]:
+        """Solve the equality literals in `order`, the first one enumerated
+        over its window, testing each check once it is ground; returns
+        coerced member terms."""
         out: list[T.Term] = []
         pending = self._eval_checks(self.checks, {})
         if pending is not None:
-            self._descend([], 0, {}, set(), pending, out)
+            self._descend(order, 0, {}, set(), pending, out)
         return out
 
     def candidates_at(self, pos: int, subst) -> list[tuple[str, T.Term]]:
@@ -386,11 +361,11 @@ class _DisjunctRun:
                 return None
         return pending
 
-    def _descend(self, rest, k, subst, enum_bound, pending, out):
-        if k == len(rest):
+    def _descend(self, order, k, subst, enum_bound, pending, out):
+        if k == len(order):
             self._finish(subst, enum_bound, pending, out)
             return
-        pos = rest[k]
+        pos = order[k]
         lit = self.eq_lits[pos]
         cur = subst.get(lit.skolem, T.var(lit.skolem))
         if not isinstance(cur, T.Var):
@@ -399,7 +374,7 @@ class _DisjunctRun:
             if s is not None:
                 nxt = self._eval_checks(pending, s)
                 if nxt is not None:
-                    self._descend(rest, k + 1, s, enum_bound, nxt, out)
+                    self._descend(order, k + 1, s, enum_bound, nxt, out)
             return
         for _, mterm in self.candidates_at(pos, subst):
             self.stats.candidates += 1
@@ -409,11 +384,11 @@ class _DisjunctRun:
             nxt = self._eval_checks(pending, s)
             if nxt is None:
                 continue
-            self._descend(rest, k + 1, s, enum_bound | {lit.skolem}, nxt, out)
+            self._descend(order, k + 1, s, enum_bound | {lit.skolem}, nxt, out)
 
     def _member_of(self, class_name: str, value: T.Term) -> bool:
         kcls = self.store.kb_class(class_name)
-        if isinstance(value, T.TermAlias) and value.name in kcls.member_names:
+        if isinstance(value, T.TermAlias) and value.name in kcls.by_name:
             return True
         return value in kcls.member_terms
 
@@ -472,34 +447,29 @@ def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
     marks = {d: cls.dep_marks.get(d, 0) for d in dep_names}
     produced: list[T.Term] = []
 
-    def make_run(eq_lits, checks, windows):
-        return _DisjunctRun(store, clause, eq_lits, checks, windows,
-                            prune, binding, bind_ty, st)
-
     for disjunct in clause.disjuncts:
         eq_lits = [l for l in disjunct if isinstance(l, EqLit)]
         checks = [l for l in disjunct if isinstance(l, CheckLit)]
-        if not eq_lits:
-            produced.extend(make_run([], checks, []).solve_empty())
-            continue
-        if any(marks[cls_of[v]] == 0 and sizes[cls_of[v]]
-               for v in _guards(clause, disjunct)):
-            # a guard class just gained its first member, which admits
-            # tuples below the marks that earlier runs rejected
-            full = [(0, sizes[cls_of[lit.skolem]]) for lit in eq_lits]
-            produced.extend(make_run(eq_lits, checks, full).solve(0))
-            continue
-        for drive in range(len(eq_lits)):
-            windows = []
-            for i, lit in enumerate(eq_lits):
-                dep = cls_of[lit.skolem]
-                if i == drive:
-                    windows.append((marks[dep], sizes[dep]))
-                elif i < drive:
-                    windows.append((0, marks[dep]))
-                else:
-                    windows.append((0, sizes[dep]))
-            produced.extend(make_run(eq_lits, checks, windows).solve(drive))
+        deps = [cls_of[lit.skolem] for lit in eq_lits]
+        every = list(range(len(eq_lits)))
+        if not eq_lits or any(marks[cls_of[v]] == 0 and sizes[cls_of[v]]
+                              for v in _guards(clause, disjunct)):
+            # one run over full windows: there is no literal to window, or a
+            # guard class just gained its first member, which admits tuples
+            # below the marks that earlier runs rejected
+            runs = [(every, [(0, sizes[d]) for d in deps])]
+        else:
+            # semi-naive: the drive literal takes the members added since
+            # the marks, the literals before it only older members
+            runs = [([drive] + every[:drive] + every[drive + 1:],
+                     [(marks[d], sizes[d]) if i == drive
+                      else (0, marks[d] if i < drive else sizes[d])
+                      for i, d in enumerate(deps)])
+                    for drive in every]
+        for order, windows in runs:
+            run = _DisjunctRun(store, clause, eq_lits, checks, windows,
+                               prune, binding, bind_ty, st)
+            produced.extend(run.solve(order))
 
     for t in produced:
         if store.add_member(cls.name, member_name(cls.name, t), t):

@@ -179,7 +179,7 @@ def _member_handle(store: Store, class_name: str, t: T.Term) -> str:
     """The stored name of a class member term, for graph traversal."""
     if isinstance(t, T.TermAlias):
         return t.name
-    mname = store.kb_class(class_name).name_of_term.get(t)
+    mname = store.kb_class(class_name).member_terms.get(t)
     if mname is None:
         raise RuleFailure(f"term is not a stored member of {class_name!r}")
     return mname

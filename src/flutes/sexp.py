@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, TermError
 from .taxonomy import Concept, mk_concept, positional
 from . import terms as T
 
@@ -303,7 +303,10 @@ def _build_term(node) -> T.Term:
     if head == "num":
         if len(args) != 1 or not isinstance(args[0], float):
             raise ParseError("(num ...) takes one number")
-        return T.Num(args[0])
+        try:
+            return T.Num(args[0])
+        except TermError as exc:   # 1e999 reads as inf
+            raise ParseError(str(exc)) from None
     if head == "str":
         if len(args) != 1 or not isinstance(args[0], str) or isinstance(args[0], _Sym):
             raise ParseError("(str ...) takes one quoted string")

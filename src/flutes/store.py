@@ -16,9 +16,11 @@ the batch and its marker, where crc is zlib.crc32 of the batch's bytes,
 with one write and one fsync.  Replay applies a batch only once its marker
 checks out, and derives adjacency from the term and member records.  A
 batch that fails its marker is a torn tail when no valid marker follows it
-(it is truncated and reported in `torn_tail`) and corruption otherwise.  A
-store constructed without a path lives purely in memory and renders no
-records at all.  An exclusive flock on the file `lock` serializes writer
+(it is truncated and reported in `torn_tail`), and corruption otherwise.
+It is also corruption when the marker checks out against the batch's last
+records: a damaged marker then joined two committed batches.  A store
+constructed without a path lives purely in memory and renders no records
+at all.  An exclusive flock on the file `lock` serializes writer
 sessions per directory.
 """
 
@@ -52,10 +54,9 @@ class KbClass:
     name: str
     definition: T.Type
     members: list[tuple[str, T.Term]] = field(default_factory=list)
-    member_names: set[str] = field(default_factory=set)
-    member_terms: set[T.Term] = field(default_factory=set)
-    name_of_term: dict[T.Term, str] = field(default_factory=dict)
     by_name: dict[str, int] = field(default_factory=dict)  # name -> member index
+    # term -> name of its first member; add_member keeps terms distinct
+    member_terms: dict[T.Term, str] = field(default_factory=dict)
     watermark: int = 0                 # last typed id scanned (static classes)
     dep_marks: dict[str, int] = field(default_factory=dict)  # subset classes
 
@@ -66,17 +67,15 @@ class KbClass:
     def _index(self, mname: str, t: T.Term):
         self.by_name[mname] = len(self.members)
         self.members.append((mname, t))
-        self.member_names.add(mname)
-        self.member_terms.add(t)
-        self.name_of_term.setdefault(t, mname)
+        self.member_terms.setdefault(t, mname)
 
 
 class Store:
-    def __init__(self, path: str | None = None, lock: bool = True):
+    def __init__(self, path: str | None = None):
         self.path = path
         self.tax = Taxonomy()
         self.untyped: dict[str, T.Term] = {}
-        self.typed: dict[str, tuple[int, T.Term]] = {}
+        self.typed: dict[str, T.Term] = {}
         self.typed_list: list[tuple[str, T.Term]] = []
         self.classes: dict[str, KbClass] = {}
         self.contains_map: dict[str, set[str]] = {}
@@ -90,8 +89,7 @@ class Store:
         self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
             os.makedirs(path, exist_ok=True)
-            if lock:
-                self._acquire_lock()
+            self._acquire_lock()
             try:
                 self._replay()
             except BaseException:
@@ -246,7 +244,7 @@ class Store:
 
     def _promote(self, name: str):
         t = self.untyped.pop(name)
-        self.typed[name] = (len(self.typed_list) + 1, t)
+        self.typed[name] = t
         self.typed_list.append((name, t))
 
     def term_names(self) -> Container[str]:
@@ -254,9 +252,8 @@ class Store:
         return ChainMap(self.typed, self.untyped)
 
     def lookup(self, name: str) -> T.Term | None:
-        if name in self.typed:
-            return self.typed[name][1]
-        return self.untyped.get(name)
+        t = self.typed.get(name)
+        return self.untyped.get(name) if t is None else t
 
     def type_of(self, name: str) -> T.Type | None:
         """Inferred type of a typed term, interned; None for unknown or
@@ -264,7 +261,7 @@ class Store:
         if name not in self.typed:
             return None
         if name not in self._type_memo:
-            ty = infer_static_type(self.typed[name][1], self.tax, self.type_of)
+            ty = infer_static_type(self.typed[name], self.tax, self.type_of)
             self._type_memo[name] = None if ty is None else self._intern(ty)
         return self._type_memo[name]
 
@@ -328,25 +325,12 @@ class Store:
 
     # -- containment graph --
 
-    def _known(self, name: str) -> bool:
-        return name in self.contains_map or name in self.contained_by_map
-
-    def contains(self, name: str) -> set[str]:
-        if not self._known(name):
-            raise StoreError(f"unknown term {name!r}")
-        return set(self.contains_map.get(name, ()))
-
-    def contained_by(self, name: str) -> set[str]:
-        if not self._known(name):
-            raise StoreError(f"unknown term {name!r}")
-        return set(self.contained_by_map.get(name, ()))
-
     def nearest(self, k: int, name: str, class_name: str) -> set[str]:
         """Names within k undirected containment steps that are members of
         the class (the start counts when it is a member)."""
-        if not self._known(name):
+        if name not in self.contains_map and name not in self.contained_by_map:
             raise StoreError(f"unknown term {name!r}")
-        members = self.kb_class(class_name).member_names
+        members = self.kb_class(class_name).by_name.keys()
         visited = {name}
         frontier = [name]
         for _ in range(k):
@@ -399,13 +383,20 @@ class Store:
                     batch.append((lineno, raw))
                     crc = zlib.crc32(raw, crc)
                     continue
-                if int(marker[1]) == len(batch) and int(marker[2]) == crc:
+                count, want = int(marker[1]), int(marker[2])
+                if count == len(batch) and want == crc:
                     if failed is not None:
                         raise StoreCorruptionError(failed)
                     self._apply(batch, first=good == 0)
                     good, good_line = size, lineno
-                elif failed is None:
-                    failed = self._diagnose(batch, lineno)
+                else:
+                    damaged = _damaged_marker(batch, count, want)
+                    if damaged is not None:
+                        raise StoreCorruptionError(
+                            f"{LOG}:{damaged}: damaged commit marker before a "
+                            f"committed batch")
+                    if failed is None:
+                        failed = self._diagnose(batch, lineno)
                 batch, crc = [], 0
         if size > good:
             os.truncate(path, good)
@@ -490,6 +481,27 @@ def _field(x) -> str:
     if isinstance(x, (list, tuple)):
         return "(" + " ".join(map(_field, x)) + ")"
     return render_sexp(x)
+
+
+def _damaged_marker(batch: list[tuple[int, bytes]], count: int,
+                    crc: int) -> int | None:
+    """The line of a damaged marker inside a batch whose own marker failed
+    it but checks out against its last `count` records: the record before
+    them, or the first of them when the damage hit a marker's newline and
+    joined it to the next record.  A tear of the batch being written leaves
+    no marker after it, so it cannot produce this."""
+    start = len(batch) - count
+    if start < 1:
+        return None
+    lineno, first = batch[start]
+    rest = b"".join(raw for _, raw in batch[start + 1:])
+    if zlib.crc32(rest, zlib.crc32(first)) == crc:
+        return batch[start - 1][0]
+    end = first.find(b")") + 1
+    if (_MARKER.fullmatch(first[:end] + b"\n")
+            and zlib.crc32(rest, zlib.crc32(first[end + 1:])) == crc):
+        return lineno
+    return None
 
 
 def _concept(x: str | Concept) -> Concept:

@@ -24,13 +24,12 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 
 from __future__ import annotations
 
-import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Container, NamedTuple
 
-from .errors import MalformedRecordError, ParseError
+from .errors import MalformedRecordError, ParseError, TermError
 from .sexp import scan, string_tokens, token_pattern
 from .taxonomy import Taxonomy
 from . import terms as T
@@ -126,9 +125,10 @@ class _Parser:
             return T.Str(tok.value)
         if tok.kind == "NUMBER":
             self.next()
-            if not math.isfinite(tok.value):  # float() overflowed to inf
-                raise ParseError("number out of range", tok.line, tok.col)
-            return T.num_f(tok.value)
+            try:
+                return T.Num(tok.value)
+            except TermError:   # float() overflowed to inf
+                raise ParseError("number out of range", tok.line, tok.col) from None
         if tok.kind == "IDENT":
             self.next()
             if self.at_punct("("):

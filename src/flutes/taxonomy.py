@@ -116,7 +116,7 @@ class Taxonomy:
         self.proofs: dict[tuple[object, object], object] = {}
 
     # -- equivalence (union-find; the root is the least member, which makes
-    # -- canonical() deterministic) --
+    # -- find() deterministic) --
 
     def find(self, c: Concept) -> Concept:
         root = c
@@ -128,13 +128,8 @@ class Taxonomy:
             c = nxt
         return root
 
-    canonical = find
-
     def equiv(self, a: Concept, b: Concept) -> bool:
         return self.find(a) == self.find(b)
-
-    def members(self, c: Concept) -> set[Concept]:
-        return set(self._members.get(self.find(c), {c}))
 
     def same_as(self, a: Concept, b: Concept) -> None:
         ra, rb = self.find(a), self.find(b)

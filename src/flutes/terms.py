@@ -32,6 +32,10 @@ class Term:
 class Num(Term):
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise TermError("numeric terms must be finite")
+
 
 @dataclass(frozen=True)
 class Str(Term):
@@ -222,10 +226,7 @@ def num(value: int) -> Num:
 
 
 def num_f(value: float) -> Num:
-    value = float(value)
-    if not math.isfinite(value):
-        raise TermError("numeric terms must be finite")
-    return Num(value)
+    return Num(float(value))
 
 
 def string(value: str) -> Str:

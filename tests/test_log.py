@@ -132,6 +132,24 @@ def test_a_flipped_byte_before_a_valid_marker_is_corruption(session, tmp_path):
             Store(path)
 
 
+def test_a_damaged_second_to_last_marker_is_corruption(session, tmp_path):
+    """A flipped byte in the marker before the last batch must not drop
+    both batches as a torn tail: the last marker still checks out against
+    the records just before it, which no tear of the last batch leaves."""
+    states, data = session
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    end = states[-2][0]
+    start = data.rindex(b"(commit ", 0, end)
+    line = data[:start].count(b"\n") + 1
+    for i in range(start, end):
+        flipped = bytearray(data)
+        flipped[i] ^= 0x01
+        write_log(path, bytes(flipped))
+        with pytest.raises(StoreCorruptionError, match=rf"{LOG}:{line}: "):
+            Store(path)
+
+
 class TestTornTail:
     def two_commits(self, path):
         """A store of two batches; returns the state and log size after the

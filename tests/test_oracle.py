@@ -66,7 +66,6 @@ def test_oracle_is_independent_of_stored_members():
     assert ext["fi_related"] == set(cls.member_terms)
     expected = set(cls.member_terms)
     cls.members.clear()
-    cls.member_names.clear()
     cls.member_terms.clear()
     cls.by_name.clear()
     assert oracle_extensions(s)["fi_related"] == expected

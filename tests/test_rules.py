@@ -90,7 +90,7 @@ class TestLambdaRules:
         report = run_analytic(store, rule)
         assert (report.processed, report.inserted) == (2, 2)
         assert not report.failures
-        assert store.kb_class("names").member_terms == {
+        assert store.kb_class("names").member_terms.keys() == {
             T.record(store.tax, [("name", T.string(n))]) for n in ("Joe", "Sue")}
 
     def test_identity_rule(self, store):
@@ -98,8 +98,8 @@ class TestLambdaRules:
         store.mk_kb_class("people", T.type_name("person"))
         rule = lambda_rule(store, "idp", "p", "person", "people", T.Var("p"))
         assert run_analytic(store, rule).inserted == 2
-        assert (store.kb_class("people").member_terms
-                == store.kb_class("person").member_terms)
+        assert (store.kb_class("people").member_terms.keys()
+                == store.kb_class("person").member_terms.keys())
 
     def test_unbound_body_vars_rejected(self, store):
         with pytest.raises(TermError):
@@ -136,7 +136,7 @@ class TestLambdaRules:
         report = run_analytic(store, rule)
         assert (report.processed, report.inserted) == (2, 1)
         assert [m for m, _ in report.failures] == ["t1"]
-        assert store.kb_class("strs").member_terms == {T.string("Joe")}
+        assert store.kb_class("strs").member_terms.keys() == {T.string("Joe")}
 
 
 class TestAnalytics:

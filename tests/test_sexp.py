@@ -46,7 +46,7 @@ class TestParsing:
         for bad in ["", "(", ")", "(record", '(str "unterminated',
                     "(num x)", "(frobnicate 1)", "(num 1) (num 2)",
                     '(str "bad \\z escape")', "(pred zz (num 1) (num 2))",
-                    "(str x)"]:
+                    "(str x)", "(num 1e999)", "(num -1e400)"]:
             with pytest.raises(ParseError):
                 parse_sexp(bad)
 

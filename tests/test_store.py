@@ -7,7 +7,7 @@ import pytest
 from flutes import store as store_module
 from flutes.classifier import find_members
 from flutes.errors import (AliasCycleError, DuplicateNameError,
-                           StoreCorruptionError, StoreError)
+                           StoreCorruptionError, StoreError, TermError)
 from flutes.store import LOG, Store
 from flutes.sexp import read_node
 from flutes.syntax import parse_program
@@ -73,7 +73,7 @@ class TestInsert:
         s = Store()
         s.abox_insert("r1", T.triple("recv-of", T.term_name("sue"),
                                      T.term_name("t2")))
-        assert s.contained_by("t2") == {"r1"}
+        assert s.contained_by_map["t2"] == {"r1"}
 
 
 class TestClasses:
@@ -114,17 +114,10 @@ class TestContainment:
     def test_contains_and_contained_by(self):
         s = Store()
         load_corpus(s)
-        assert s.contains("o1") == {"joe", "t1"}
-        assert s.contains("joe") == set()
-        assert s.contained_by("t1") == {"o1", "r1"}
-        assert s.contained_by("o1") == set()
-
-    def test_unknown_name_errors(self):
-        s = Store()
-        with pytest.raises(StoreError):
-            s.contains("ghost")
-        with pytest.raises(StoreError):
-            s.contained_by("ghost")
+        assert s.contains_map["o1"] == {"joe", "t1"}
+        assert s.contains_map["joe"] == set()
+        assert s.contained_by_map["t1"] == {"o1", "r1"}
+        assert "o1" not in s.contained_by_map
 
     def test_adjacency_inverse_property(self):
         s = Store()
@@ -212,12 +205,11 @@ class TestPersistence:
         self.build(path)
         with Store(path) as s:
             assert set(s.untyped) == {"sue", "o1", "r1"}
-            assert s.typed["joe"][0] == 1
-            assert s.typed["t1"][0] == 2
+            assert [n for n, _ in s.typed_list] == ["joe", "t1"]
             assert s.tax.equiv(mk_concept("dob"), mk_concept("birth_date"))
             assert s.kb_class("person").watermark == 2
             assert s.kb_class("pair").dep_marks == {"person": 1}
-            assert s.contained_by("t1") == {"o1", "r1"}
+            assert s.contained_by_map["t1"] == {"o1", "r1"}
             assert [m for m, _ in s.kb_class("person").members] == ["joe"]
 
     def test_lock_excludes_second_session(self, tmp_path):
@@ -306,6 +298,15 @@ class TestPersistence:
         with pytest.raises(StoreCorruptionError,
                            match=f"{LOG}:{marker + 1}: record count or checksum"):
             Store(path)
+
+    def test_non_finite_number_refused_before_the_log(self, tmp_path):
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            s.abox_insert("a", T.num(1))
+            with pytest.raises(TermError):
+                s.abox_insert("c", T.record(s.tax, [("v", T.Num(float("inf")))]))
+        with Store(path) as s:
+            assert set(s.untyped) == {"a"}
 
     def test_old_layout_refused(self, tmp_path):
         path = tmp_path / "kb"

@@ -61,20 +61,20 @@ class TestEquivalence:
         tax.same_as(a, b)
         tax.same_as(b, c)
         assert tax.equiv(a, c)
-        assert tax.members(c) == {a, b, c}
+        assert tax.find(a) == tax.find(b) == tax.find(c)
 
     def test_canonical_is_least_member(self):
         tax = Taxonomy()
         dob, bd = names("dob", "birth_date")
         tax.same_as(dob, bd)
-        assert tax.canonical(dob) == bd
-        assert tax.canonical(bd) == bd
+        assert tax.find(dob) == bd
+        assert tax.find(bd) == bd
 
     def test_distinct_without_assertion(self):
         tax = Taxonomy()
         a, b = names("a", "b")
         assert not tax.equiv(a, b)
-        assert tax.members(a) == {a}
+        assert tax.find(a) == a
 
 
 class TestIsA:

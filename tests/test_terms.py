@@ -63,6 +63,8 @@ class TestConstructors:
             T.num_f(float("inf"))
         with pytest.raises(TermError):
             T.num_f(float("nan"))
+        with pytest.raises(TermError):
+            T.Num(float("-inf"))
         assert T.num(500) == T.Num(500.0)
 
     def test_pred_app_positional_encoding(self):
