@@ -88,6 +88,12 @@ def _nnf(p: T.Prop, neg: bool):
     raise UnsupportedPropError(f"unsupported proposition {type(p).__name__}")
 
 
+# The most disjuncts a proposition may have in normal form.  Each "or"
+# under an "and" multiplies them, so a short proposition can have millions;
+# the benchmark's classes have at most 2.
+MAX_DISJUNCTS = 1024
+
+
 def _dnf(tree) -> list[list[tuple[T.Prop, bool]]]:
     tag = tree[0]
     if tag == "true":
@@ -97,6 +103,11 @@ def _dnf(tree) -> list[list[tuple[T.Prop, bool]]]:
     if tag == "lit":
         return [[(tree[1], tree[2])]]
     left, right = _dnf(tree[1]), _dnf(tree[2])
+    size = len(left) * len(right) if tag == "and" else len(left) + len(right)
+    if size > MAX_DISJUNCTS:
+        raise UnsupportedPropError(
+            f"proposition has more than {MAX_DISJUNCTS} disjuncts in "
+            f"disjunctive normal form")
     if tag == "and":
         return [l + r for l in left for r in right]
     return left + right

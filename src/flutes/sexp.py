@@ -3,22 +3,10 @@
 One value per line: the writer never emits a newline, and strings escape
 ``\\``, ``"``, newline, tab, and carriage return.  That string literal and
 the regex token scanner are shared with the declaration syntax.  The
-grammar is head-symbol tagged and fully parenthesized:
-
-  term  := (num F) | (str S) | (atom L) | (record ((L term) ...))
-         | (list term ...) | (bottom L) | (select term L)
-         | (var N) | (alias N)
-  type  := (numty) | (strty) | (voidty) | (listty type)
-         | (recordty ((L type) ...)) | (enumty (L ...))
-         | (subsetty term type prop) | (tyalias N)
-  prop  := (pred OP term term) | (and prop prop) | (or prop prop)
-         | (not prop) | (exists N type prop) | (true) | (false)
-         | (inseq term (term ...))
-  L     := SYMBOL | STRING | (pos I)         -- a concept label
-  N     := SYMBOL | STRING                   -- variable / alias names
-  OP    := lt | le | gt | ge | eq
-
-parse_sexp(render_sexp(x)) == x for every well-formed x.
+grammar is head-symbol tagged and fully parenthesized, and it lives in one
+place, the head table `_HEADS`: for each head, the node class, the arity,
+the reader of the arguments and the writer.  Reading and writing both go
+through it, so parse_sexp(render_sexp(x)) == x for every well-formed x.
 """
 
 from __future__ import annotations
@@ -63,82 +51,18 @@ def _label(c: Concept) -> str:
 
 
 def render_sexp(x) -> str:
-    if isinstance(x, T.Term):
-        return _render_term(x)
-    if isinstance(x, T.Type):
-        return _render_type(x)
-    if isinstance(x, T.Prop):
-        return _render_prop(x)
-    raise TypeError(f"not a renderable value: {x!r}")
+    return _render(x)
 
 
-def _render_term(t: T.Term) -> str:
-    if isinstance(t, T.Num):
-        return f"(num {t.value!r})"
-    if isinstance(t, T.Str):
-        return f"(str {quote_string(t.value)})"
-    if isinstance(t, T.Atom):
-        return f"(atom {_label(t.concept)})"
-    if isinstance(t, T.Record):
-        fields = " ".join(f"({_label(c)} {_render_term(v)})" for c, v in t.fields)
-        return f"(record ({fields}))"
-    if isinstance(t, T.List):
-        items = "".join(" " + _render_term(i) for i in t.items)
-        return f"(list{items})"
-    if isinstance(t, T.Bottom):
-        return f"(bottom {_label(t.concept)})"
-    if isinstance(t, T.FieldSelection):
-        return f"(select {_render_term(t.base)} {_label(t.label)})"
-    if isinstance(t, T.Var):
-        return f"(var {_name(t.name)})"
-    if isinstance(t, T.TermAlias):
-        return f"(alias {_name(t.name)})"
-    raise TypeError(f"unknown term node: {t!r}")
+def _render(x) -> str:
+    write = _WRITERS.get(type(x))
+    if write is None:
+        raise TypeError(f"not a renderable value: {x!r}")
+    return write(x)
 
 
-def _render_type(ty: T.Type) -> str:
-    if isinstance(ty, T.NumTy):
-        return "(numty)"
-    if isinstance(ty, T.StrTy):
-        return "(strty)"
-    if isinstance(ty, T.VoidTy):
-        return "(voidty)"
-    if isinstance(ty, T.ListTy):
-        return f"(listty {_render_type(ty.elem)})"
-    if isinstance(ty, T.RecordTy):
-        fields = " ".join(f"({_label(c)} {_render_type(v)})" for c, v in ty.fields)
-        return f"(recordty ({fields}))"
-    if isinstance(ty, T.EnumTy):
-        return f"(enumty ({' '.join(_label(c) for c in ty.concepts)}))"
-    if isinstance(ty, T.SubsetTy):
-        return (f"(subsetty {_render_term(ty.binding_term)} "
-                f"{_render_type(ty.binding_type)} {_render_prop(ty.prop)})")
-    if isinstance(ty, T.TyAlias):
-        return f"(tyalias {_name(ty.name)})"
-    raise TypeError(f"unknown type node: {ty!r}")
-
-
-def _render_prop(p: T.Prop) -> str:
-    if isinstance(p, T.BuiltinPred):
-        args = " ".join(_render_term(a) for a in p.args)
-        return f"(pred {p.op.value} {args})"
-    if isinstance(p, T.And):
-        return f"(and {_render_prop(p.left)} {_render_prop(p.right)})"
-    if isinstance(p, T.Or):
-        return f"(or {_render_prop(p.left)} {_render_prop(p.right)})"
-    if isinstance(p, T.Not):
-        return f"(not {_render_prop(p.body)})"
-    if isinstance(p, T.Exists):
-        return (f"(exists {_name(p.var)} {_render_type(p.bound_type)} "
-                f"{_render_prop(p.body)})")
-    if isinstance(p, T.TrueProp):
-        return "(true)"
-    if isinstance(p, T.FalseProp):
-        return "(false)"
-    if isinstance(p, T.InSequence):
-        items = " ".join(_render_term(i) for i in p.items)
-        return f"(inseq {_render_term(p.item)} ({items}))"
-    raise TypeError(f"unknown prop node: {p!r}")
+def _fields(fields) -> str:
+    return " ".join(f"({_label(c)} {_render(v)})" for c, v in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +162,6 @@ def read_node(text: str):
     return top[0]
 
 
-_TERM_HEADS = {"num", "str", "atom", "record", "list", "bottom", "select",
-               "var", "alias"}
-_TYPE_HEADS = {"numty", "strty", "voidty", "listty", "recordty", "enumty",
-               "subsetty", "tyalias"}
-_PROP_HEADS = {"pred", "and", "or", "not", "exists", "true", "false", "inseq"}
-
-
 def parse_sexp(text: str):
     """Parse one term, type, or proposition from its storage form."""
     return _build(read_node(text))
@@ -255,161 +172,156 @@ def build_value(node):
     return _build(node)
 
 
-def _head(node) -> str:
+def _build(node, want=None):
+    """The value of a node, checked against the head table: a tagged list,
+    a known head, a value of category `want` (T.Term, T.Type or T.Prop;
+    None takes any) and the head's arity."""
     if not isinstance(node, list) or not node or not isinstance(node[0], _Sym):
         raise ParseError(f"expected a tagged list, got {node!r}")
-    return str(node[0])
-
-
-def _build(node):
-    head = _head(node)
-    if head in _TERM_HEADS:
-        return _build_term(node)
-    if head in _TYPE_HEADS:
-        return _build_type(node)
-    if head in _PROP_HEADS:
-        return _build_prop(node)
-    raise ParseError(f"unknown head symbol {head!r}")
-
-
-def _expect(node, head, arity=None):
-    if _head(node) != head:
-        raise ParseError(f"expected ({head} ...), got {node!r}")
+    head = node[0]
+    entry = _HEADS.get(head)
+    if entry is None:
+        raise ParseError(f"unknown head symbol {head!r}")
+    cls, arity, read, _ = entry
+    if want is not None and not issubclass(cls, want):
+        raise ParseError(f"expected a {want.__name__.lower()}, got ({head} ...)")
     if arity is not None and len(node) - 1 != arity:
         raise ParseError(f"({head} ...) takes {arity} argument(s)")
-    return node[1:]
+    return read(*node[1:])
 
 
-def _build_label(node) -> Concept:
-    if isinstance(node, list):
-        (idx,) = _expect(node, "pos", 1)
-        if not isinstance(idx, float) or idx != int(idx) or idx < 0:
-            raise ParseError(f"bad positional label {node!r}")
-        return positional(int(idx))
+def _term(node) -> T.Term:
+    return _build(node, T.Term)
+
+
+def _type(node) -> T.Type:
+    return _build(node, T.Type)
+
+
+def _prop(node) -> T.Prop:
+    return _build(node, T.Prop)
+
+
+def _read_label(node) -> Concept:
     if isinstance(node, str):
         return mk_concept(str(node))
+    if (isinstance(node, list) and len(node) == 2 and isinstance(node[0], _Sym)
+            and node[0] == "pos" and isinstance(node[1], float)
+            and node[1].is_integer() and node[1] >= 0):
+        return positional(int(node[1]))
     raise ParseError(f"bad label {node!r}")
 
 
-def _build_name(node) -> str:
+def _read_name(node) -> str:
     if isinstance(node, str):
         return str(node)
     raise ParseError(f"expected a name, got {node!r}")
 
 
-def _build_term(node) -> T.Term:
-    head = _head(node)
-    args = node[1:]
-    if head == "num":
-        if len(args) != 1 or not isinstance(args[0], float):
-            raise ParseError("(num ...) takes one number")
-        try:
-            return T.Num(args[0])
-        except TermError as exc:   # 1e999 reads as inf
-            raise ParseError(str(exc)) from None
-    if head == "str":
-        if len(args) != 1 or not isinstance(args[0], str) or isinstance(args[0], _Sym):
-            raise ParseError("(str ...) takes one quoted string")
-        return T.Str(str(args[0]))
-    if head == "atom":
-        (label,) = _expect(node, "atom", 1)
-        return T.Atom(_build_label(label))
-    if head == "record":
-        (fields,) = _expect(node, "record", 1)
-        if not isinstance(fields, list):
-            raise ParseError("(record ...) takes a field list")
-        pairs = []
-        for f in fields:
-            if not isinstance(f, list) or len(f) != 2:
-                raise ParseError(f"bad record field {f!r}")
-            pairs.append((_build_label(f[0]), _build_term(f[1])))
-        return T.Record(T.sort_fields(pairs))
-    if head == "list":
-        return T.List(tuple(_build_term(a) for a in args))
-    if head == "bottom":
-        (label,) = _expect(node, "bottom", 1)
-        return T.Bottom(_build_label(label))
-    if head == "select":
-        base, label = _expect(node, "select", 2)
-        return T.FieldSelection(_build_term(base), _build_label(label))
-    if head == "var":
-        (name,) = _expect(node, "var", 1)
-        return T.Var(_build_name(name))
-    if head == "alias":
-        (name,) = _expect(node, "alias", 1)
-        return T.TermAlias(_build_name(name))
-    raise ParseError(f"unknown term head {head!r}")
+def _read_list(node, what: str) -> list:
+    if not isinstance(node, list):
+        raise ParseError(f"expected a list of {what}, got {node!r}")
+    return node
 
 
-def _build_type(node) -> T.Type:
-    head = _head(node)
-    if head == "numty":
-        _expect(node, "numty", 0)
-        return T.num_ty
-    if head == "strty":
-        _expect(node, "strty", 0)
-        return T.str_ty
-    if head == "voidty":
-        _expect(node, "voidty", 0)
-        return T.void_ty
-    if head == "listty":
-        (elem,) = _expect(node, "listty", 1)
-        return T.ListTy(_build_type(elem))
-    if head == "recordty":
-        (fields,) = _expect(node, "recordty", 1)
-        if not isinstance(fields, list):
-            raise ParseError("(recordty ...) takes a field list")
-        pairs = []
-        for f in fields:
-            if not isinstance(f, list) or len(f) != 2:
-                raise ParseError(f"bad record-type field {f!r}")
-            pairs.append((_build_label(f[0]), _build_type(f[1])))
-        return T.RecordTy(T.sort_fields(pairs))
-    if head == "enumty":
-        (labels,) = _expect(node, "enumty", 1)
-        if not isinstance(labels, list) or not labels:
-            raise ParseError("(enumty ...) takes a nonempty label list")
-        return T.EnumTy(tuple(_build_label(l) for l in labels))
-    if head == "subsetty":
-        bt, bty, prop = _expect(node, "subsetty", 3)
-        return T.subset_ty(_build_term(bt), _build_type(bty), _build_prop(prop))
-    if head == "tyalias":
-        (name,) = _expect(node, "tyalias", 1)
-        return T.TyAlias(_build_name(name))
-    raise ParseError(f"unknown type head {head!r}")
+def _read_fields(node, want) -> tuple:
+    fields: dict[Concept, object] = {}
+    for f in _read_list(node, "fields"):
+        if not isinstance(f, list) or len(f) != 2:
+            raise ParseError(f"bad record field {f!r}")
+        label = _read_label(f[0])
+        if label in fields:
+            raise ParseError(f"repeated label {_label(label)}")
+        fields[label] = _build(f[1], want)
+    return T.sort_fields(fields.items())
+
+
+def _read_num(x) -> T.Num:
+    if not isinstance(x, float):
+        raise ParseError("(num ...) takes one number")
+    try:
+        return T.Num(x)
+    except TermError as exc:   # 1e999 reads as inf
+        raise ParseError(str(exc)) from None
+
+
+def _read_str(x) -> T.Str:
+    if not isinstance(x, str) or isinstance(x, _Sym):
+        raise ParseError("(str ...) takes one quoted string")
+    return T.Str(x)
+
+
+def _read_enum(labels) -> T.EnumTy:
+    if not _read_list(labels, "labels"):
+        raise ParseError("(enumty ...) takes a nonempty label list")
+    return T.EnumTy(tuple(map(_read_label, labels)))
 
 
 _OPS = {op.value: op for op in T.PredOp}
 
 
-def _build_prop(node) -> T.Prop:
-    head = _head(node)
-    if head == "pred":
-        if len(node) != 4 or not isinstance(node[1], _Sym) or str(node[1]) not in _OPS:
-            raise ParseError("(pred OP t1 t2) expected")
-        return T.BuiltinPred(_OPS[str(node[1])],
-                             (_build_term(node[2]), _build_term(node[3])))
-    if head == "and":
-        a, b = _expect(node, "and", 2)
-        return T.And(_build_prop(a), _build_prop(b))
-    if head == "or":
-        a, b = _expect(node, "or", 2)
-        return T.Or(_build_prop(a), _build_prop(b))
-    if head == "not":
-        (body,) = _expect(node, "not", 1)
-        return T.Not(_build_prop(body))
-    if head == "exists":
-        name, ty, body = _expect(node, "exists", 3)
-        return T.Exists(_build_name(name), _build_type(ty), _build_prop(body))
-    if head == "true":
-        _expect(node, "true", 0)
-        return T.TRUE
-    if head == "false":
-        _expect(node, "false", 0)
-        return T.FALSE
-    if head == "inseq":
-        item, items = _expect(node, "inseq", 2)
-        if not isinstance(items, list):
-            raise ParseError("(inseq t (ts ...)) expected")
-        return T.InSequence(_build_term(item), tuple(_build_term(i) for i in items))
-    raise ParseError(f"unknown prop head {head!r}")
+def _read_pred(op, a, b) -> T.BuiltinPred:
+    if not isinstance(op, _Sym) or op not in _OPS:
+        raise ParseError(f"unknown comparison {op!r}")
+    return T.BuiltinPred(_OPS[op], (_term(a), _term(b)))
+
+
+# The storage grammar, each head once: head -> (node class, arity or None
+# for any number of arguments, reader of the arguments, writer).  A label L
+# is a SYMBOL, a STRING or (pos I); a name N is a SYMBOL or a STRING; OP is
+# lt, le, gt, ge or eq.
+_HEADS = {
+    "num": (T.Num, 1, _read_num, lambda t: f"(num {t.value!r})"),
+    "str": (T.Str, 1, _read_str, lambda t: f"(str {quote_string(t.value)})"),
+    "atom": (T.Atom, 1, lambda l: T.Atom(_read_label(l)),
+             lambda t: f"(atom {_label(t.concept)})"),
+    "record": (T.Record, 1, lambda fs: T.Record(_read_fields(fs, T.Term)),
+               lambda t: f"(record ({_fields(t.fields)}))"),
+    "list": (T.List, None, lambda *ts: T.List(tuple(map(_term, ts))),
+             lambda t: "(list" + "".join(" " + _render(i) for i in t.items) + ")"),
+    "bottom": (T.Bottom, 1, lambda l: T.Bottom(_read_label(l)),
+               lambda t: f"(bottom {_label(t.concept)})"),
+    "select": (T.FieldSelection, 2,
+               lambda b, l: T.FieldSelection(_term(b), _read_label(l)),
+               lambda t: f"(select {_render(t.base)} {_label(t.label)})"),
+    "var": (T.Var, 1, lambda n: T.Var(_read_name(n)),
+            lambda t: f"(var {_name(t.name)})"),
+    "alias": (T.TermAlias, 1, lambda n: T.TermAlias(_read_name(n)),
+              lambda t: f"(alias {_name(t.name)})"),
+    "numty": (T.NumTy, 0, lambda: T.num_ty, lambda ty: "(numty)"),
+    "strty": (T.StrTy, 0, lambda: T.str_ty, lambda ty: "(strty)"),
+    "voidty": (T.VoidTy, 0, lambda: T.void_ty, lambda ty: "(voidty)"),
+    "listty": (T.ListTy, 1, lambda e: T.ListTy(_type(e)),
+               lambda ty: f"(listty {_render(ty.elem)})"),
+    "recordty": (T.RecordTy, 1, lambda fs: T.RecordTy(_read_fields(fs, T.Type)),
+                 lambda ty: f"(recordty ({_fields(ty.fields)}))"),
+    "enumty": (T.EnumTy, 1, _read_enum,
+               lambda ty: f"(enumty ({' '.join(map(_label, ty.concepts))}))"),
+    "subsetty": (T.SubsetTy, 3,
+                 lambda t, ty, p: T.subset_ty(_term(t), _type(ty), _prop(p)),
+                 lambda ty: (f"(subsetty {_render(ty.binding_term)} "
+                             f"{_render(ty.binding_type)} {_render(ty.prop)})")),
+    "tyalias": (T.TyAlias, 1, lambda n: T.TyAlias(_read_name(n)),
+                lambda ty: f"(tyalias {_name(ty.name)})"),
+    "pred": (T.BuiltinPred, 3, _read_pred,
+             lambda p: f"(pred {p.op.value} {' '.join(map(_render, p.args))})"),
+    "and": (T.And, 2, lambda a, b: T.And(_prop(a), _prop(b)),
+            lambda p: f"(and {_render(p.left)} {_render(p.right)})"),
+    "or": (T.Or, 2, lambda a, b: T.Or(_prop(a), _prop(b)),
+           lambda p: f"(or {_render(p.left)} {_render(p.right)})"),
+    "not": (T.Not, 1, lambda b: T.Not(_prop(b)),
+            lambda p: f"(not {_render(p.body)})"),
+    "exists": (T.Exists, 3,
+               lambda n, ty, b: T.Exists(_read_name(n), _type(ty), _prop(b)),
+               lambda p: (f"(exists {_name(p.var)} {_render(p.bound_type)} "
+                          f"{_render(p.body)})")),
+    "true": (T.TrueProp, 0, lambda: T.TRUE, lambda p: "(true)"),
+    "false": (T.FalseProp, 0, lambda: T.FALSE, lambda p: "(false)"),
+    "inseq": (T.InSequence, 2,
+              lambda t, ts: T.InSequence(
+                  _term(t), tuple(map(_term, _read_list(ts, "terms")))),
+              lambda p: (f"(inseq {_render(p.item)} "
+                         f"({' '.join(map(_render, p.items))}))")),
+}
+
+_WRITERS = {cls: write for cls, _, _, write in _HEADS.values()}

@@ -24,10 +24,8 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Container, NamedTuple
+from typing import Container
 
 from .errors import MalformedRecordError, ParseError, TermError
 from .sexp import scan, string_tokens, token_pattern
@@ -41,7 +39,6 @@ _TOKEN = token_pattern(
     r"(?P<NUMBER>-?\d(?:[\d.eE]|(?<=[eE])[+-])*)",
     r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)", r"(?P<PUNCT>:=|[{}();,:=])",
     r"(?P<bad>.)")
-_NEWLINE = re.compile(r"\n")
 
 
 @dataclass(frozen=True)
@@ -50,108 +47,105 @@ class Declaration:
     body: T.Term
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT STRING NUMBER PUNCT EOF
-    value: object
-    line: int
-    col: int
+def where(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, col) of an offset; only an error asks for it."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def tokenize(text: str) -> list[Token]:
-    line_starts = [0, *(m.end() for m in _NEWLINE.finditer(text))]
-
-    def where(offset: int) -> tuple[int, int]:
-        line = bisect_right(line_starts, offset)
-        return line, offset - line_starts[line - 1] + 1
-
-    tokens = [Token(kind, value, *where(offset))
-              for kind, value, offset in scan(_TOKEN, text, where)]
-    tokens.append(Token("EOF", None, *where(len(text))))
+def tokenize(text: str) -> list[tuple]:
+    """The scanner's (kind, value, offset) triples, kinds IDENT, STRING,
+    NUMBER and PUNCT, then ("EOF", None, len(text))."""
+    tokens = list(scan(_TOKEN, text, lambda offset: where(text, offset)))
+    tokens.append(("EOF", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], tax: Taxonomy, declared: set[str],
-                 known: Container[str]):
+    def __init__(self, text: str, tokens: list[tuple], tax: Taxonomy,
+                 declared: set[str], known: Container[str]):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.tax = tax
         self.declared = declared
         self.known = known
 
-    def peek(self) -> Token:
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, *where(self.text, tok[2]))
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, value=None) -> Token:
+    def expect(self, kind: str, value=None) -> tuple:
         tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
+        if tok[0] != kind or (value is not None and tok[1] != value):
             want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, got {self._show(tok)}",
-                             tok.line, tok.col)
+            raise self.error(f"expected {want!r}, got {self._show(tok)}", tok)
         return self.next()
 
     @staticmethod
-    def _show(tok: Token) -> str:
-        return "end of input" if tok.kind == "EOF" else repr(tok.value)
+    def _show(tok: tuple) -> str:
+        return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
     def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == value
+        kind, tok_value, _ = self.peek()
+        return kind == "PUNCT" and tok_value == value
 
     def program(self) -> list[Declaration]:
         decls: list[Declaration] = []
         seen: set[str] = set()
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             tok = self.expect("IDENT")
             self.expect("PUNCT", ":=")
             body = self.term(in_args=False)
             self.expect("PUNCT", ";")
-            if tok.value in seen:
-                raise ParseError(f"duplicate declaration of {tok.value!r}",
-                                 tok.line, tok.col)
-            seen.add(tok.value)
-            decls.append(Declaration(tok.value, body))
+            name = tok[1]
+            if name in seen:
+                raise self.error(f"duplicate declaration of {name!r}", tok)
+            seen.add(name)
+            decls.append(Declaration(name, body))
         return decls
 
     def term(self, in_args: bool) -> T.Term:
         tok = self.peek()
-        if tok.kind == "STRING":
+        kind, value, _ = tok
+        if kind == "STRING":
             self.next()
-            return T.Str(tok.value)
-        if tok.kind == "NUMBER":
+            return T.Str(value)
+        if kind == "NUMBER":
             self.next()
             try:
-                return T.Num(tok.value)
+                return T.Num(value)
             except TermError:   # float() overflowed to inf
-                raise ParseError("number out of range", tok.line, tok.col) from None
-        if tok.kind == "IDENT":
+                raise self.error("number out of range", tok) from None
+        if kind == "IDENT":
             self.next()
             if self.at_punct("("):
-                return self.application(tok)
-            if in_args or tok.value in self.declared or tok.value in self.known:
-                return T.term_name(tok.value)
-            return T.atom(tok.value)
+                return self.application(value)
+            if in_args or value in self.declared or value in self.known:
+                return T.term_name(value)
+            return T.atom(value)
         if self.at_punct("{"):
             return self.record()
-        raise ParseError(f"expected a term, got {self._show(tok)}",
-                         tok.line, tok.col)
+        raise self.error(f"expected a term, got {self._show(tok)}", tok)
 
-    def application(self, head: Token) -> T.Term:
+    def application(self, head: str) -> T.Term:
         self.expect("PUNCT", "(")
         if self.at_punct(")"):
             self.next()
-            return T.atom(head.value)
+            return T.atom(head)
         args = [self.term(in_args=True)]
         while self.at_punct(","):
             self.next()
             args.append(self.term(in_args=True))
         self.expect("PUNCT", ")")
-        return T.pred_app(head.value, args)
+        return T.pred_app(head, args)
 
     def record(self) -> T.Term:
         open_tok = self.expect("PUNCT", "{")
@@ -165,23 +159,21 @@ class _Parser:
         try:
             return T.record(self.tax, fields)
         except MalformedRecordError as exc:  # re-raise with a position
-            raise ParseError(str(exc), open_tok.line, open_tok.col) from exc
+            raise self.error(str(exc), open_tok) from exc
 
     def field(self) -> tuple[str, T.Term]:
         name = self.expect("STRING")
         tok = self.peek()
         if not (self.at_punct(":") or self.at_punct("=")):
-            raise ParseError(f"expected ':' or '=', got {self._show(tok)}",
-                             tok.line, tok.col)
+            raise self.error(f"expected ':' or '=', got {self._show(tok)}", tok)
         self.next()
-        return name.value, self.term(in_args=False)
+        return name[1], self.term(in_args=False)
 
 
-def declared_names(tokens: list[Token]) -> set[str]:
-    return {tokens[i].value
-            for i in range(len(tokens) - 1)
-            if tokens[i].kind == "IDENT"
-            and tokens[i + 1].kind == "PUNCT" and tokens[i + 1].value == ":="}
+def declared_names(tokens: list[tuple]) -> set[str]:
+    return {name for (kind, name, _), (next_kind, next_value, _)
+            in zip(tokens, tokens[1:])
+            if kind == "IDENT" and next_kind == "PUNCT" and next_value == ":="}
 
 
 def parse_program(text: str, tax: Taxonomy | None = None,
@@ -194,5 +186,5 @@ def parse_program(text: str, tax: Taxonomy | None = None,
     """
     tax = tax if tax is not None else Taxonomy()
     tokens = tokenize(text)
-    parser = _Parser(tokens, tax, declared_names(tokens), known)
+    parser = _Parser(text, tokens, tax, declared_names(tokens), known)
     return parser.program()

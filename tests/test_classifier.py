@@ -1,13 +1,20 @@
+import functools
+import io
+import os
 import random
+import time
 
 import pytest
 
 from flutes import terms as T
-from flutes.classifier import (CheckLit, EqLit, dependency_order,
-                               find_members, promote_untyped, skolemize)
+from flutes.classifier import (MAX_DISJUNCTS, CheckLit, EqLit,
+                               dependency_order, find_members,
+                               promote_untyped, skolemize)
+from flutes.cli import run_session
 from flutes.errors import ClassDependencyError, UnsupportedPropError
 from flutes.oracle import oracle_extensions
-from flutes.store import Store
+from flutes.sexp import render_sexp
+from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 
 from termgen import (WORKED_CORPUS, build_worked_store, define_target_class,
@@ -115,6 +122,38 @@ class TestSkolemize:
                          T.exists("t", T.num_ty, T.TRUE))
         with pytest.raises(UnsupportedPropError):
             skolemize(ty)
+
+
+def outside_all(n: int) -> T.SubsetTy:
+    """x outside each of n points: n conjuncts of (x < i or x > i), whose
+    normal form has 2**n disjuncts."""
+    x = T.var("x")
+    return T.subset_ty(x, T.num_ty, functools.reduce(T.conj, [
+        T.disj(T.less_than(x, T.num(i)), T.greater_than(x, T.num(i)))
+        for i in range(n)]))
+
+
+class TestDnfCap:
+    def test_cap_is_reached_and_kept(self):
+        assert len(skolemize(outside_all(10)).disjuncts) == MAX_DISJUNCTS
+
+    @pytest.mark.parametrize("n", [11, 40])
+    def test_larger_normal_forms_are_refused_before_they_are_built(self, n):
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedPropError, match="1024 disjuncts"):
+            skolemize(outside_all(n))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_defclass_of_a_refused_type_logs_nothing(self, tmp_path):
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            out = io.StringIO()
+            line = f"defclass wide {render_sexp(outside_all(11))}"
+            assert run_session(s, [line], out, timings=False,
+                               stop_on_error=True) == 1
+            assert out.getvalue().startswith("error\t")
+            assert s.classes == {}
+        assert not os.path.exists(os.path.join(path, LOG))
 
 
 class TestDependencyOrder:

@@ -2,9 +2,10 @@
 
 Declarations and store records are lexed by one regex scanner with a
 pattern per grammar.  The tables below fix what each grammar makes of its
-input: the tokens (kind, value, line, col) of a declaration program, the
-nodes of an S-expression (symbols and strings kept apart), or the
-`ParseError` message, with 1-based line and column for declarations.
+input: the tokens of a declaration program (kind, value, and the line and
+column of the offset), the nodes of an S-expression (symbols and strings
+kept apart), or the `ParseError` message, with 1-based line and column
+for declarations.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from flutes.errors import ParseError
 from flutes.sexp import quote_string, read_node
-from flutes.syntax import parse_program, tokenize
+from flutes.syntax import parse_program, tokenize, where
 from flutes import terms as T
 
 DECL_CASES = [
@@ -156,8 +157,9 @@ def outcome(fn, text):
 
 @pytest.mark.parametrize("text,expected", DECL_CASES)
 def test_declaration_tokens(text, expected):
-    assert outcome(lambda s: [(t.kind, t.value, t.line, t.col)
-                              for t in tokenize(s)], text) == expected
+    assert outcome(lambda s: [(kind, value, *where(s, offset))
+                              for kind, value, offset in tokenize(s)],
+                   text) == expected
 
 
 @pytest.mark.parametrize("text,expected", PARSE_ERRORS)

@@ -1,10 +1,15 @@
+import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flutes import sexp
+from flutes.cli import run_session
 from flutes.errors import ParseError
-from flutes.sexp import parse_sexp, render_sexp
+from flutes.sexp import parse_sexp, quote_string, read_node, render_sexp
+from flutes.store import Store
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 from flutes import terms as T
 
@@ -117,3 +122,111 @@ class TestRoundTrip:
         assert parse_sexp(render_sexp(T.Str(s))) == T.Str(s)
         t = parse_sexp(render_sexp(T.Str(s)))
         assert "\n" not in render_sexp(t)
+
+
+# One well-formed example per head of the storage grammar, with slots {0},
+# {1}, ... for the arguments that are themselves values, and the category
+# of each slot: t a term, y a type, p a proposition.
+HEAD_EXAMPLES = {
+    "num": ("(num 1.5)", ""),
+    "str": ('(str "s")', ""),
+    "atom": ("(atom check)", ""),
+    "record": ("(record (((pos 0) {0}) (a {1})))", "tt"),
+    "list": ("(list {0} {1})", "tt"),
+    "bottom": ("(bottom dob)", ""),
+    "select": ("(select {0} name)", "t"),
+    "var": ("(var x)", ""),
+    "alias": ('(alias "a b")', ""),
+    "numty": ("(numty)", ""),
+    "strty": ("(strty)", ""),
+    "voidty": ("(voidty)", ""),
+    "listty": ("(listty {0})", "y"),
+    "recordty": ("(recordty ((a {0}) (b {1})))", "yy"),
+    "enumty": ("(enumty (cash check))", ""),
+    "subsetty": ("(subsetty {0} {1} {2})", "typ"),
+    "tyalias": ("(tyalias person)", ""),
+    "pred": ("(pred lt {0} {1})", "tt"),
+    "and": ("(and {0} {1})", "pp"),
+    "or": ("(or {0} {1})", "pp"),
+    "not": ("(not {0})", "p"),
+    "exists": ("(exists k {0} {1})", "yp"),
+    "true": ("(true)", ""),
+    "false": ("(false)", ""),
+    "inseq": ("(inseq {0} ({1} {2}))", "ttt"),
+}
+FILL = {"t": "(num 1.0)", "y": "(numty)", "p": "(true)"}
+
+
+def example(head, **replace):
+    template, slots = HEAD_EXAMPLES[head]
+    return template.format(*(replace.get(f"s{i}", FILL[c])
+                             for i, c in enumerate(slots)))
+
+
+def show(node) -> str:
+    """The text of a node from read_node."""
+    if isinstance(node, list):
+        return "(" + " ".join(map(show, node)) + ")"
+    if isinstance(node, float):
+        return repr(node)
+    return quote_string(node) if type(node) is str else str(node)
+
+
+ARITY = {head: len(read_node(example(head))) - 1 for head in HEAD_EXAMPLES}
+WRONG_CATEGORY = [(head, i, wrong)
+                  for head, (_, slots) in HEAD_EXAMPLES.items()
+                  for i, category in enumerate(slots)
+                  for other, wrong in FILL.items() if other != category]
+
+
+def test_every_head_has_an_example():
+    assert set(HEAD_EXAMPLES) == set(sexp._HEADS)
+
+
+@pytest.mark.parametrize("head", HEAD_EXAMPLES)
+def test_example_round_trips(head):
+    x = parse_sexp(example(head))
+    assert render_sexp(x).startswith(f"({head}")
+    assert parse_sexp(render_sexp(x)) == x
+
+
+@pytest.mark.parametrize("head", [h for h in HEAD_EXAMPLES if h != "list"])
+def test_one_argument_too_many(head):
+    node = read_node(example(head))
+    with pytest.raises(ParseError):
+        parse_sexp(show(node + [node[-1] if ARITY[head] else 1.0]))
+
+
+@pytest.mark.parametrize("head", [h for h in HEAD_EXAMPLES
+                                  if h != "list" and ARITY[h]])
+def test_one_argument_too_few(head):
+    with pytest.raises(ParseError):
+        parse_sexp(show(read_node(example(head))[:-1]))
+
+
+@pytest.mark.parametrize("head,slot,wrong", WRONG_CATEGORY)
+def test_wrong_category_in_each_position(head, slot, wrong):
+    with pytest.raises(ParseError, match="expected a "):
+        parse_sexp(example(head, **{f"s{slot}": wrong}))
+
+
+@pytest.mark.parametrize("text,label", [
+    ("(record ((a (num 1)) (a (num 2))))", "a"),
+    ("(recordty ((a (numty)) (a (numty))))", "a"),
+    ('(record (((pos 0) (num 1)) (b (num 2)) ((pos 0) (str "x"))))', "(pos 0)"),
+    ('(recordty ((a (numty)) ("a" (strty))))', "a"),
+])
+def test_repeated_labels_are_refused(text, label):
+    with pytest.raises(ParseError, match=re.escape(f"repeated label {label}")):
+        parse_sexp(text)
+
+
+def test_defclass_with_repeated_labels_defines_no_class():
+    store, out = Store(), io.StringIO()
+    lines = ["defclass c (recordty ((a (numty)) (a (numty))))",
+             'insert x := {"a"=1};', "find-members"]
+    assert run_session(store, lines, out, timings=False,
+                       stop_on_error=False) == 0
+    assert out.getvalue().startswith("error\t")
+    assert "repeated label a" in out.getvalue().splitlines()[0]
+    assert store.classes == {}
