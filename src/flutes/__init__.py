@@ -7,7 +7,8 @@ persisted term store.  See README.md for the tour.
 from . import terms
 from .benchgen import GenConfig, generate, run_experiment
 from .classifier import (FindReport, eval_ground_prop, find_members,
-                         promote_untyped, skolemize)
+                         promote_untyped)
+from .clause import skolemize
 from .errors import (ClassDependencyError, FlutesError, ParseError,
                      RuleFailure, StoreCorruptionError, StoreError,
                      TypeCheckError, UnsupportedPropError)

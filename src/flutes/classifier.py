@@ -2,11 +2,10 @@
 
 Static classes (plain structural types) collect every stored typed term
 whose inferred type is subsumed by the class type.  Subset classes (types
-with a binding term and a proposition) are compiled into clauses: prefix
-existentials become skolem slots tied to other classes, the matrix is
-normalized to disjunctive normal form, and equalities against a skolem
-variable become match literals, solved by matching the pattern one way
-against candidate members.  Candidate scans are restricted by the
+with a binding term and a proposition) are solved from the skolem clause
+that the store compiled when the class was defined (see clause.py): match
+literals are solved by matching the pattern one way against candidate
+members of the skolem's class.  Candidate scans are restricted by the
 containment graph and by per-class watermarks, so re-runs only consider
 tuples that involve at least one member added since the previous run.
 """
@@ -15,112 +14,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import terms as T
-from .errors import (ClassDependencyError, EvalError,
-                     UnsupportedPropError)
+from .clause import CheckLit, EqLit, SkolemClause
+from .errors import ClassDependencyError, EvalError
 from .rules import eval_term, member_name
 from .store import Store, KbClass, type_alias_names
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
-
-
-# -- compiled clause form ----------------------------------------------------
-
-@dataclass(frozen=True)
-class EqLit:
-    """pattern === skolem; solved by matching the pattern against candidate
-    members of the skolem's class."""
-    pattern: T.Term
-    skolem: str
-
-
-@dataclass(frozen=True)
-class CheckLit:
-    """A deferred test, evaluated once substitution makes it ground."""
-    negated: bool
-    prop: T.Prop
-
-
-@dataclass(frozen=True)
-class SkolemClause:
-    skolems: tuple[tuple[str, str], ...]   # (variable, class name), outermost first
-    disjuncts: tuple[tuple[object, ...], ...]
-
-
-def skolemize(ty: T.SubsetTy) -> SkolemClause:
-    """Compile a subset type's proposition into a skolem clause.
-
-    Prefix existentials are stripped outside-in; each must be bound by a
-    type alias naming a class.  The remaining matrix is put in negation
-    normal form and distributed into disjuncts.  Quantifiers anywhere in
-    the matrix (in particular under negation) are rejected.
-    """
-    skolems: list[tuple[str, str]] = []
-    body = ty.prop
-    while isinstance(body, T.Exists):
-        if not isinstance(body.bound_type, T.TyAlias):
-            raise UnsupportedPropError(
-                f"existential for {body.var!r} must be bound by a class name")
-        skolems.append((body.var, body.bound_type.name))
-        body = body.body
-    sk_names = {v for v, _ in skolems}
-    disjuncts = tuple(
-        tuple(_classify_literal(prop, neg, sk_names) for prop, neg in d)
-        for d in _dnf(_nnf(body, False)))
-    return SkolemClause(tuple(skolems), disjuncts)
-
-
-def _nnf(p: T.Prop, neg: bool):
-    """Negation normal form as a tag tree with (prop, negated) leaves."""
-    if isinstance(p, T.Not):
-        return _nnf(p.body, not neg)
-    if isinstance(p, T.And):
-        return ("or" if neg else "and", _nnf(p.left, neg), _nnf(p.right, neg))
-    if isinstance(p, T.Or):
-        return ("and" if neg else "or", _nnf(p.left, neg), _nnf(p.right, neg))
-    if isinstance(p, T.TrueProp):
-        return ("false",) if neg else ("true",)
-    if isinstance(p, T.FalseProp):
-        return ("true",) if neg else ("false",)
-    if isinstance(p, T.Exists):
-        raise UnsupportedPropError(
-            "existential quantifiers are only supported as a prefix")
-    if isinstance(p, (T.BuiltinPred, T.InSequence)):
-        return ("lit", p, neg)
-    raise UnsupportedPropError(f"unsupported proposition {type(p).__name__}")
-
-
-# The most disjuncts a proposition may have in normal form.  Each "or"
-# under an "and" multiplies them, so a short proposition can have millions;
-# the benchmark's classes have at most 2.
-MAX_DISJUNCTS = 1024
-
-
-def _dnf(tree) -> list[list[tuple[T.Prop, bool]]]:
-    tag = tree[0]
-    if tag == "true":
-        return [[]]
-    if tag == "false":
-        return []
-    if tag == "lit":
-        return [[(tree[1], tree[2])]]
-    left, right = _dnf(tree[1]), _dnf(tree[2])
-    size = len(left) * len(right) if tag == "and" else len(left) + len(right)
-    if size > MAX_DISJUNCTS:
-        raise UnsupportedPropError(
-            f"proposition has more than {MAX_DISJUNCTS} disjuncts in "
-            f"disjunctive normal form")
-    if tag == "and":
-        return [l + r for l in left for r in right]
-    return left + right
-
-
-def _classify_literal(prop: T.Prop, neg: bool, skolems: set[str]):
-    if isinstance(prop, T.BuiltinPred) and prop.op is T.PredOp.EQ and not neg:
-        a, b = prop.args
-        if isinstance(b, T.Var) and b.name in skolems:
-            return EqLit(a, b.name)
-        if isinstance(a, T.Var) and a.name in skolems:
-            return EqLit(b, a.name)
-    return CheckLit(neg, prop)
 
 
 # -- class ordering and term promotion ---------------------------------------
@@ -448,8 +346,8 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
     _advance(store, cls, len(store.typed_list), cls.dep_marks)
 
 
-def _run_subset(store: Store, cls: KbClass, clause: SkolemClause,
-                prune: bool, st: ClassStats):
+def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
+    clause = cls.clause
     bind_ty = store.resolve_class_type(cls.name)
     binding = cls.definition.binding_term
     cls_of = dict(clause.skolems)
@@ -511,8 +409,6 @@ def find_members(store: Store, prune: bool = True) -> FindReport:
     collection up to date, dependencies first."""
     t0 = perf_counter()
     order = dependency_order(store)
-    clauses = {name: skolemize(store.kb_class(name).definition)
-               for name in order if store.kb_class(name).is_subset}
     report = FindReport(order=order)
     report.promoted = promote_untyped(store)
     for name in order:
@@ -521,7 +417,7 @@ def find_members(store: Store, prune: bool = True) -> FindReport:
         report.per_class[name] = st
         t1 = perf_counter()
         if cls.is_subset:
-            _run_subset(store, cls, clauses[name], prune, st)
+            _run_subset(store, cls, prune, st)
         else:
             _run_static(store, cls, st)
         st.elapsed = perf_counter() - t1

@@ -25,7 +25,7 @@ import sys
 from typing import Container
 
 from . import terms as T
-from .classifier import find_members, skolemize
+from .classifier import find_members
 from .errors import FlutesError, RuleFailure, StoreCorruptionError
 from .rules import Analytic, mk_analytic, run_analytic
 from .sexp import parse_sexp, render_sexp
@@ -95,8 +95,6 @@ class Session:
         value = parse_sexp(src.strip())
         if not isinstance(value, T.Type):
             raise CommandError("defclass expects a type s-expression")
-        if isinstance(value, T.SubsetTy):
-            skolemize(value)  # reject unsupported propositions up front
         self.store.mk_kb_class(name, value)
         self.store.commit()
         self.emit(f"class\t{name}")

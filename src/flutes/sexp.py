@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, TermError
+from .errors import FlutesError, ParseError
 from .taxonomy import Concept, mk_concept, positional
 from . import terms as T
 
@@ -187,7 +187,12 @@ def _build(node, want=None):
         raise ParseError(f"expected a {want.__name__.lower()}, got ({head} ...)")
     if arity is not None and len(node) - 1 != arity:
         raise ParseError(f"({head} ...) takes {arity} argument(s)")
-    return read(*node[1:])
+    try:
+        return read(*node[1:])
+    except ParseError:
+        raise
+    except FlutesError as exc:  # a constructor's rule: (num 1e999), (atom "")
+        raise ParseError(str(exc)) from None
 
 
 def _term(node) -> T.Term:
@@ -239,10 +244,7 @@ def _read_fields(node, want) -> tuple:
 def _read_num(x) -> T.Num:
     if not isinstance(x, float):
         raise ParseError("(num ...) takes one number")
-    try:
-        return T.Num(x)
-    except TermError as exc:   # 1e999 reads as inf
-        raise ParseError(str(exc)) from None
+    return T.Num(x)
 
 
 def _read_str(x) -> T.Str:

@@ -14,9 +14,11 @@ record per line, in the order the changes were made:
 Mutations render their record into an in-memory batch; commit() appends
 the batch and its marker, where crc is zlib.crc32 of the batch's bytes,
 with one write and one fsync.  Replay applies a batch only once its marker
-checks out, and derives adjacency from the term and member records.  A
-batch that fails its marker is a torn tail when no valid marker follows it
-(it is truncated and reported in `torn_tail`), and corruption otherwise.
+checks out, and derives adjacency from the term and member records; it
+compiles each subset class as definition does, so a class record that
+this version cannot compile is corruption.  A batch that fails its marker
+is a torn tail when no valid marker follows it (it is truncated and
+reported in `torn_tail`), and corruption otherwise.
 It is also corruption when the marker checks out against the batch's last
 records: a damaged marker then joined two committed batches.  A store
 constructed without a path lives purely in memory and renders no records
@@ -34,6 +36,7 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Container
 
+from .clause import SkolemClause, skolemize
 from .errors import (AliasCycleError, DuplicateNameError, StoreCorruptionError,
                      StoreError)
 from .sexp import build_value, quote_string, read_node, render_sexp
@@ -53,6 +56,7 @@ _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 class KbClass:
     name: str
     definition: T.Type
+    clause: SkolemClause | None = None   # compiled definition of a subset class
     members: list[tuple[str, T.Term]] = field(default_factory=list)
     by_name: dict[str, int] = field(default_factory=dict)  # name -> member index
     # term -> name of its first member; add_member keeps terms distinct
@@ -62,7 +66,7 @@ class KbClass:
 
     @property
     def is_subset(self) -> bool:
-        return isinstance(self.definition, T.SubsetTy)
+        return self.clause is not None
 
     def _index(self, mname: str, t: T.Term):
         self.by_name[mname] = len(self.members)
@@ -208,6 +212,7 @@ class Store:
             raise StoreError("term name must be a nonempty string")
         if name in self.untyped or name in self.typed:
             raise DuplicateNameError(f"term {name!r} already bound")
+        T.check_labels(t)
         refs = T.alias_names(t)
         self._check_acyclic(name, refs)
         self._put_term(name, t, refs)
@@ -268,6 +273,8 @@ class Store:
     # -- classes --
 
     def mk_kb_class(self, name: str, ty: T.Type):
+        """Define a class; a subset class is compiled here, so one whose
+        proposition skolemize refuses is refused before it is logged."""
         if not _CLASS_NAME.match(name or ""):
             raise StoreError(f"invalid class name {name!r}")
         if name in self.classes:
@@ -275,11 +282,13 @@ class Store:
         for ref in sorted(type_alias_names(ty)):
             if ref not in self.classes:
                 raise StoreError(f"class {name!r} references unknown type {ref!r}")
+        T.check_labels(ty)
         self._put_class(name, ty)
         self._log("class", name, ty)
 
     def _put_class(self, name: str, ty: T.Type):
-        self.classes[name] = KbClass(name, ty)
+        clause = skolemize(ty) if isinstance(ty, T.SubsetTy) else None
+        self.classes[name] = KbClass(name, ty, clause)
 
     def kb_class(self, name: str) -> KbClass:
         cls = self.classes.get(name)

@@ -531,6 +531,42 @@ def alias_names(t: Term) -> set[str]:
     return out
 
 
+def check_labels(node: Node) -> None:
+    """Refuse a term or type that holds a record naming a label twice.  The
+    smart constructors and the storage reader refuse one as they build it;
+    the store calls this for values built from the dataclasses directly,
+    which its log could otherwise not read back."""
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is Record or cls is RecordTy:
+            fields = x.fields
+            if len(fields) > 1 and len({l for l, _ in fields}) < len(fields):
+                labels = [l for l, _ in fields]
+                repeated = next(l for i, l in enumerate(labels)
+                                if l in labels[:i])
+                raise MalformedRecordError(f"repeated label {repeated!r}")
+            stack.extend(v for _, v in fields)
+        elif cls in _PARTS:
+            stack.extend(_PARTS[cls](x))
+
+
+# the nodes, other than records, that hold terms, types or propositions
+_PARTS = {
+    List: lambda x: x.items,
+    FieldSelection: lambda x: (x.base,),
+    ListTy: lambda x: (x.elem,),
+    SubsetTy: lambda x: (x.binding_term, x.binding_type, x.prop),
+    BuiltinPred: lambda x: x.args,
+    And: lambda x: (x.left, x.right),
+    Or: lambda x: (x.left, x.right),
+    Not: lambda x: (x.body,),
+    Exists: lambda x: (x.bound_type, x.body),
+    InSequence: lambda x: (x.item, *x.items),
+}
+
+
 def pred_app_parts(t: Term) -> tuple[Concept, tuple[Term, ...]] | None:
     """Decompose a predicate-application record into (name, args), if it is one."""
     if not (isinstance(t, Record) and len(t.fields) == 1):

@@ -127,9 +127,3 @@ def test_golden_log_covers_the_records_and_heads():
         assert f"({head} " in sink or f"({head})" in sink, head
 
 
-if __name__ == "__main__":
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        golden_session(os.path.join(tmp, "kb"))
-        os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-        shutil.copyfile(os.path.join(tmp, "kb", LOG), GOLDEN)

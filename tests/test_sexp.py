@@ -55,6 +55,14 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_sexp(bad)
 
+    def test_constructor_rules_surface_as_parse_errors(self):
+        # the empty concept name and the captured binding variable are
+        # refused by mk_concept and subset_ty, not by the reader itself
+        for bad in ['(atom "")', '(record (("" (num 1))))',
+                    "(subsetty (var x) (numty) (exists x (numty) (true)))"]:
+            with pytest.raises(ParseError):
+                parse_sexp(bad)
+
     def test_parse_resorts_record_fields(self):
         t = parse_sexp('(record ((name (str "Joe")) (dob (str "x"))))')
         assert [c.name for c, _ in t.fields] == ["dob", "name"]

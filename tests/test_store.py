@@ -7,7 +7,8 @@ import pytest
 from flutes import store as store_module
 from flutes.classifier import find_members
 from flutes.errors import (AliasCycleError, DuplicateNameError,
-                           StoreCorruptionError, StoreError, TermError)
+                           MalformedRecordError, StoreCorruptionError,
+                           StoreError, TermError)
 from flutes.store import LOG, Store
 from flutes.sexp import read_node
 from flutes.syntax import parse_program
@@ -307,6 +308,37 @@ class TestPersistence:
                 s.abox_insert("c", T.record(s.tax, [("v", T.Num(float("inf")))]))
         with Store(path) as s:
             assert set(s.untyped) == {"a"}
+
+    @pytest.mark.parametrize("kind", ["term", "class", "nested"])
+    def test_repeated_label_refused_before_the_log(self, tmp_path, kind):
+        a = mk_concept("a")
+        term = T.Record(((a, T.num(1)), (a, T.num(2))))
+        ty = T.RecordTy(((a, T.num_ty), (a, T.num_ty)))
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            s.abox_insert("ok", T.num(1))
+            with pytest.raises(MalformedRecordError, match="repeated label"):
+                if kind == "term":
+                    s.abox_insert("x", term)
+                elif kind == "class":
+                    s.mk_kb_class("c", ty)
+                else:
+                    s.mk_kb_class("c", T.subset_ty(
+                        T.var("x"), T.num_ty,
+                        T.equals(T.var("x"), T.term_list([term]))))
+        with Store(path) as s:
+            assert set(s.untyped) == {"ok"} and s.classes == {}
+
+    def test_log_holding_a_repeated_label_does_not_open(self, tmp_path):
+        # an older version logged such a class; replay names the record
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            s._log("class", "c", T.RecordTy(((mk_concept("a"), T.num_ty),
+                                            (mk_concept("a"), T.num_ty))))
+            s.commit()
+        with pytest.raises(StoreCorruptionError,
+                           match=f"{LOG}:2: repeated label a"):
+            Store(path)
 
     def test_old_layout_refused(self, tmp_path):
         path = tmp_path / "kb"
