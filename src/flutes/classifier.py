@@ -17,7 +17,7 @@ from . import terms as T
 from .clause import CheckLit, EqLit, SkolemClause
 from .errors import ClassDependencyError, EvalError
 from .rules import eval_term, member_name
-from .store import Store, KbClass, type_alias_names
+from .store import Store, KbClass
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 
 
@@ -26,7 +26,7 @@ from .typecheck import apply_coercion, infer_static_type, prove_subtype
 def dependency_order(store: Store) -> list[str]:
     """Classes in an order that places every referenced class first;
     ties keep registration order."""
-    deps = {name: sorted(type_alias_names(cls.definition))
+    deps = {name: sorted(T.type_alias_names(cls.definition))
             for name, cls in store.classes.items()}
     order: list[str] = []
     placed: set[str] = set()
@@ -258,7 +258,7 @@ class _DisjunctRun:
         still-pending ones, or None when a ground check failed."""
         pending = []
         for c in checks:
-            p = T.substitute_prop(subst, c.prop)
+            p = T.substitute(subst, c.prop)
             if T.free_vars(p):
                 pending.append(c)
                 continue

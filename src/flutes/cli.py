@@ -92,10 +92,7 @@ class Session:
         name, _, src = rest.partition(" ")
         if not name or not src.strip():
             raise CommandError("defclass needs a name and a type s-expression")
-        value = parse_sexp(src.strip())
-        if not isinstance(value, T.Type):
-            raise CommandError("defclass expects a type s-expression")
-        self.store.mk_kb_class(name, value)
+        self.store.mk_kb_class(name, parse_sexp(src.strip(), T.Type))
         self.store.commit()
         self.emit(f"class\t{name}")
 

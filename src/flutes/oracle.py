@@ -170,7 +170,7 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext
         full = dict(binds)
         full.update(skval)
         for prop, negd in checks:
-            p = T.substitute_prop(full, prop)
+            p = T.substitute(full, prop)
             if T.free_vars(p):
                 return False
             try:

@@ -49,13 +49,9 @@ def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
             if tax.label_match(label, t.label):
                 return value
         raise EvalError(f"no field matching {t.label!r}")
-    if isinstance(t, T.Record):
-        return T.Record(tuple((l, eval_term(v, env, tax)) for l, v in t.fields))
-    if isinstance(t, T.List):
-        return T.List(tuple(eval_term(i, env, tax) for i in t.items))
     if isinstance(t, T.Var):
         raise EvalError(f"unbound variable {t.name!r}")
-    return t
+    return T.map_parts(t, lambda x: eval_term(x, env, tax))
 
 
 def _deref(t: T.Term, env: Env) -> T.Term:

@@ -162,14 +162,16 @@ def read_node(text: str):
     return top[0]
 
 
-def parse_sexp(text: str):
-    """Parse one term, type, or proposition from its storage form."""
-    return _build(read_node(text))
+def parse_sexp(text: str, want=None):
+    """Parse one term, type, or proposition from its storage form; a value
+    not of category `want` (T.Term, T.Type or T.Prop) is refused."""
+    return _build(read_node(text), want)
 
 
-def build_value(node):
-    """Construct a term/type/prop from a node produced by read_node."""
-    return _build(node)
+def build_value(node, want=None):
+    """Construct a term/type/prop from a node produced by read_node; a
+    value not of category `want` is refused."""
+    return _build(node, want)
 
 
 def _build(node, want=None):

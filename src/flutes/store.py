@@ -279,7 +279,7 @@ class Store:
             raise StoreError(f"invalid class name {name!r}")
         if name in self.classes:
             raise DuplicateNameError(f"class {name!r} already defined")
-        for ref in sorted(type_alias_names(ty)):
+        for ref in sorted(T.type_alias_names(ty)):
             if ref not in self.classes:
                 raise StoreError(f"class {name!r} references unknown type {ref!r}")
         T.check_labels(ty)
@@ -353,7 +353,7 @@ class Store:
             if not nxt:
                 break
             frontier = nxt
-        return visited & members
+        return members & visited
 
     # -- statistics --
 
@@ -441,18 +441,18 @@ class Store:
         head, args = node[0], node[1:]
         shape = (head, len(args))
         if shape == ("term", 2):
-            t = _term_value(args[1])
+            t = build_value(args[1], T.Term)
             return self._put_term, (str(args[0]), t, T.alias_names(t))
         if shape == ("promote", 1):
             return self._promote, (str(args[0]),)
         if shape == ("member", 3):
             return self._put_member, (str(args[0]), str(args[1]),
-                                      _term_value(args[2]))
+                                      build_value(args[2], T.Term))
         if shape == ("watermark", 3):
             return self._put_watermark, (
                 str(args[0]), int(args[1]), {str(d[0]): int(d[1]) for d in args[2]})
         if shape == ("class", 2):
-            return self._put_class, (str(args[0]), build_value(args[1]))
+            return self._put_class, (str(args[0]), build_value(args[1], T.Type))
         if shape == ("same-as", 2):
             return self.tax.same_as, (mk_concept(args[0]), mk_concept(args[1]))
         if shape == ("is-a", 2):
@@ -522,13 +522,6 @@ def _concept(x: str | Concept) -> Concept:
     return c
 
 
-def _term_value(node) -> T.Term:
-    value = build_value(node)
-    if not isinstance(value, T.Term):
-        raise ValueError("not a term")
-    return value
-
-
 def _nothing():
     pass
 
@@ -540,26 +533,3 @@ def _fsync_dir(path: str):
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def type_alias_names(ty: T.Type) -> set[str]:
-    """Names of every type alias mentioned anywhere inside ty."""
-    out: set[str] = set()
-    stack: list[object] = [ty]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, T.TyAlias):
-            out.add(node.name)
-        elif isinstance(node, T.ListTy):
-            stack.append(node.elem)
-        elif isinstance(node, T.RecordTy):
-            stack.extend(f for _, f in node.fields)
-        elif isinstance(node, T.SubsetTy):
-            stack.extend((node.binding_type, node.prop))
-        elif isinstance(node, T.Exists):
-            stack.extend((node.bound_type, node.body))
-        elif isinstance(node, (T.And, T.Or)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, T.Not):
-            stack.append(node.body)
-    return out

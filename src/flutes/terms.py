@@ -4,9 +4,17 @@ Terms are the graph values (objects are records, relationships are
 predicate-application records); types are graph schemas; propositions are
 the condition language of subset types.  All three are immutable values.
 
-The smart constructors at the bottom are the only supported way to build
-well-formed values: they intern labels, keep record fields sorted under the
-concept order, and reject label collisions.
+The smart constructors are the only supported way to build well-formed
+values: they intern labels, keep record fields sorted under the concept
+order, and reject label collisions.
+
+`_SHAPES` is the one place node shapes live: for every node class that
+holds terms, types or propositions it names the parts and rebuilds the node
+from new parts.  Every single-input structural walker goes through it:
+`nodes`, `parts` and `map_parts` here, the folds `free_vars`,
+`alias_names`, `type_alias_names` and `check_labels`, the map `substitute`,
+and the generic cases of `unify`, `typecheck.resolve_type` and
+`rules.eval_term`.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ArityError, MalformedRecordError, TermError
 from .taxonomy import Concept, Taxonomy, mk_concept, positional
@@ -345,7 +354,8 @@ def type_name(name: str) -> TyAlias:
 
 
 def subset_ty(binding_term: Term, binding_type: Type, prop: Prop) -> SubsetTy:
-    shadowed = free_vars(binding_term) & _quantified_vars(prop)
+    quantified = {x.var for x in nodes(prop) if type(x) is Exists}
+    shadowed = free_vars(binding_term) & quantified
     if shadowed:
         raise TermError(
             f"binding-term variables {sorted(shadowed)} are captured by a quantifier")
@@ -401,7 +411,64 @@ def in_sequence(item: Term, items: Iterable[Term]) -> InSequence:
 
 
 # ---------------------------------------------------------------------------
-# variables and substitution
+# node shapes and the walkers over them
+
+
+_value = itemgetter(1)
+
+# node class: (its parts in order, the node rebuilt with f(part) in place of
+# each part); a class without an entry is a leaf.  Each mapper builds its
+# node directly, not from a list of new parts, because substitution runs per
+# candidate in the subset-class solver.
+_SHAPES = {
+    Record: (lambda x: map(_value, x.fields),
+             lambda x, f: Record(tuple([(l, f(v)) for l, v in x.fields]))),
+    List: (lambda x: x.items,
+           lambda x, f: List(tuple([f(i) for i in x.items]))),
+    FieldSelection: (lambda x: (x.base,),
+                     lambda x, f: FieldSelection(f(x.base), x.label)),
+    ListTy: (lambda x: (x.elem,),
+             lambda x, f: ListTy(f(x.elem))),
+    RecordTy: (lambda x: map(_value, x.fields),
+               lambda x, f: RecordTy(tuple([(l, f(t)) for l, t in x.fields]))),
+    SubsetTy: (lambda x: (x.binding_term, x.binding_type, x.prop),
+               lambda x, f: SubsetTy(f(x.binding_term), f(x.binding_type),
+                                     f(x.prop))),
+    BuiltinPred: (lambda x: x.args,
+                  lambda x, f: BuiltinPred(x.op, tuple([f(t) for t in x.args]))),
+    And: (lambda x: (x.left, x.right),
+          lambda x, f: And(f(x.left), f(x.right))),
+    Or: (lambda x: (x.left, x.right),
+         lambda x, f: Or(f(x.left), f(x.right))),
+    Not: (lambda x: (x.body,),
+          lambda x, f: Not(f(x.body))),
+    Exists: (lambda x: (x.bound_type, x.body),
+             lambda x, f: Exists(x.var, f(x.bound_type), f(x.body))),
+    InSequence: (lambda x: (x.item, *x.items),
+                 lambda x, f: InSequence(f(x.item), tuple([f(t) for t in x.items]))),
+}
+
+
+def parts(node: Node) -> Iterable[Node]:
+    """The node's direct sub-terms, sub-types and sub-propositions."""
+    shape = _SHAPES.get(type(node))
+    return () if shape is None else shape[0](node)
+
+
+def map_parts(node: Node, f: Callable[[Node], Node]) -> Node:
+    """The node rebuilt with f(part) in place of each part; a leaf as it is."""
+    shape = _SHAPES.get(type(node))
+    return node if shape is None else shape[1](node, f)
+
+
+def nodes(root: Node) -> list[Node]:
+    """Every node inside root, root first."""
+    out = [root]
+    for node in out:        # visits the parts it appends, breadth first
+        shape = _SHAPES.get(type(node))
+        if shape is not None:
+            out.extend(shape[0](node))
+    return out
 
 
 def free_vars(node: Node) -> set[str]:
@@ -412,123 +479,28 @@ def free_vars(node: Node) -> set[str]:
 
 
 def _free_vars(node: Node, bound: frozenset, out: set[str]) -> None:
-    if isinstance(node, Var):
+    cls = type(node)
+    if cls is Var:
         if node.name not in bound:
             out.add(node.name)
-    elif isinstance(node, Record):
-        for _, v in node.fields:
-            _free_vars(v, bound, out)
-    elif isinstance(node, List):
-        for item in node.items:
-            _free_vars(item, bound, out)
-    elif isinstance(node, FieldSelection):
-        _free_vars(node.base, bound, out)
-    elif isinstance(node, BuiltinPred):
-        for a in node.args:
-            _free_vars(a, bound, out)
-    elif isinstance(node, (And, Or)):
-        _free_vars(node.left, bound, out)
-        _free_vars(node.right, bound, out)
-    elif isinstance(node, Not):
-        _free_vars(node.body, bound, out)
-    elif isinstance(node, Exists):
+    elif cls is Exists:
         _free_vars(node.bound_type, bound, out)
         _free_vars(node.body, bound | {node.var}, out)
-    elif isinstance(node, InSequence):
-        _free_vars(node.item, bound, out)
-        for item in node.items:
-            _free_vars(item, bound, out)
-    elif isinstance(node, SubsetTy):
-        _free_vars(node.binding_term, bound, out)
-        _free_vars(node.prop, bound, out)
-    elif isinstance(node, (ListTy, RecordTy)):
-        if isinstance(node, ListTy):
-            _free_vars(node.elem, bound, out)
-        else:
-            for _, t in node.fields:
-                _free_vars(t, bound, out)
-    # leaves: Num/Str/Atom/Bottom/TermAlias and the remaining type/prop atoms
+    else:
+        shape = _SHAPES.get(cls)
+        if shape is not None:
+            for part in shape[0](node):
+                _free_vars(part, bound, out)
 
 
-def _quantified_vars(p: Prop) -> set[str]:
-    out: set[str] = set()
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Exists):
-            out.add(node.var)
-            stack.append(node.body)
-        elif isinstance(node, (And, Or)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Not):
-            stack.append(node.body)
-    return out
+def alias_names(node: Node) -> set[str]:
+    """All term-alias names occurring anywhere in a node."""
+    return {x.name for x in nodes(node) if type(x) is TermAlias}
 
 
-Subst = Mapping[str, Term]
-
-
-def substitute(s: Subst, t: Term) -> Term:
-    """Replace free variables in a term; bound occurrences are untouched."""
-    if isinstance(t, Var):
-        return s.get(t.name, t)
-    if isinstance(t, Record):
-        return Record(tuple((c, substitute(s, v)) for c, v in t.fields))
-    if isinstance(t, List):
-        return List(tuple(substitute(s, i) for i in t.items))
-    if isinstance(t, FieldSelection):
-        return FieldSelection(substitute(s, t.base), t.label)
-    return t
-
-
-def substitute_prop(s: Subst, p: Prop) -> Prop:
-    """Capture-avoiding substitution over propositions."""
-    if isinstance(p, BuiltinPred):
-        return BuiltinPred(p.op, tuple(substitute(s, a) for a in p.args))
-    if isinstance(p, And):
-        return And(substitute_prop(s, p.left), substitute_prop(s, p.right))
-    if isinstance(p, Or):
-        return Or(substitute_prop(s, p.left), substitute_prop(s, p.right))
-    if isinstance(p, Not):
-        return Not(substitute_prop(s, p.body))
-    if isinstance(p, InSequence):
-        return InSequence(substitute(s, p.item),
-                          tuple(substitute(s, i) for i in p.items))
-    if isinstance(p, Exists):
-        inner = {k: v for k, v in s.items() if k != p.var}
-        if not inner:
-            return p
-        clash = any(p.var in free_vars(v) for v in inner.values())
-        if clash:
-            fresh = _fresh_name(p.var, set(inner) | free_vars(p.body))
-            renamed = substitute_prop({p.var: Var(fresh)}, p.body)
-            return Exists(fresh, p.bound_type, substitute_prop(inner, renamed))
-        return Exists(p.var, p.bound_type, substitute_prop(inner, p.body))
-    return p
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    i = 1
-    while f"{base}__{i}" in taken:
-        i += 1
-    return f"{base}__{i}"
-
-
-def alias_names(t: Term) -> set[str]:
-    """All term-alias names occurring anywhere in a term."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TermAlias):
-            out.add(node.name)
-        elif isinstance(node, Record):
-            stack.extend(v for _, v in node.fields)
-        elif isinstance(node, List):
-            stack.extend(node.items)
-        elif isinstance(node, FieldSelection):
-            stack.append(node.base)
-    return out
+def type_alias_names(node: Node) -> set[str]:
+    """All type-alias names occurring anywhere in a node."""
+    return {x.name for x in nodes(node) if type(x) is TyAlias}
 
 
 def check_labels(node: Node) -> None:
@@ -536,35 +508,50 @@ def check_labels(node: Node) -> None:
     smart constructors and the storage reader refuse one as they build it;
     the store calls this for values built from the dataclasses directly,
     which its log could otherwise not read back."""
-    stack = [node]
-    while stack:
-        x = stack.pop()
+    for x in nodes(node):
         cls = type(x)
-        if cls is Record or cls is RecordTy:
-            fields = x.fields
-            if len(fields) > 1 and len({l for l, _ in fields}) < len(fields):
-                labels = [l for l, _ in fields]
+        if (cls is Record or cls is RecordTy) and len(x.fields) > 1:
+            labels = [l for l, _ in x.fields]
+            if len(set(labels)) < len(labels):
                 repeated = next(l for i, l in enumerate(labels)
                                 if l in labels[:i])
                 raise MalformedRecordError(f"repeated label {repeated!r}")
-            stack.extend(v for _, v in fields)
-        elif cls in _PARTS:
-            stack.extend(_PARTS[cls](x))
 
 
-# the nodes, other than records, that hold terms, types or propositions
-_PARTS = {
-    List: lambda x: x.items,
-    FieldSelection: lambda x: (x.base,),
-    ListTy: lambda x: (x.elem,),
-    SubsetTy: lambda x: (x.binding_term, x.binding_type, x.prop),
-    BuiltinPred: lambda x: x.args,
-    And: lambda x: (x.left, x.right),
-    Or: lambda x: (x.left, x.right),
-    Not: lambda x: (x.body,),
-    Exists: lambda x: (x.bound_type, x.body),
-    InSequence: lambda x: (x.item, *x.items),
-}
+Subst = Mapping[str, Term]
+
+
+def substitute(s: Subst, node: Node) -> Node:
+    """Capture-avoiding replacement of the free variables of a term or
+    proposition; bound occurrences are untouched."""
+    cls = type(node)
+    if cls is Var:
+        return s.get(node.name, node)
+    if cls is Exists:
+        return _substitute_exists(node, s)
+    shape = _SHAPES.get(cls)
+    return node if shape is None else shape[1](node, lambda x: substitute(s, x))
+
+
+def _substitute_exists(p: Exists, s: Subst) -> Exists:
+    inner = {k: v for k, v in s.items() if k != p.var}
+    if not inner:
+        return p
+    inserted = set().union(*map(free_vars, inner.values()))
+    if p.var in inserted:
+        # the binder would capture an inserted variable: rename it to a name
+        # that no key, body variable or inserted variable uses
+        fresh = _fresh_name(p.var, set(inner) | free_vars(p.body) | inserted)
+        renamed = substitute({p.var: Var(fresh)}, p.body)
+        return Exists(fresh, p.bound_type, substitute(inner, renamed))
+    return Exists(p.var, p.bound_type, substitute(inner, p.body))
+
+
+def _fresh_name(base: str, taken: set[str]) -> str:
+    i = 1
+    while f"{base}__{i}" in taken:
+        i += 1
+    return f"{base}__{i}"
 
 
 def pred_app_parts(t: Term) -> tuple[Concept, tuple[Term, ...]] | None:

@@ -113,12 +113,7 @@ def resolve_type(ty: T.Type, lookup: Resolve,
         return resolve_type(target, lookup, _stack + (ty.name,))
     if isinstance(ty, T.SubsetTy):
         return resolve_type(ty.binding_type, lookup, _stack)
-    if isinstance(ty, T.ListTy):
-        return T.ListTy(resolve_type(ty.elem, lookup, _stack))
-    if isinstance(ty, T.RecordTy):
-        return T.RecordTy(tuple((l, resolve_type(f, lookup, _stack))
-                                for l, f in ty.fields))
-    return ty
+    return T.map_parts(ty, lambda t: resolve_type(t, lookup, _stack))
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,7 @@ def _occurs(name: str, t: T.Term, bindings: dict[str, T.Term]) -> bool:
     t = _walk(t, bindings)
     if isinstance(t, T.Var):
         return t.name == name
-    if isinstance(t, T.Record):
-        return any(_occurs(name, v, bindings) for _, v in t.fields)
-    if isinstance(t, T.List):
-        return any(_occurs(name, i, bindings) for i in t.items)
-    if isinstance(t, T.FieldSelection):
-        return _occurs(name, t.base, bindings)
-    return False
+    return any(_occurs(name, part, bindings) for part in T.parts(t))
 
 
 def _unify(a: T.Term, b: T.Term, bindings: dict[str, T.Term]) -> bool:
@@ -75,11 +69,4 @@ def _expand(bindings: dict[str, T.Term]) -> dict[str, T.Term]:
 
 
 def _deep_walk(t: T.Term, bindings: dict[str, T.Term]) -> T.Term:
-    t = _walk(t, bindings)
-    if isinstance(t, T.Record):
-        return T.Record(tuple((l, _deep_walk(v, bindings)) for l, v in t.fields))
-    if isinstance(t, T.List):
-        return T.List(tuple(_deep_walk(i, bindings) for i in t.items))
-    if isinstance(t, T.FieldSelection):
-        return T.FieldSelection(_deep_walk(t.base, bindings), t.label)
-    return t
+    return T.map_parts(_walk(t, bindings), lambda x: _deep_walk(x, bindings))

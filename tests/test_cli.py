@@ -127,9 +127,11 @@ class TestCommands:
         assert out.startswith("error\t")
 
     def test_defclass_rejects_term_sexp(self, tmp_path, capsys):
-        code, out = run_script(tmp_path, capsys, ["defclass x (num 1)"])
+        code, out = run_script(tmp_path, capsys, ["defclass c (num 1)"])
         assert code == 1
-        assert "type s-expression" in out
+        assert out.startswith("error\t") and "expected a type" in out
+        with Store(str(tmp_path / "kb")) as store:
+            assert "c" not in store.classes
 
     def test_defclass_rejects_unsupported_proposition(self, tmp_path, capsys):
         bad = T.SubsetTy(T.num(1), T.num_ty,

@@ -2,6 +2,7 @@
 byte, and corruption before a valid commit marker."""
 
 import os
+import zlib
 
 import pytest
 
@@ -11,6 +12,7 @@ from flutes.cli import main
 from flutes.errors import StoreCorruptionError
 from flutes.oracle import oracle_extensions
 from flutes.rules import mk_analytic, run_analytic
+from flutes.sexp import render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 
@@ -148,6 +150,20 @@ def test_a_damaged_second_to_last_marker_is_corruption(session, tmp_path):
         write_log(path, bytes(flipped))
         with pytest.raises(StoreCorruptionError, match=rf"{LOG}:{line}: "):
             Store(path)
+
+
+@pytest.mark.parametrize("record, want", [
+    ('(term "x" {})\n'.format(render_sexp(T.num_ty)), "term"),
+    ('(class "c" {})\n'.format(render_sexp(T.num(1))), "type"),
+], ids=["term-holding-a-type", "class-holding-a-term"])
+def test_a_record_of_the_wrong_category_is_corruption(tmp_path, record, want):
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = b"(flutes-log 1)\n" + record.encode("utf-8")
+    write_log(path, records + b"(commit 2 %d)\n" % zlib.crc32(records))
+    with pytest.raises(StoreCorruptionError,
+                       match=rf"{LOG}:2: expected a {want}, got"):
+        Store(path)
 
 
 class TestTornTail:

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import re
+
 import pytest
 
 from flutes.errors import ArityError, MalformedRecordError, TermError
@@ -118,13 +122,13 @@ class TestVariables:
 
     def test_substitute_only_free(self):
         p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
-        q = T.substitute_prop({"t": T.num(1), "p": T.num(2)}, p)
+        q = T.substitute({"t": T.num(1), "p": T.num(2)}, p)
         assert q == T.exists("t", T.num_ty, T.equals(T.Var("t"), T.num(2)))
 
     def test_substitute_avoids_capture(self):
         # replacing p with a term mentioning t must not capture t
         p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
-        q = T.substitute_prop({"p": T.Var("t")}, p)
+        q = T.substitute({"p": T.Var("t")}, p)
         assert isinstance(q, T.Exists)
         assert q.var != "t"
         assert q.body == T.equals(T.Var(q.var), T.Var("t"))
@@ -133,3 +137,95 @@ class TestVariables:
         t = T.record(tax, [("a", T.term_name("joe")),
                            ("b", T.term_list([T.term_name("t1")]))])
         assert T.alias_names(t) == {"joe", "t1"}
+
+    def test_fresh_binder_avoids_inserted_variables(self):
+        # the renamed binder must not be a free variable of a value
+        # substituted in, which it would then capture
+        p = T.exists("x", T.num_ty, T.equals(T.Var("x"), T.Var("y")))
+        inserted = T.List((T.Var("x"), T.Var("x__1")))
+        q = T.substitute({"y": inserted}, p)
+        assert T.free_vars(q) == {"x", "x__1"}
+        assert q.body == T.equals(T.Var(q.var), inserted)
+
+
+def _marked_samples():
+    """(node, markers) for one instance of every node class with parts,
+    each part holding its own markers: a Var or a TermAlias in a term, a
+    TyAlias in a type, and a predicate over two term markers in a
+    proposition."""
+    n = itertools.count()
+    made = []
+
+    def term():
+        i = next(n)
+        made.append(T.Var(f"v{i}") if i % 2 else T.TermAlias(f"a{i}"))
+        return made[-1]
+
+    def ty():
+        made.append(T.TyAlias(f"y{next(n)}"))
+        return made[-1]
+
+    def prop():
+        return T.equals(term(), term())
+
+    a, b = mk_concept("a"), mk_concept("b")
+    builds = [
+        lambda: T.Record(((a, term()), (b, term()))),
+        lambda: T.List((term(), term())),
+        lambda: T.FieldSelection(term(), a),
+        lambda: T.ListTy(ty()),
+        lambda: T.RecordTy(((a, ty()), (b, ty()))),
+        lambda: T.SubsetTy(term(), ty(), prop()),
+        lambda: T.BuiltinPred(T.PredOp.LT, (term(), term())),
+        lambda: T.And(prop(), prop()),
+        lambda: T.Or(prop(), prop()),
+        lambda: T.Not(prop()),
+        lambda: T.Exists("bound", ty(), prop()),
+        lambda: T.InSequence(term(), (term(), term())),
+    ]
+    out = []
+    for build in builds:
+        made.clear()
+        out.append((build(), list(made)))
+    return out
+
+
+_SAMPLES = _marked_samples()
+_SAMPLE_IDS = [type(x).__name__ for x, _ in _SAMPLES]
+
+
+def _node_classes():
+    out, stack = [], [T.Term, T.Type, T.Prop]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if dataclasses.is_dataclass(cls):
+            out.append(cls)
+    return out
+
+
+class TestShapes:
+    def test_every_class_with_parts_has_a_shape(self):
+        holds_nodes = re.compile(r"\b(Term|Type|Prop)\b")
+        with_parts = {cls for cls in _node_classes()
+                      if any(holds_nodes.search(str(f.type))
+                             for f in dataclasses.fields(cls))}
+        assert with_parts == set(T._SHAPES)
+        assert {type(x) for x, _ in _SAMPLES} == with_parts
+
+    @pytest.mark.parametrize("node, markers", _SAMPLES, ids=_SAMPLE_IDS)
+    def test_walkers_reach_every_part(self, node, markers):
+        seen = T.nodes(node)
+        assert all(m in seen for m in markers)
+        assert T.free_vars(node) == {m.name for m in markers
+                                     if type(m) is T.Var}
+        assert T.alias_names(node) == {m.name for m in markers
+                                       if type(m) is T.TermAlias}
+        assert T.type_alias_names(node) == {m.name for m in markers
+                                            if type(m) is T.TyAlias}
+
+    @pytest.mark.parametrize("node, markers", _SAMPLES, ids=_SAMPLE_IDS)
+    def test_map_rebuilds_each_part_in_place(self, node, markers):
+        assert T.map_parts(node, lambda x: x) == node
+        tagged = T.map_parts(node, lambda x: ("new", x))
+        assert list(T.parts(tagged)) == [("new", x) for x in T.parts(node)]
