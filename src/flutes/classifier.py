@@ -5,11 +5,13 @@ whose inferred type is subsumed by the class type.  Subset classes (types
 with a binding term and a proposition) are solved from the skolem clause
 that the store compiled when the class was defined (see clause.py): match
 literals are solved by matching the pattern one way against candidate
-members of the skolem's class.  Candidate scans are restricted by the
-containment graph and by per-class watermarks, so re-runs only consider
-tuples that involve at least one member added since the previous run.
+members of the skolem's class.  Candidate scans are restricted by each
+class's alias index (the containment graph, per member) and by per-class
+watermarks, so re-runs only consider tuples that involve at least one
+member added since the previous run.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -18,7 +20,8 @@ from .clause import CheckLit, EqLit, SkolemClause
 from .errors import ClassDependencyError, EvalError
 from .rules import eval_term, member_name
 from .store import Store, KbClass
-from .typecheck import apply_coercion, infer_static_type, prove_subtype
+from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
+                        prove_subtype)
 
 
 # -- class ordering and term promotion ---------------------------------------
@@ -151,19 +154,17 @@ def _match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
 
 # -- candidate pruning --------------------------------------------------------
 
-def _pruned_indices(store: Store, kcls: KbClass, pattern: T.Term):
-    """Member indices whose terms can embed every alias in the pattern,
-    via the containment graph; None when the pattern fixes no aliases."""
+def _pruned(store: Store, kcls: KbClass, pattern: T.Term, lo: int, hi: int):
+    """The members in the index window [lo, hi) whose terms can embed every
+    alias in the pattern, via the containment graph, in index order; None
+    when the pattern fixes no aliases."""
     names = T.alias_names(pattern)
     if not names:
         return None
-    linked: set[str] | None = None
-    for n in sorted(names):
-        holders = store.contained_by_map.get(n, set())
-        linked = set(holders) if linked is None else linked & holders
-        if not linked:
-            return []
-    return sorted(kcls.by_name[m] for m in linked if m in kcls.by_name)
+    idxs = min((kcls.by_alias.get(n, ()) for n in names), key=len)
+    members = kcls.members
+    return [members[i] for i in idxs[bisect_left(idxs, lo):bisect_left(idxs, hi)]
+            if len(names) == 1 or names <= store.contains_map[members[i][0]]]
 
 
 # -- reports -------------------------------------------------------------------
@@ -199,6 +200,78 @@ class FindReport:
         return out
 
 
+# -- the binding term -------------------------------------------------------------
+
+_MISS = object()
+
+
+class _Binding:
+    """A subset class's binding term, made into member terms during one run
+    of the class.
+
+    Within a run no term is promoted and the taxonomy does not change, so
+    the substituted binding's type is a function of its shape: the types of
+    the variables' values, and whether they all are aliases.  Each shape is
+    proved against the class's member type once.  Its coercion is skipped
+    when the proof is identity shaped, or when the values all are aliases
+    and the coercion left the shape's first term unchanged: a coercion stops
+    at aliases, so it then meets the same term every time.  A binding that
+    selects a field is evaluated before it is typed, and keyed by the type
+    of the evaluated term, since a selection can reach a typeable part of a
+    value that has no type.
+    """
+
+    def __init__(self, store: Store, cls: KbClass):
+        self.store = store
+        self.term = cls.definition.binding_term
+        self.ty = store.resolve_class_type(cls.name)
+        self.vars = sorted(T.free_vars(self.term))
+        self.selects = any(type(n) is T.FieldSelection
+                           for n in T.nodes(self.term))
+        self.proofs: dict = {}   # shape -> (proof, unchanged) or None
+
+    def member(self, subst: dict[str, T.Term]) -> T.Term | None:
+        """The coerced member term that a tuple yields, or None."""
+        store = self.store
+        if self.selects:
+            try:
+                mt = eval_term(T.substitute(subst, self.term),
+                               store.lookup, store.tax)
+            except EvalError:     # an unbound variable, or a failed selection
+                return None
+            shape = (False, infer_static_type(mt, store.tax, store.type_of))
+        else:
+            try:
+                values = [subst[v] for v in self.vars]
+            except KeyError:      # a variable that no literal bound
+                return None
+            mt = T.substitute(subst, self.term)
+            aliases = all(type(v) is T.TermAlias for v in values)
+            shape = (aliases, *map(self._type, values))
+        hit = self.proofs.get(shape, _MISS)
+        if hit is _MISS:
+            hit = self.proofs[shape] = self._prove(mt, shape[0])
+        if hit is None:
+            return None
+        proof, unchanged = hit
+        return mt if unchanged else apply_coercion(proof, mt)
+
+    def _prove(self, mt: T.Term, aliases: bool):
+        """The proof for mt's shape and whether its coercion leaves the
+        shape's terms unchanged, or None."""
+        ty = infer_static_type(mt, self.store.tax, self.store.type_of)
+        proof = None if ty is None else prove_subtype(ty, self.ty, self.store.tax)
+        if proof is None:
+            return None
+        return proof, (is_identity_shaped(proof)
+                       or aliases and apply_coercion(proof, mt) is mt)
+
+    def _type(self, value: T.Term) -> T.Type | None:
+        if type(value) is T.TermAlias:
+            return self.store.type_of(value.name)
+        return infer_static_type(value, self.store.tax, self.store.type_of)
+
+
 # -- disjunct evaluation --------------------------------------------------------
 
 class _DisjunctRun:
@@ -211,7 +284,7 @@ class _DisjunctRun:
 
     def __init__(self, store: Store, clause: SkolemClause,
                  eq_lits, checks, windows, prune: bool,
-                 binding: T.Term, bind_ty: T.Type, stats: ClassStats):
+                 binding: _Binding, stats: ClassStats):
         self.store = store
         self.clause = clause
         self.cls_of = dict(clause.skolems)
@@ -220,7 +293,6 @@ class _DisjunctRun:
         self.windows = windows
         self.prune = prune
         self.binding = binding
-        self.bind_ty = bind_ty
         self.stats = stats
 
     def solve(self, order: list[int]) -> list[T.Term]:
@@ -240,10 +312,10 @@ class _DisjunctRun:
         if lo >= hi:
             return []
         if self.prune:
-            idxs = _pruned_indices(self.store, kcls,
-                                   T.substitute(subst, lit.pattern))
-            if idxs is not None:
-                return [kcls.members[i] for i in idxs if lo <= i < hi]
+            pruned = _pruned(self.store, kcls, T.substitute(subst, lit.pattern),
+                             lo, hi)
+            if pruned is not None:
+                return pruned
         return kcls.members[lo:hi]
 
     def _bind(self, lit: EqLit, mterm: T.Term, subst):
@@ -316,16 +388,9 @@ class _DisjunctRun:
             if not self._member_of(cname, cur):
                 return
         self.stats.tuples += 1
-        mt = T.substitute(subst, self.binding)
-        if T.free_vars(mt):
-            return
-        ty = infer_static_type(mt, self.store.tax, self.store.type_of)
-        if ty is None:
-            return
-        proof = prove_subtype(ty, self.bind_ty, self.store.tax)
-        if proof is None:
-            return
-        out.append(apply_coercion(proof, mt))
+        mt = self.binding.member(subst)
+        if mt is not None:
+            out.append(mt)
 
 
 # -- the classifier --------------------------------------------------------------
@@ -348,8 +413,7 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
 
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
-    bind_ty = store.resolve_class_type(cls.name)
-    binding = cls.definition.binding_term
+    binding = _Binding(store, cls)
     cls_of = dict(clause.skolems)
     dep_names = sorted(set(cls_of.values()))
     sizes = {d: len(store.kb_class(d).members) for d in dep_names}
@@ -377,7 +441,7 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
                     for drive in every]
         for order, windows in runs:
             run = _DisjunctRun(store, clause, eq_lits, checks, windows,
-                               prune, binding, bind_ty, st)
+                               prune, binding, st)
             produced.extend(run.solve(order))
 
     for t in produced:

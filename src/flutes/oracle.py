@@ -13,7 +13,7 @@ stale memo cannot fool the engine and the oracle alike.
 from . import terms as T
 from .classifier import dependency_order, eval_ground_prop
 from .errors import EvalError, UnsupportedPropError
-from .rules import member_name
+from .rules import eval_term, member_name
 from .store import Store, KbClass
 from .typecheck import apply_coercion, infer_static_type, prove_subtype_uncached
 
@@ -141,6 +141,10 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext
                 return
         mt = T.substitute(full, binding)
         if T.free_vars(mt):
+            return
+        try:
+            mt = eval_term(mt, store.lookup, store.tax)   # field selections
+        except EvalError:
             return
         ty = infer_static_type(mt, store.tax, store.type_of)
         if ty is None:

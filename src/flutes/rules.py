@@ -14,7 +14,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import EvalError, RuleFailure, StoreError, TermError
+from .errors import (CoercionDomainError, EvalError, RuleFailure, StoreError,
+                     TermError)
 from .store import Store
 from .taxonomy import Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
@@ -77,7 +78,10 @@ def check_and_coerce(store: Store, result: T.Term, out_ty: T.Type,
     proof = prove_subtype(ty, out_ty, store.tax)
     if proof is None:
         raise RuleFailure(f"{who}: result type is not subsumed by the output type")
-    return apply_coercion(proof, result)
+    try:
+        return apply_coercion(proof, result)
+    except CoercionDomainError as exc:   # e.g. an unevaluated field selection
+        raise RuleFailure(f"{who}: result cannot be coerced: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

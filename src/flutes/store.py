@@ -14,9 +14,9 @@ record per line, in the order the changes were made:
 Mutations render their record into an in-memory batch; commit() appends
 the batch and its marker, where crc is zlib.crc32 of the batch's bytes,
 with one write and one fsync.  Replay applies a batch only once its marker
-checks out, and derives adjacency from the term and member records; it
-compiles each subset class as definition does, so a class record that
-this version cannot compile is corruption.  A batch that fails its marker
+checks out, and derives adjacency and each class's alias index from the
+term and member records; it compiles each subset class as definition
+does, so a class record that this version cannot compile is corruption.  A batch that fails its marker
 is a torn tail when no valid marker follows it (it is truncated and
 reported in `torn_tail`), and corruption otherwise.
 It is also corruption when the marker checks out against the batch's last
@@ -59,6 +59,8 @@ class KbClass:
     clause: SkolemClause | None = None   # compiled definition of a subset class
     members: list[tuple[str, T.Term]] = field(default_factory=list)
     by_name: dict[str, int] = field(default_factory=dict)  # name -> member index
+    # alias -> ascending indices of the members whose adjacency holds it
+    by_alias: dict[str, list[int]] = field(default_factory=dict)
     # term -> name of its first member; add_member keeps terms distinct
     member_terms: dict[T.Term, str] = field(default_factory=dict)
     watermark: int = 0                 # last typed id scanned (static classes)
@@ -68,10 +70,13 @@ class KbClass:
     def is_subset(self) -> bool:
         return self.clause is not None
 
-    def _index(self, mname: str, t: T.Term):
-        self.by_name[mname] = len(self.members)
+    def _index(self, mname: str, t: T.Term, refs: set[str]):
+        idx = len(self.members)
+        self.by_name[mname] = idx
         self.members.append((mname, t))
         self.member_terms.setdefault(t, mname)
+        for ref in refs:
+            self.by_alias.setdefault(ref, []).append(idx)
 
 
 class Store:
@@ -86,6 +91,7 @@ class Store:
         self.contained_by_map: dict[str, set[str]] = {}
         self._type_memo: dict[str, T.Type | None] = {}
         self._types: dict[T.Type, T.Type] = {}   # one instance per static type
+        self._class_types: dict[str, T.Type] = {}  # resolved, interned
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
@@ -198,6 +204,7 @@ class Store:
         # inferred types; the taxonomy has cleared its proof memo
         self._type_memo.clear()
         self._types.clear()
+        self._class_types.clear()
 
     def _intern(self, ty: T.Type) -> T.Type:
         """The shared instance equal to ty, so that proof-memo keys built
@@ -298,8 +305,11 @@ class Store:
 
     def resolve_class_type(self, name: str) -> T.Type:
         """The class's fully alias-expanded static member type, interned."""
-        return self._intern(resolve_type(self.kb_class(name).definition,
-                                         self._class_lookup))
+        ty = self._class_types.get(name)
+        if ty is None:
+            ty = self._class_types[name] = self._intern(resolve_type(
+                self.kb_class(name).definition, self._class_lookup))
+        return ty
 
     def _class_lookup(self, name: str) -> T.Type | None:
         cls = self.classes.get(name)
@@ -315,9 +325,11 @@ class Store:
         return True
 
     def _put_member(self, class_name: str, member_name: str, t: T.Term):
-        self.classes[class_name]._index(member_name, t)
-        if member_name not in self.contains_map:
-            self._add_adjacency(member_name, T.alias_names(t))
+        refs = self.contains_map.get(member_name)
+        if refs is None:
+            refs = T.alias_names(t)
+            self._add_adjacency(member_name, refs)
+        self.classes[class_name]._index(member_name, t, refs)
 
     def set_watermark(self, class_name: str, watermark: int,
                       dep_marks: dict[str, int] | None = None):
@@ -339,21 +351,22 @@ class Store:
         the class (the start counts when it is a member)."""
         if name not in self.contains_map and name not in self.contained_by_map:
             raise StoreError(f"unknown term {name!r}")
-        members = self.kb_class(class_name).by_name.keys()
+        members = self.kb_class(class_name).by_name
+        both = (self.contains_map, self.contained_by_map)
         visited = {name}
         frontier = [name]
         for _ in range(k):
             nxt = []
             for cur in frontier:
-                for peer in (self.contains_map.get(cur, set())
-                             | self.contained_by_map.get(cur, set())):
-                    if peer not in visited:
-                        visited.add(peer)
-                        nxt.append(peer)
+                for adjacent in both:
+                    for peer in adjacent.get(cur, ()):
+                        if peer not in visited:
+                            visited.add(peer)
+                            nxt.append(peer)
             if not nxt:
                 break
             frontier = nxt
-        return members & visited
+        return set(filter(members.__contains__, visited))
 
     # -- statistics --
 

@@ -8,11 +8,13 @@ recursively.  A proof depends only on the two types and the taxonomy, so
 taxonomy's proof memo, which every taxonomy edit clears;
 ``prove_subtype_uncached`` is the recursive search behind it.  A coercion
 replays a proof over a term: matched fields are renamed to the supertype's
-labels, unmatched subtype fields are dropped.
+labels, unmatched subtype fields are dropped, and a record or list in which
+nothing changes is returned as the same object.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -245,17 +247,25 @@ def _coerce(proof: Proof, t: T.Term) -> T.Term:
     if isinstance(proof, RecordNode):
         if not isinstance(t, T.Record):
             raise CoercionDomainError(f"record coercion applied to {t!r}")
-        by_label = dict(t.fields)
+        fields = t.fields
+        by_label = dict(fields)
         out = []
-        for sup_label, sub_label, child in proof.pairs:
+        same = len(proof.pairs) == len(fields)   # no field dropped
+        for i, (sup_label, sub_label, child) in enumerate(proof.pairs):
             if sub_label not in by_label:
                 raise CoercionDomainError(f"missing field {sub_label!r}")
-            out.append((sup_label, _coerce(child, by_label[sub_label])))
-        return T.Record(T.sort_fields(out))
+            value = by_label[sub_label]
+            new = _coerce(child, value)
+            # unchanged: the field keeps its label, its place and its value
+            same = (same and sup_label == sub_label == fields[i][0]
+                    and new is value)
+            out.append((sup_label, new))
+        return t if same else T.Record(T.sort_fields(out))
     if isinstance(proof, ListNode):
         if not isinstance(t, T.List):
             raise CoercionDomainError(f"list coercion applied to {t!r}")
-        return T.List(tuple(_coerce(proof.child, i) for i in t.items))
+        items = tuple(_coerce(proof.child, i) for i in t.items)
+        return t if all(map(operator.is_, items, t.items)) else T.List(items)
     if isinstance(proof, NumLeaf):
         if not isinstance(t, T.Num):
             raise CoercionDomainError(f"number expected, got {t!r}")

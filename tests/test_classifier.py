@@ -6,13 +6,15 @@ import random
 import pytest
 
 from flutes import clause, terms as T
+from flutes.benchgen import (GenConfig, define_schema, generate,
+                             generate_increment, insert_text)
 from flutes.classifier import dependency_order, find_members, promote_untyped
 from flutes.clause import MAX_DISJUNCTS, CheckLit, EqLit, skolemize
 from flutes.cli import run_session
 from flutes.errors import (ClassDependencyError, StoreCorruptionError,
                            UnsupportedPropError)
 from flutes.oracle import oracle_extensions
-from flutes.sexp import render_sexp
+from flutes.sexp import parse_sexp, render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 
@@ -515,6 +517,25 @@ class TestChecksAndFilters:
         assert s2.kb_class("probe").member_terms.keys() == {marker}
 
 
+class TestSelectionInBinding:
+    # a binding that selects a field is evaluated before it is typed
+    AMT = ("(subsetty (select (var a) amount) (numty) "
+           "(exists t (tyalias trans) (pred eq (var a) (var t))))")
+
+    def test_selected_values_are_members(self, tmp_path):
+        s = build_worked_store(str(tmp_path / "kb"))
+        s.mk_kb_class("amt", parse_sexp(self.AMT, T.Type))
+        find_members(s)
+        assert s.kb_class("amt").member_terms.keys() == {T.Num(500.0)}
+        assert oracle_extensions(s)["amt"] == {T.Num(500.0)}
+        state = s.dump_state()
+        s.close()
+        with Store(str(tmp_path / "kb")) as again:
+            assert again.dump_state() == state
+            find_members(again)
+            assert again.dump_state() == state
+
+
 class TestPruning:
     @staticmethod
     def related_scans(prune):
@@ -559,6 +580,86 @@ class TestPruning:
         rb = find_members(b, prune=False)
         assert (ra.per_class["fi_related"].candidates
                 < rb.per_class["fi_related"].candidates)
+
+
+SEEDED = GenConfig(persons=20, transactions=60, p_drop_orig=0.2,
+                   p_drop_recv=0.2, seed=5)
+
+
+def seeded_store(path=None):
+    """A seeded corpus with the benchgen schema, plus fi_both: pairs related
+    in both directions, whose second literal names two aliases once the
+    first is bound."""
+    s = Store(path)
+    insert_text(s, generate(SEEDED))
+    define_schema(s, "p0")
+    p, q = T.var("p"), T.var("q")
+    s.mk_kb_class("fi_both", T.subset_ty(
+        T.triple("fi-both", p, q),
+        T.triple_ty("fi-both", T.type_name("person"), T.type_name("person")),
+        T.exists("a", T.type_name("fi_related"),
+                 T.exists("b", T.type_name("fi_related"), T.conj(
+                     T.equals(T.triple("fi-related", p, q), T.var("a")),
+                     T.equals(T.triple("fi-related", q, p), T.var("b")))))))
+    return s
+
+
+class TestSeededCounts:
+    # (scanned, candidates, tuples, matched) per class, as recorded before
+    # subset solving moved to per-shape proofs and the per-class alias index
+    FIRST = {"person": (184, 0, 0, 20), "trans": (184, 0, 0, 60),
+             "orig_of": (184, 0, 0, 51), "recv_of": (184, 0, 0, 53),
+             "fi_related": (0, 148, 44, 41), "m_target": (0, 10, 5, 5),
+             "fi_both": (0, 134, 5, 5)}
+    INCREMENT = {"person": (20, 0, 0, 5), "trans": (20, 0, 0, 5),
+                 "orig_of": (20, 0, 0, 5), "recv_of": (20, 0, 0, 5),
+                 "fi_related": (0, 15, 5, 5), "m_target": (0, 2, 1, 1),
+                 "fi_both": (0, 15, 0, 0)}
+
+    @staticmethod
+    def counts(report):
+        return {name: (st.scanned, st.candidates, st.tuples, st.matched)
+                for name, st in report.per_class.items()}
+
+    def test_counts_equal_the_recorded_ones(self):
+        s = seeded_store()
+        assert self.counts(find_members(s)) == self.FIRST
+        insert_text(s, generate_increment(SEEDED))
+        assert self.counts(find_members(s)) == self.INCREMENT
+        assert set(self.counts(find_members(s)).values()) == {(0, 0, 0, 0)}
+        expected = oracle_extensions(s)
+        for name, cls in s.classes.items():
+            assert cls.member_terms.keys() == expected[name]
+
+
+def index_from_graph(store):
+    """Per class and alias, the ascending indices of the members whose name
+    the containment graph lists as holding the alias."""
+    out = {}
+    for name, cls in store.classes.items():
+        out[name] = {}
+        for alias, holders in store.contained_by_map.items():
+            idxs = [i for i, (m, _) in enumerate(cls.members) if m in holders]
+            if idxs:
+                out[name][alias] = idxs
+    return out
+
+
+class TestAliasIndex:
+    def test_index_follows_the_containment_graph(self, tmp_path):
+        path = str(tmp_path / "kb")
+        s = seeded_store(path)
+        find_members(s)
+        insert_text(s, generate_increment(SEEDED))
+        find_members(s)
+        by_alias = {name: cls.by_alias for name, cls in s.classes.items()}
+        assert by_alias == index_from_graph(s)
+        assert by_alias["fi_related"]
+        s.close()
+        with Store(path) as again:
+            assert {name: cls.by_alias
+                    for name, cls in again.classes.items()} == by_alias
+            assert index_from_graph(again) == by_alias
 
 
 def _random_corpus(rng, persons, txns):

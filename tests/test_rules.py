@@ -5,6 +5,7 @@ from flutes.rules import (eval_term, lambda_rule, member_name, mk_analytic,
                           run_analytic)
 from flutes.store import Store
 from flutes.syntax import parse_program
+from flutes.taxonomy import mk_concept
 from flutes.typecheck import check_term
 from flutes import terms as T
 
@@ -180,6 +181,26 @@ class TestAnalytics:
         assert report.processed == 2
         assert report.inserted == 1
         assert len(report.failures) == 1
+
+    def test_unevaluated_selection_is_a_member_failure(self, store):
+        # a selection infers a type but no coercion takes one: the member
+        # fails, and the members after it are still processed and committed
+        store.mk_kb_class("txns", T.record_ty(store.tax, []))
+        store.add_member("txns", "t1", store.lookup("t1"))
+        store.add_member("txns", "joe", store.lookup("joe"))
+        store.mk_kb_class("amounts", T.num_ty)
+
+        def amount(m):
+            if m == store.lookup("t1"):
+                return T.FieldSelection(m, mk_concept("amount"))
+            return T.Num(1.0)
+
+        report = run_analytic(store, mk_analytic(store, "amt", "txns",
+                                                 "amounts", amount))
+        assert (report.processed, report.inserted) == (2, 1)
+        assert [m for m, _ in report.failures] == ["t1"]
+        assert "cannot be coerced" in report.failures[0][1]
+        assert store.kb_class("amounts").member_terms.keys() == {T.Num(1.0)}
 
     def test_raising_fn_reported_not_fatal(self, store):
         person_members(store)

@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flutes.errors import AliasCycleError, CoercionDomainError, TypeCheckError
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 from flutes import terms as T
 from flutes.typecheck import (
-    EnumLeaf, RecordNode, apply_coercion, check_term,
+    EnumLeaf, ListNode, RecordNode, apply_coercion, check_term,
     infer_static_type, is_identity_shaped, prove_subtype, resolve_type,
     select_field_type,
 )
@@ -217,6 +218,66 @@ class TestCoercion:
             reproof = prove_subtype(back, sup, tax2)
             assert reproof is not None and is_identity_shaped(reproof)
         assert proved > 100
+
+
+def rebuild_coercion(proof, t):
+    """The coercion as a rebuild of every record and list it passes."""
+    if isinstance(t, (T.TermAlias, T.Bottom)):
+        return t
+    if isinstance(proof, RecordNode):
+        by_label = dict(t.fields)
+        return T.Record(T.sort_fields(
+            (sup, rebuild_coercion(child, by_label[sub]))
+            for sup, sub, child in proof.pairs))
+    if isinstance(proof, ListNode):
+        return T.List(tuple(rebuild_coercion(proof.child, i) for i in t.items))
+    return t
+
+
+def renames_or_drops(proof, t) -> bool:
+    """Whether the proof renames or drops a field anywhere the coercion
+    walks over t (it stops at aliases and bottoms)."""
+    if isinstance(t, (T.TermAlias, T.Bottom)):
+        return False
+    if isinstance(proof, RecordNode):
+        by_label = dict(t.fields)
+        return bool(proof.dropped) or any(
+            sup != sub or renames_or_drops(child, by_label[sub])
+            for sup, sub, child in proof.pairs)
+    if isinstance(proof, ListNode):
+        return any(renames_or_drops(proof.child, i) for i in t.items)
+    return False
+
+
+def stub_parts(rng, t):
+    """t with some records, lists and leaves replaced by aliases or bottoms,
+    which conform to any type."""
+    roll = rng.random()
+    if roll < 0.1:
+        return T.term_name("a")
+    if roll < 0.15:
+        return T.bottom("b")
+    if isinstance(t, T.Record):
+        return T.Record(tuple((l, stub_parts(rng, v)) for l, v in t.fields))
+    if isinstance(t, T.List):
+        return T.List(tuple(stub_parts(rng, i) for i in t.items))
+    return t
+
+
+class TestSharedCoercion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_rebuild_and_shares_unchanged_terms(self, seed):
+        rng = random.Random(seed)
+        tax, pool = termgen.make_taxonomy(rng)
+        sup = termgen.random_static_type(rng, tax, pool, 3)
+        sub = sup if rng.random() < 0.3 else termgen.narrow(rng, tax, pool, sup)
+        proof = prove_subtype(sub, sup, tax)
+        assume(proof is not None)
+        t = stub_parts(rng, termgen.inhabit(rng, tax, sub))
+        coerced = apply_coercion(proof, t)
+        assert coerced == rebuild_coercion(proof, t)
+        assert (coerced is t) == (not renames_or_drops(proof, t))
 
 
 class TestResolveAndCheck:
