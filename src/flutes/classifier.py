@@ -2,23 +2,25 @@
 
 Static classes (plain structural types) collect every stored typed term
 whose inferred type is subsumed by the class type.  Subset classes (types
-with a binding term and a proposition) are solved from the skolem clause
-that the store compiled when the class was defined (see clause.py): match
-literals are solved by matching the pattern one way against candidate
-members of the skolem's class.  Candidate scans are restricted by each
+with a binding term and a proposition) walk the join plans the store
+compiled with the class (see clause.py): per run order, whether each step
+enumerates its skolem's class or matches a bound value, and which checks
+become ground there.  A match literal's pattern is matched one way
+against candidate members.  Candidate scans are restricted by each
 class's alias index (the containment graph, per member) and by per-class
 watermarks, so re-runs only consider tuples that involve at least one
 member added since the previous run.
 """
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import terms as T
-from .clause import CheckLit, EqLit, SkolemClause
+from .clause import DisjunctPlans, Plan, Step
 from .errors import ClassDependencyError, EvalError
-from .rules import eval_term, member_name
+from .rules import coerce_term, eval_term, member_name
 from .store import Store, KbClass
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
@@ -28,7 +30,9 @@ from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
 
 def dependency_order(store: Store) -> list[str]:
     """Classes in an order that places every referenced class first;
-    ties keep registration order."""
+    ties keep registration order.  Computed once per set of classes."""
+    if store.class_order is not None:
+        return list(store.class_order)
     deps = {name: sorted(T.type_alias_names(cls.definition))
             for name, cls in store.classes.items()}
     order: list[str] = []
@@ -46,7 +50,8 @@ def dependency_order(store: Store) -> list[str]:
         if not progressed:
             stuck = ", ".join(n for n in names if n not in placed)
             raise ClassDependencyError(f"cyclic class dependencies: {stuck}")
-    return order
+    store.class_order = order
+    return list(order)
 
 
 def promote_untyped(store: Store) -> int:
@@ -79,6 +84,10 @@ def _norm(t: T.Term, store: Store) -> T.Term:
     return t
 
 
+_COMPARE = {T.PredOp.LT: operator.lt, T.PredOp.LE: operator.le,
+            T.PredOp.GT: operator.gt, T.PredOp.GE: operator.ge}
+
+
 def eval_ground_prop(p: T.Prop, store: Store) -> bool:
     """Truth of a variable-free proposition.  Comparison operands must
     evaluate to two numbers or two strings; equality and sequence
@@ -91,19 +100,9 @@ def eval_ground_prop(p: T.Prop, store: Store) -> bool:
         a, b = (eval_term(x, store.lookup, store.tax) for x in p.args)
         if p.op is T.PredOp.EQ:
             return _norm(a, store) == _norm(b, store)
-        if isinstance(a, T.Num) and isinstance(b, T.Num):
-            x, y = a.value, b.value
-        elif isinstance(a, T.Str) and isinstance(b, T.Str):
-            x, y = a.value, b.value
-        else:
+        if type(a) is not type(b) or type(a) not in (T.Num, T.Str):
             raise EvalError("comparison needs two numbers or two strings")
-        if p.op is T.PredOp.LT:
-            return x < y
-        if p.op is T.PredOp.LE:
-            return x <= y
-        if p.op is T.PredOp.GT:
-            return x > y
-        return x >= y
+        return _COMPARE[p.op](a.value, b.value)
     if isinstance(p, T.InSequence):
         item = _norm(eval_term(p.item, store.lookup, store.tax), store)
         return any(
@@ -114,53 +113,51 @@ def eval_ground_prop(p: T.Prop, store: Store) -> bool:
 
 # -- one-way matching ----------------------------------------------------------
 
-def match(pattern: T.Term, ground: T.Term,
-          subst: dict[str, T.Term]) -> dict[str, T.Term] | None:
-    """Extend a ground substitution so that it maps the pattern onto a
-    ground term, or None.
+def match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
+    """Extend the ground substitution s, in place, so that it maps the
+    pattern onto the ground term t; False when none does (s may then hold
+    some of the pattern's variables).
 
-    Equal to ``unify(pattern, ground, subst)`` when `ground` and the values
-    of `subst` hold no variable, as members and the bindings made from them
-    never do (``Var`` is untypeable, and a term with free variables never
-    becomes a member): only the pattern's variables bind, so there is no
-    occurs check and nothing to expand.
+    Agrees with ``unify(pat, t, s)`` when t and the values of s hold no
+    variable, as members and the bindings made from them never do (``Var``
+    is untypeable, and a term with free variables never becomes a member):
+    only the pattern's variables bind, so there is no occurs check and
+    nothing to expand.
     """
-    s = dict(subst)
-    return s if _match(pattern, ground, s) else None
-
-
-def _match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
-    if isinstance(pat, T.Var):
+    cls = type(pat)
+    if cls is T.Var:
         bound = s.get(pat.name)
         if bound is None:
             s[pat.name] = t
             return True
-        return bound == t
-    if type(pat) is not type(t):
+        return bound is t or bound == t
+    if cls is not type(t):
         return False
-    if isinstance(pat, T.Record):
+    if cls is T.Record:
         if len(pat.fields) != len(t.fields):
             return False
-        return all(pl == tl and _match(pv, tv, s)
-                   for (pl, pv), (tl, tv) in zip(pat.fields, t.fields))
-    if isinstance(pat, T.List):
+        for (pl, pv), (tl, tv) in zip(pat.fields, t.fields):
+            if pl != tl or not match(pv, tv, s):
+                return False
+        return True
+    if cls is T.List:
         if len(pat.items) != len(t.items):
             return False
-        return all(_match(pi, ti, s) for pi, ti in zip(pat.items, t.items))
-    if isinstance(pat, T.FieldSelection):
-        return pat.label == t.label and _match(pat.base, t.base, s)
+        for pi, ti in zip(pat.items, t.items):
+            if not match(pi, ti, s):
+                return False
+        return True
+    if cls is T.FieldSelection:
+        return pat.label == t.label and match(pat.base, t.base, s)
     return pat == t
 
 
 # -- candidate pruning --------------------------------------------------------
 
-def _pruned(store: Store, kcls: KbClass, pattern: T.Term, lo: int, hi: int):
+def _pruned(store: Store, kcls: KbClass, names, lo: int, hi: int):
     """The members in the index window [lo, hi) whose terms can embed every
-    alias in the pattern, via the containment graph, in index order; None
-    when the pattern fixes no aliases."""
-    names = T.alias_names(pattern)
-    if not names:
-        return None
+    alias in `names` (nonempty), via the containment graph, in index
+    order."""
     idxs = min((kcls.by_alias.get(n, ()) for n in names), key=len)
     members = kcls.members
     return [members[i] for i in idxs[bisect_left(idxs, lo):bisect_left(idxs, hi)]
@@ -189,10 +186,8 @@ class FindReport:
         out = [f"promoted\t{self.promoted}"]
         for name in self.order:
             st = self.per_class[name]
-            out.append(f"class.{name}.scanned\t{st.scanned}")
-            out.append(f"class.{name}.candidates\t{st.candidates}")
-            out.append(f"class.{name}.tuples\t{st.tuples}")
-            out.append(f"class.{name}.matched\t{st.matched}")
+            for key in ("scanned", "candidates", "tuples", "matched"):
+                out.append(f"class.{name}.{key}\t{getattr(st, key)}")
             if timings:
                 out.append(f"class.{name}.elapsed\t{st.elapsed:.6f}")
         if timings:
@@ -206,33 +201,32 @@ _MISS = object()
 
 
 class _Binding:
-    """A subset class's binding term, made into member terms during one run
-    of the class.
+    """A subset class's binding term, made into member terms; the store
+    keeps it in `KbClass.binding`, with its proof memo, until a taxonomy
+    edit drops it.
 
-    Within a run no term is promoted and the taxonomy does not change, so
-    the substituted binding's type is a function of its shape: the types of
-    the variables' values, and whether they all are aliases.  Each shape is
-    proved against the class's member type once.  Its coercion is skipped
-    when the proof is identity shaped, or when the values all are aliases
-    and the coercion left the shape's first term unchanged: a coercion stops
-    at aliases, so it then meets the same term every time.  A binding that
-    selects a field is evaluated before it is typed, and keyed by the type
-    of the evaluated term, since a selection can reach a typeable part of a
-    value that has no type.
+    The substituted binding's type is a function of its shape: the types
+    of the variables' values, whether they all are aliases, and the types
+    of the aliases the binding names itself (a later run may find one
+    promoted).  Each shape is proved once.  Its coercion is skipped when
+    the proof is identity shaped, or when the values all are aliases and
+    the coercion left the shape's first term unchanged: a coercion stops at
+    aliases.  A binding that selects a field is evaluated before it is
+    typed, and keyed by the evaluated term's type, since a selection can
+    reach a typeable part of a value that has no type.
     """
 
     def __init__(self, store: Store, cls: KbClass):
-        self.store = store
         self.term = cls.definition.binding_term
         self.ty = store.resolve_class_type(cls.name)
         self.vars = sorted(T.free_vars(self.term))
+        self.consts = sorted(T.alias_names(self.term))
         self.selects = any(type(n) is T.FieldSelection
                            for n in T.nodes(self.term))
         self.proofs: dict = {}   # shape -> (proof, unchanged) or None
 
-    def member(self, subst: dict[str, T.Term]) -> T.Term | None:
+    def member(self, store: Store, subst: dict[str, T.Term]) -> T.Term | None:
         """The coerced member term that a tuple yields, or None."""
-        store = self.store
         if self.selects:
             try:
                 mt = eval_term(T.substitute(subst, self.term),
@@ -247,148 +241,109 @@ class _Binding:
                 return None
             mt = T.substitute(subst, self.term)
             aliases = all(type(v) is T.TermAlias for v in values)
-            shape = (aliases, *map(self._type, values))
+            shape = (aliases, *[store.type_of(v.name) if type(v) is T.TermAlias
+                                else infer_static_type(v, store.tax, store.type_of)
+                                for v in values],
+                     *map(store.type_of, self.consts))
         hit = self.proofs.get(shape, _MISS)
         if hit is _MISS:
-            hit = self.proofs[shape] = self._prove(mt, shape[0])
+            hit = self.proofs[shape] = self._prove(store, mt, shape[0])
         if hit is None:
             return None
         proof, unchanged = hit
         return mt if unchanged else apply_coercion(proof, mt)
 
-    def _prove(self, mt: T.Term, aliases: bool):
+    def _prove(self, store: Store, mt: T.Term, aliases: bool):
         """The proof for mt's shape and whether its coercion leaves the
         shape's terms unchanged, or None."""
-        ty = infer_static_type(mt, self.store.tax, self.store.type_of)
-        proof = None if ty is None else prove_subtype(ty, self.ty, self.store.tax)
+        ty = infer_static_type(mt, store.tax, store.type_of)
+        proof = None if ty is None else prove_subtype(ty, self.ty, store.tax)
         if proof is None:
             return None
         return proof, (is_identity_shaped(proof)
                        or aliases and apply_coercion(proof, mt) is mt)
 
-    def _type(self, value: T.Term) -> T.Type | None:
-        if type(value) is T.TermAlias:
-            return self.store.type_of(value.name)
-        return infer_static_type(value, self.store.tax, self.store.type_of)
-
 
 # -- disjunct evaluation --------------------------------------------------------
 
 class _DisjunctRun:
-    """Solves one disjunct of a subset class over fixed candidate windows.
+    """Solves one disjunct of a subset class along one compiled plan, over
+    fixed candidate windows: `windows[i]` is the half-open member-index
+    range that match literal i enumerates when its step enumerates."""
 
-    `windows[i]` is the half-open member-index range enumerable at equality
-    literal i; enumeration of a window only happens when the literal's
-    skolem is still unbound when the literal is reached.
-    """
+    def __init__(self, store: Store, plans: DisjunctPlans, plan: Plan,
+                 windows, prune: bool, binding: _Binding, stats: ClassStats):
+        self.store, self.plan, self.steps = store, plan, plan.steps
+        self.windows, self.prune = windows, prune
+        self.binding, self.stats = binding, stats
+        self.kclasses = [store.kb_class(c) for c in plans.classes]
+        self.members = [(v, store.kb_class(c)) for v, c in plan.members]
+        # an ungroundable check or an empty guard class fails every tuple
+        self.live = plan.grounds and all(store.kb_class(c).members
+                                         for c in plans.guards)
 
-    def __init__(self, store: Store, clause: SkolemClause,
-                 eq_lits, checks, windows, prune: bool,
-                 binding: _Binding, stats: ClassStats):
-        self.store = store
-        self.clause = clause
-        self.cls_of = dict(clause.skolems)
-        self.eq_lits = eq_lits
-        self.checks = checks
-        self.windows = windows
-        self.prune = prune
-        self.binding = binding
-        self.stats = stats
-
-    def solve(self, order: list[int]) -> list[T.Term]:
-        """Solve the equality literals in `order`, the first one enumerated
-        over its window, testing each check once it is ground; returns
-        coerced member terms."""
+    def solve(self) -> list[T.Term]:
+        """The coerced member terms of every tuple the plan finds."""
         out: list[T.Term] = []
-        pending = self._eval_checks(self.checks, {})
-        if pending is not None:
-            self._descend(order, 0, {}, set(), pending, out)
+        if self._holds(self.plan.checks, {}):
+            self._descend(0, {}, out)
         return out
 
-    def candidates_at(self, pos: int, subst) -> list[tuple[str, T.Term]]:
-        lit = self.eq_lits[pos]
-        kcls = self.store.kb_class(self.cls_of[lit.skolem])
-        lo, hi = self.windows[pos]
-        if lo >= hi:
-            return []
-        if self.prune:
-            pruned = _pruned(self.store, kcls, T.substitute(subst, lit.pattern),
-                             lo, hi)
-            if pruned is not None:
-                return pruned
+    def _holds(self, checks, subst) -> bool:
+        for c in checks:
+            try:
+                holds = eval_ground_prop(T.substitute(subst, c.prop), self.store)
+            except EvalError:
+                return False
+            if holds == c.negated:
+                return False
+        return True
+
+    def _candidates(self, step: Step, subst) -> list[tuple[str, T.Term]]:
+        kcls = self.kclasses[step.lit]
+        lo, hi = self.windows[step.lit]
+        if self.prune and lo < hi:
+            # the aliases of the pattern with the bound values in place
+            names = step.aliases.union(*[T.alias_names(subst[v])
+                                         for v in step.bound])
+            if names:
+                return _pruned(self.store, kcls, names, lo, hi)
         return kcls.members[lo:hi]
 
-    def _bind(self, lit: EqLit, mterm: T.Term, subst):
-        # match the pattern, then bind (or check) the skolem itself
-        s = match(lit.pattern, mterm, subst)
-        if s is None or s.setdefault(lit.skolem, mterm) != mterm:
-            return None
-        return s
-
-    def _eval_checks(self, checks, subst):
-        """Evaluate every check that substitution made ground; returns the
-        still-pending ones, or None when a ground check failed."""
-        pending = []
-        for c in checks:
-            p = T.substitute(subst, c.prop)
-            if T.free_vars(p):
-                pending.append(c)
-                continue
-            try:
-                holds = eval_ground_prop(p, self.store)
-            except EvalError:
-                return None
-            if holds == c.negated:
-                return None
-        return pending
-
-    def _descend(self, order, k, subst, enum_bound, pending, out):
-        if k == len(order):
-            self._finish(subst, enum_bound, pending, out)
+    def _descend(self, k: int, subst, out):
+        if k == len(self.steps):
+            self._finish(subst, out)
             return
-        pos = order[k]
-        lit = self.eq_lits[pos]
-        cur = subst.get(lit.skolem, T.var(lit.skolem))
-        if not isinstance(cur, T.Var):
-            # bound by an earlier literal; just check consistency
-            s = match(lit.pattern, cur, subst)
-            if s is not None:
-                nxt = self._eval_checks(pending, s)
-                if nxt is not None:
-                    self._descend(order, k + 1, s, enum_bound, nxt, out)
+        step = self.steps[k]
+        pattern, skolem, checks = step.pattern, step.skolem, step.checks
+        if not step.enumerates:
+            # an earlier step bound the skolem; match its value
+            s = dict(subst)
+            if match(pattern, subst[skolem], s) and self._holds(checks, s):
+                self._descend(k + 1, s, out)
             return
-        for _, mterm in self.candidates_at(pos, subst):
+        for _, mterm in self._candidates(step, subst):
             self.stats.candidates += 1
-            s = self._bind(lit, mterm, subst)
-            if s is None:
+            s = dict(subst)
+            if not match(pattern, mterm, s):
                 continue
-            nxt = self._eval_checks(pending, s)
-            if nxt is None:
+            cur = s.setdefault(skolem, mterm)   # the pattern may name it
+            if cur is not mterm and cur != mterm:
                 continue
-            self._descend(order, k + 1, s, enum_bound | {lit.skolem}, nxt, out)
+            if checks and not self._holds(checks, s):
+                continue
+            self._descend(k + 1, s, out)
 
-    def _member_of(self, class_name: str, value: T.Term) -> bool:
-        kcls = self.store.kb_class(class_name)
-        if isinstance(value, T.TermAlias) and value.name in kcls.by_name:
-            return True
-        return value in kcls.member_terms
-
-    def _finish(self, subst, enum_bound, pending, out):
-        if pending:        # some check never became ground
+    def _finish(self, subst, out):
+        if not self.live:
             return
-        for var, cname in self.clause.skolems:
-            if var in enum_bound:
-                continue
-            cur = subst.get(var, T.var(var))
-            if isinstance(cur, T.Var):
-                # untouched existential: any member will do
-                if not self.store.kb_class(cname).members:
-                    return
-                continue
-            if not self._member_of(cname, cur):
+        for var, kcls in self.members:
+            value = subst[var]
+            if not (type(value) is T.TermAlias and value.name in kcls.by_name
+                    or value in kcls.member_terms):
                 return
         self.stats.tuples += 1
-        mt = self.binding.member(subst)
+        mt = self.binding.member(self.store, subst)
         if mt is not None:
             out.append(mt)
 
@@ -406,60 +361,44 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
         proof = prove_subtype(ty, target, store.tax)
         if proof is None:
             continue
-        if store.add_member(cls.name, name, apply_coercion(proof, term)):
+        coerced = coerce_term(store, proof, term)
+        if coerced is not None and store.add_member(cls.name, name, coerced):
             st.matched += 1
     _advance(store, cls, len(store.typed_list), cls.dep_marks)
 
 
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
-    binding = _Binding(store, cls)
-    cls_of = dict(clause.skolems)
-    dep_names = sorted(set(cls_of.values()))
+    binding = cls.binding = cls.binding or _Binding(store, cls)
+    dep_names = sorted({c for _, c in clause.skolems})
     sizes = {d: len(store.kb_class(d).members) for d in dep_names}
     marks = {d: cls.dep_marks.get(d, 0) for d in dep_names}
     produced: list[T.Term] = []
 
-    for disjunct in clause.disjuncts:
-        eq_lits = [l for l in disjunct if isinstance(l, EqLit)]
-        checks = [l for l in disjunct if isinstance(l, CheckLit)]
-        deps = [cls_of[lit.skolem] for lit in eq_lits]
-        every = list(range(len(eq_lits)))
-        if not eq_lits or any(marks[cls_of[v]] == 0 and sizes[cls_of[v]]
-                              for v in _guards(clause, disjunct)):
+    for plans in clause.plans:
+        deps = plans.classes
+        if not deps or any(marks[c] == 0 and sizes[c] for c in plans.guards):
             # one run over full windows: there is no literal to window, or a
             # guard class just gained its first member, which admits tuples
             # below the marks that earlier runs rejected
-            runs = [(every, [(0, sizes[d]) for d in deps])]
+            runs = [(plans.drives[0], [(0, sizes[d]) for d in deps])]
         else:
             # semi-naive: the drive literal takes the members added since
-            # the marks, the literals before it only older members
-            runs = [([drive] + every[:drive] + every[drive + 1:],
-                     [(marks[d], sizes[d]) if i == drive
-                      else (0, marks[d] if i < drive else sizes[d])
-                      for i, d in enumerate(deps)])
-                    for drive in every]
-        for order, windows in runs:
-            run = _DisjunctRun(store, clause, eq_lits, checks, windows,
-                               prune, binding, st)
-            produced.extend(run.solve(order))
+            # the marks, the literals before it only older members; a drive
+            # with no new members enumerates nothing, so it is not run
+            runs = [(plan, [(marks[d], sizes[d]) if i == drive
+                            else (0, marks[d] if i < drive else sizes[d])
+                            for i, d in enumerate(deps)])
+                    for drive, plan in enumerate(plans.drives)
+                    if marks[deps[drive]] < sizes[deps[drive]]]
+        for plan, windows in runs:
+            run = _DisjunctRun(store, plans, plan, windows, prune, binding, st)
+            produced.extend(run.solve())
 
     for t in produced:
         if store.add_member(cls.name, member_name(cls.name, t), t):
             st.matched += 1
     _advance(store, cls, cls.watermark, sizes)
-
-
-def _guards(clause: SkolemClause, disjunct) -> set[str]:
-    """The disjunct's guard skolems: bound by no literal, so they only ask
-    that their class be non-empty."""
-    bound: set[str] = set()
-    for lit in disjunct:
-        if isinstance(lit, EqLit):
-            bound |= {lit.skolem} | T.free_vars(lit.pattern)
-        else:
-            bound |= T.free_vars(lit.prop)
-    return {v for v, _ in clause.skolems} - bound
 
 
 def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):

@@ -2,36 +2,65 @@
 
 Prefix existentials become skolem slots tied to other classes, the matrix
 is put in negation normal form and distributed into disjuncts, and
-equalities against a skolem variable become match literals.  The store
+equalities against a skolem variable become match literals.  Each
+disjunct also gets its join plans: one per run order the classifier uses,
+fixing for every step what is known from the order alone.  The store
 compiles each subset class once, when it is defined or replayed, so a
 class that cannot be compiled is refused before it is logged.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import terms as T
 from .errors import UnsupportedPropError
 
 
-@dataclass(frozen=True)
-class EqLit:
+# The compiled forms are named tuples: defining one when the module is
+# imported costs about half a frozen dataclass, and building one less too.
+class EqLit(NamedTuple):
     """pattern === skolem; solved by matching the pattern against candidate
     members of the skolem's class."""
     pattern: T.Term
     skolem: str
 
 
-@dataclass(frozen=True)
-class CheckLit:
+class CheckLit(NamedTuple):
     """A deferred test, evaluated once substitution makes it ground."""
     negated: bool
     prop: T.Prop
 
 
-@dataclass(frozen=True)
-class SkolemClause:
+class Step(NamedTuple):
+    """One match literal of a run order."""
+    lit: int                    # the literal's index among the match literals
+    pattern: T.Term
+    skolem: str
+    enumerates: bool            # the skolem is still unbound: enumerate its class
+    aliases: frozenset[str]     # the term aliases the pattern names itself
+    bound: tuple[str, ...]      # the pattern's variables that earlier steps bound
+    checks: tuple[CheckLit, ...]  # the checks that become ground at this step
+
+
+class Plan(NamedTuple):
+    """One run order of a disjunct."""
+    checks: tuple[CheckLit, ...]   # the checks that are ground before any step
+    steps: tuple[Step, ...]
+    members: tuple[tuple[str, str], ...]  # (skolem, class) bound, not enumerated
+    grounds: bool                  # every check becomes ground
+
+
+class DisjunctPlans(NamedTuple):
+    classes: tuple[str, ...]    # the class of each match literal's skolem
+    guards: tuple[str, ...]     # classes of the skolems no literal names
+    # per drive literal: it first, then the others in order; the first is
+    # also the full order, and the only one when there is no match literal
+    drives: tuple[Plan, ...]
+
+
+class SkolemClause(NamedTuple):
     skolems: tuple[tuple[str, str], ...]   # (variable, class name), outermost first
     disjuncts: tuple[tuple[object, ...], ...]
+    plans: tuple[DisjunctPlans, ...]       # one per disjunct
 
 
 def skolemize(ty: T.SubsetTy) -> SkolemClause:
@@ -54,7 +83,50 @@ def skolemize(ty: T.SubsetTy) -> SkolemClause:
     disjuncts = tuple(
         tuple(_classify_literal(prop, neg, sk_names) for prop, neg in d)
         for d in _dnf(_nnf(body, False)))
-    return SkolemClause(tuple(skolems), disjuncts)
+    return SkolemClause(tuple(skolems), disjuncts,
+                        tuple(_plans(skolems, d) for d in disjuncts))
+
+
+def _plans(skolems: list[tuple[str, str]], disjunct) -> DisjunctPlans:
+    cls_of = dict(skolems)
+    lits = [l for l in disjunct if isinstance(l, EqLit)]
+    checks = [(l, T.free_vars(l.prop)) for l in disjunct
+              if isinstance(l, CheckLit)]
+    names = [T.free_vars(l.pattern) | {l.skolem} for l in lits]
+    named = set().union(*names, *(v for _, v in checks))
+    every = list(range(len(lits)))
+    orders = [[d, *every[:d], *every[d + 1:]] for d in every] or [[]]
+    return DisjunctPlans(
+        tuple(cls_of[l.skolem] for l in lits),
+        tuple(c for v, c in skolems if v not in named),
+        tuple(_plan(skolems, lits, names, checks, o) for o in orders))
+
+
+def _plan(skolems, lits, names, checks, order: list[int]) -> Plan:
+    """Which variables each step of a run order finds bound, and where
+    each check becomes ground."""
+    bound: set[str] = set()
+    waiting = checks
+
+    def grounded() -> tuple[CheckLit, ...]:
+        nonlocal waiting
+        now = tuple(c for c, v in waiting if v <= bound)
+        waiting = [(c, v) for c, v in waiting if not v <= bound]
+        return now
+
+    start = grounded()
+    steps = []
+    for i in order:
+        lit = lits[i]
+        enumerates, before = lit.skolem not in bound, names[i] & bound
+        bound |= names[i]
+        steps.append(Step(i, lit.pattern, lit.skolem, enumerates,
+                          frozenset(T.alias_names(lit.pattern)),
+                          tuple(sorted(before)), grounded()))
+    enumerated = {s.skolem for s in steps if s.enumerates}
+    members = tuple((v, c) for v, c in skolems
+                    if v in bound and v not in enumerated)
+    return Plan(start, tuple(steps), members, not waiting)
 
 
 def _nnf(p: T.Prop, neg: bool):

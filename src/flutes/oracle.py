@@ -13,7 +13,7 @@ stale memo cannot fool the engine and the oracle alike.
 from . import terms as T
 from .classifier import dependency_order, eval_ground_prop
 from .errors import EvalError, UnsupportedPropError
-from .rules import eval_term, member_name
+from .rules import coerce_term, eval_term, member_name
 from .store import Store, KbClass
 from .typecheck import apply_coercion, infer_static_type, prove_subtype_uncached
 
@@ -45,8 +45,8 @@ def _static_ext(store: Store, cls: KbClass) -> list[tuple[str, T.Term]]:
         proof = prove_subtype_uncached(ty, target, store.tax)
         if proof is None:
             continue
-        coerced = apply_coercion(proof, term)
-        if coerced not in seen:
+        coerced = coerce_term(store, proof, term)
+        if coerced is not None and coerced not in seen:
             seen.add(coerced)
             out.append((name, coerced))
     return out

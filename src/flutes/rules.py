@@ -68,6 +68,18 @@ def _deref(t: T.Term, env: Env) -> T.Term:
     return t
 
 
+def coerce_term(store: Store, proof, t: T.Term) -> T.Term | None:
+    """t coerced along a proof of its type; a field selection in t is
+    coerced as the value it selects, and None when that fails."""
+    try:
+        return apply_coercion(proof, t)
+    except CoercionDomainError:
+        try:
+            return apply_coercion(proof, eval_term(t, store.lookup, store.tax))
+        except (CoercionDomainError, EvalError):
+            return None
+
+
 def check_and_coerce(store: Store, result: T.Term, out_ty: T.Type,
                      who: str) -> T.Term:
     if not isinstance(result, T.Term):

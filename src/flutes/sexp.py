@@ -44,10 +44,15 @@ def _name(s: str) -> str:
     return s if _SAFE_SYM.match(s) else quote_string(s)
 
 
+_LABELS: dict[Concept, str] = {}   # one rendering per interned concept
+
+
 def _label(c: Concept) -> str:
-    if c.is_positional:
-        return f"(pos {c.position})"
-    return _name(c.name)
+    out = _LABELS.get(c)
+    if out is None:
+        out = _LABELS[c] = (f"(pos {c.position})" if c.is_positional
+                            else _name(c.name))
+    return out
 
 
 def render_sexp(x) -> str:

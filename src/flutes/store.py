@@ -65,6 +65,7 @@ class KbClass:
     member_terms: dict[T.Term, str] = field(default_factory=dict)
     watermark: int = 0                 # last typed id scanned (static classes)
     dep_marks: dict[str, int] = field(default_factory=dict)  # subset classes
+    binding: object = None   # the classifier's, with its proof memo
 
     @property
     def is_subset(self) -> bool:
@@ -92,6 +93,7 @@ class Store:
         self._type_memo: dict[str, T.Type | None] = {}
         self._types: dict[T.Type, T.Type] = {}   # one instance per static type
         self._class_types: dict[str, T.Type] = {}  # resolved, interned
+        self.class_order: list[str] | None = None  # cleared by a new class
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
@@ -205,6 +207,8 @@ class Store:
         self._type_memo.clear()
         self._types.clear()
         self._class_types.clear()
+        for cls in self.classes.values():
+            cls.binding = None
 
     def _intern(self, ty: T.Type) -> T.Type:
         """The shared instance equal to ty, so that proof-memo keys built
@@ -217,7 +221,7 @@ class Store:
         """Record a named term in the untyped collection."""
         if not name or not isinstance(name, str):
             raise StoreError("term name must be a nonempty string")
-        if name in self.untyped or name in self.typed:
+        if name in self.contains_map:     # a term's or a member's name
             raise DuplicateNameError(f"term {name!r} already bound")
         T.check_labels(t)
         refs = T.alias_names(t)
@@ -296,6 +300,7 @@ class Store:
     def _put_class(self, name: str, ty: T.Type):
         clause = skolemize(ty) if isinstance(ty, T.SubsetTy) else None
         self.classes[name] = KbClass(name, ty, clause)
+        self.class_order = None
 
     def kb_class(self, name: str) -> KbClass:
         cls = self.classes.get(name)

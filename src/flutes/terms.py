@@ -522,8 +522,8 @@ Subst = Mapping[str, Term]
 
 
 def substitute(s: Subst, node: Node) -> Node:
-    """Capture-avoiding replacement of the free variables of a term or
-    proposition; bound occurrences are untouched."""
+    """Capture-avoiding replacement of the free variables of a term, type
+    or proposition; bound occurrences are untouched."""
     cls = type(node)
     if cls is Var:
         return s.get(node.name, node)
@@ -534,17 +534,19 @@ def substitute(s: Subst, node: Node) -> Node:
 
 
 def _substitute_exists(p: Exists, s: Subst) -> Exists:
+    # the bound type lies outside the binder's scope, as free_vars reads it
+    ty = substitute(s, p.bound_type)
     inner = {k: v for k, v in s.items() if k != p.var}
     if not inner:
-        return p
+        return Exists(p.var, ty, p.body)
     inserted = set().union(*map(free_vars, inner.values()))
     if p.var in inserted:
         # the binder would capture an inserted variable: rename it to a name
         # that no key, body variable or inserted variable uses
         fresh = _fresh_name(p.var, set(inner) | free_vars(p.body) | inserted)
         renamed = substitute({p.var: Var(fresh)}, p.body)
-        return Exists(fresh, p.bound_type, substitute(inner, renamed))
-    return Exists(p.var, p.bound_type, substitute(inner, p.body))
+        return Exists(fresh, ty, substitute(inner, renamed))
+    return Exists(p.var, ty, substitute(inner, p.body))
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flutes import terms as T
-from flutes.classifier import match
+from flutes import classifier
 from flutes.errors import LatticeCycleError
 from flutes.store import Store
 from flutes.taxonomy import Taxonomy, mk_concept
@@ -23,6 +23,12 @@ from flutes.unify import unify
 import termgen
 
 VARS = ["x", "y", "z"]
+
+
+def match(pattern, member, subst):
+    """classifier.match on a copy of subst: the extension, or None."""
+    s = dict(subst)
+    return s if classifier.match(pattern, member, s) else None
 
 
 def ground(t: T.Term) -> T.Term:

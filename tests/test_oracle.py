@@ -98,3 +98,23 @@ def test_oracle_handles_disjunction_and_negation():
     find_members(s)
     assert len(s.kb_class("oddball").members) == 2
     assert_agreement(s)
+
+
+def test_typed_term_holding_a_selection_is_coerced_as_its_value():
+    # x's amount is a selection from t1; inference types it, and the
+    # static class coerces x as the value it selects, in engine and oracle
+    s = Store()
+    amount = T.record_select(T.term_name("t1"), "amount")
+    s.abox_insert("t1", T.record(s.tax, [("amount", T.num(5)),
+                                         ("memo", T.string("m"))]))
+    s.abox_insert("x", T.record(s.tax, [("amount", amount)]))
+    s.abox_insert("y", T.List((amount, T.num(7))))
+    s.mk_kb_class("amt", T.record_ty(s.tax, [("amount", T.num_ty)]))
+    s.mk_kb_class("nums", T.list_ty(T.num_ty))
+    find_members(s)
+    assert s.kb_class("amt").member_terms.keys() == {
+        T.record(s.tax, [("amount", T.num(5))])}
+    assert [name for name, _ in s.kb_class("amt").members] == ["t1"]
+    assert s.kb_class("nums").member_terms.keys() == {
+        T.List((T.num(5), T.num(7)))}
+    assert_agreement(s)

@@ -52,6 +52,18 @@ class TestInsert:
         with pytest.raises(DuplicateNameError):
             s.abox_insert("joe", T.num(3))
 
+    def test_name_of_a_class_member_rejected(self):
+        # a subset member's name is in the containment graph, not among the
+        # terms; inserting a term under it would overwrite its adjacency
+        s = build_worked_store()
+        find_members(s)
+        mname, member = s.kb_class("fi_related").members[0]
+        refs = set(s.contains_map[mname])
+        with pytest.raises(DuplicateNameError):
+            s.abox_insert(mname, T.num(1))
+        assert s.contains_map[mname] == refs == T.alias_names(member)
+        assert mname not in s.untyped
+
     def test_alias_cycle_rejected(self):
         s = Store()
         s.abox_insert("a", T.term_list([T.term_name("b")]))

@@ -147,6 +147,17 @@ class TestVariables:
         assert T.free_vars(q) == {"x", "x__1"}
         assert q.body == T.equals(T.Var(q.var), inserted)
 
+    def test_substitute_reaches_the_bound_type(self):
+        # the bound type lies outside the binder's scope, where free_vars
+        # counts its variables, so substitution replaces them too
+        nested = T.SubsetTy(T.Var("z"), T.num_ty, T.equals(T.Var("z"), T.Var("x")))
+        p = T.Exists("x", nested, T.equals(T.Var("x"), T.Var("z")))
+        assert T.free_vars(p) == {"x", "z"}
+        q = T.substitute({"z": T.num(1), "x": T.num(2)}, p)
+        assert T.free_vars(q) == set()
+        assert q == T.Exists("x", T.SubsetTy(T.num(1), T.num_ty, T.equals(
+            T.num(1), T.num(2))), T.equals(T.Var("x"), T.num(1)))
+
 
 def _marked_samples():
     """(node, markers) for one instance of every node class with parts,
