@@ -4,7 +4,7 @@ Graphs are terms, schemas are types, and rules are subset types over a
 persisted term store.  See README.md for the tour.
 """
 
-from . import terms
+from . import terms, unify  # loaded with the package: perfbench hooks unify
 from .benchgen import GenConfig, generate, run_experiment
 from .classifier import (FindReport, eval_ground_prop, find_members,
                          promote_untyped)
@@ -18,9 +18,8 @@ from .sexp import parse_sexp, render_sexp
 from .store import KbClass, Store
 from .syntax import parse_program
 from .taxonomy import Concept, Taxonomy, mk_concept, positional
-from .typecheck import (apply_coercion, check_term, infer_static_type,
+from .typecheck import (apply_coercion, infer_static_type,
                         is_identity_shaped, prove_subtype)
-from .unify import unify
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "Analytic", "ClassDependencyError", "Concept", "FindReport",
     "FlutesError", "GenConfig", "KbClass", "ParseError", "RuleFailure",
     "RuleReport", "Store", "StoreCorruptionError", "StoreError", "Taxonomy",
-    "TypeCheckError", "UnsupportedPropError", "apply_coercion", "check_term",
+    "TypeCheckError", "UnsupportedPropError", "apply_coercion",
     "eval_ground_prop", "find_members", "generate", "infer_static_type",
     "is_identity_shaped", "mk_analytic", "mk_concept", "oracle_extensions",
     "parse_program", "parse_sexp", "positional", "promote_untyped",

@@ -370,6 +370,11 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
     binding = cls.binding = cls.binding or _Binding(store, cls)
+    if not binding.selects and any(store.type_of(c) is None
+                                   for c in binding.consts):
+        # no tuple's binding can be typed yet: keep the marks, so that the
+        # tuples are tried again once the alias is promoted
+        return
     dep_names = sorted({c for _, c in clause.skolems})
     sizes = {d: len(store.kb_class(d).members) for d in dep_names}
     marks = {d: cls.dep_marks.get(d, 0) for d in dep_names}

@@ -7,6 +7,9 @@ Commands, one per line (# starts a comment):
   defclass <name> <type s-expression>  register a class
   def-analytic <name> <in> <out> nearest <k> <class>
                                        register a proximity filter analytic
+  def-rule <name> <in> <out> <param> <term s-expression>
+                                       register a lambda rule: the term,
+                                       with <param> bound to each member
   find-members                         promote terms and update all classes
   run-analytic <name>                  apply a registered analytic
   members <class>                      list a class's members
@@ -27,7 +30,7 @@ from typing import Container
 from . import terms as T
 from .classifier import find_members
 from .errors import FlutesError, RuleFailure, StoreCorruptionError
-from .rules import Analytic, mk_analytic, run_analytic
+from .rules import Analytic, lambda_rule, mk_analytic, run_analytic
 from .sexp import parse_sexp, render_sexp
 from .store import Store
 from .syntax import parse_program
@@ -121,6 +124,16 @@ class Session:
         mk_analytic(store, name, in_cls, out_cls, proximity_filter,
                     registry=self.analytics)
         self.emit(f"analytic\t{name}")
+
+    def cmd_def_rule(self, rest: str):
+        parts = rest.split(None, 4)
+        if len(parts) != 5:
+            raise CommandError("usage: def-rule <name> <in> <out> <param> "
+                               "<term s-expression>")
+        name, in_cls, out_cls, param, src = parts
+        lambda_rule(self.store, name, param, in_cls, out_cls,
+                    parse_sexp(src, T.Term), registry=self.analytics)
+        self.emit(f"rule\t{name}")
 
     def cmd_find_members(self, rest: str):
         if rest:

@@ -124,7 +124,8 @@ def mk_analytic(store: Store, name: str, input_class: str, output_class: str,
 
 
 def lambda_rule(store: Store, name: str, param: str, input_class: str,
-                output_class: str, body: T.Term) -> Analytic:
+                output_class: str, body: T.Term,
+                registry: dict[str, Analytic] | None = None) -> Analytic:
     """The lambda abstraction `param -> body` as an analytic: its function
     evaluates the body with the member substituted for `param`."""
     extra = T.free_vars(body) - {param}
@@ -135,7 +136,8 @@ def lambda_rule(store: Store, name: str, param: str, input_class: str,
         return eval_term(T.substitute({param: member}, body),
                          store.lookup, store.tax)
 
-    return mk_analytic(store, name, input_class, output_class, rewrite)
+    return mk_analytic(store, name, input_class, output_class, rewrite,
+                       registry)
 
 
 @dataclass

@@ -4,9 +4,12 @@ Terms are the graph values (objects are records, relationships are
 predicate-application records); types are graph schemas; propositions are
 the condition language of subset types.  All three are immutable values.
 
-The smart constructors are the only supported way to build well-formed
-values: they intern labels, keep record fields sorted under the concept
-order, and reject label collisions.
+The constructors below intern the labels they take by name.  Two of them
+enforce the record invariants: `record` and `record_ty` sort fields under
+the concept order and refuse labels the taxonomy makes equivalent, a
+repeated label included.  A value built from the dataclasses directly
+skips those checks; the store and the storage reader refuse one whose
+record repeats a label (`check_labels`).
 
 `_SHAPES` is the one place node shapes live: for every node class that
 holds terms, types or propositions it names the parts and rebuilds the node
@@ -230,10 +233,6 @@ Node = Union[Term, Type, Prop]
 # term constructors
 
 
-def num(value: int) -> Num:
-    return Num(float(value))
-
-
 def num_f(value: float) -> Num:
     return Num(float(value))
 
@@ -246,10 +245,6 @@ def atom(name: str) -> Atom:
     return Atom(mk_concept(name))
 
 
-def term_list(items: Iterable[Term]) -> List:
-    return List(tuple(items))
-
-
 def var(name: str) -> Var:
     if not name:
         raise TermError("variable name must be nonempty")
@@ -260,10 +255,6 @@ def term_name(name: str) -> TermAlias:
     if not name:
         raise TermError("term alias must be nonempty")
     return TermAlias(name)
-
-
-def bottom(label: str | Concept) -> Bottom:
-    return Bottom(_as_concept(label))
 
 
 def _as_concept(label: str | Concept) -> Concept:
@@ -302,24 +293,12 @@ def triple(name: str, first: Term, second: Term) -> Record:
     return pred_app(name, (first, second))
 
 
-def record_select(base: Term, label: str | Concept) -> FieldSelection:
-    return FieldSelection(base, _as_concept(label))
-
-
-def pred_arg_select(base: Term, index: int) -> FieldSelection:
-    return FieldSelection(base, positional(index))
-
-
 # ---------------------------------------------------------------------------
 # type constructors
 
 num_ty = NumTy()
 str_ty = StrTy()
 void_ty = VoidTy()
-
-
-def list_ty(elem: Type) -> ListTy:
-    return ListTy(elem)
 
 
 def record_ty(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Type]]) -> RecordTy:
@@ -366,28 +345,8 @@ def subset_ty(binding_term: Term, binding_type: Type, prop: Prop) -> SubsetTy:
 # proposition constructors
 
 
-def _builtin(op: PredOp, a: Term, b: Term) -> BuiltinPred:
-    return BuiltinPred(op, (a, b))
-
-
 def equals(a: Term, b: Term) -> BuiltinPred:
-    return _builtin(PredOp.EQ, a, b)
-
-
-def less_than(a: Term, b: Term) -> BuiltinPred:
-    return _builtin(PredOp.LT, a, b)
-
-
-def less_equal(a: Term, b: Term) -> BuiltinPred:
-    return _builtin(PredOp.LE, a, b)
-
-
-def greater_than(a: Term, b: Term) -> BuiltinPred:
-    return _builtin(PredOp.GT, a, b)
-
-
-def greater_equal(a: Term, b: Term) -> BuiltinPred:
-    return _builtin(PredOp.GE, a, b)
+    return BuiltinPred(PredOp.EQ, (a, b))
 
 
 def conj(a: Prop, b: Prop) -> And:
@@ -398,16 +357,8 @@ def disj(a: Prop, b: Prop) -> Or:
     return Or(a, b)
 
 
-def neg(p: Prop) -> Not:
-    return Not(p)
-
-
 def exists(name: str, bound_type: Type, body: Prop) -> Exists:
     return Exists(name, bound_type, body)
-
-
-def in_sequence(item: Term, items: Iterable[Term]) -> InSequence:
-    return InSequence(item, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +455,8 @@ def type_alias_names(node: Node) -> set[str]:
 
 
 def check_labels(node: Node) -> None:
-    """Refuse a term or type that holds a record naming a label twice.  The
-    smart constructors and the storage reader refuse one as they build it;
+    """Refuse a term or type that holds a record naming a label twice.
+    `record`, `record_ty` and the storage reader refuse one as they build it;
     the store calls this for values built from the dataclasses directly,
     which its log could otherwise not read back."""
     for x in nodes(node):

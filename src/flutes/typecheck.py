@@ -282,43 +282,3 @@ def _coerce(proof: Proof, t: T.Term) -> T.Term:
         raise CoercionDomainError(f"no term inhabits the void type: {t!r}")
     raise CoercionDomainError(f"unknown proof node {proof!r}")
 
-
-# ---------------------------------------------------------------------------
-# conformance checking (liberal where inference is strict)
-
-
-def check_term(t: T.Term, ty: T.Type, tax: Taxonomy,
-               resolve: Resolve | None = None) -> bool:
-    """Does t conform to static type ty, field labels taken literally?
-
-    Checking is more liberal than inference: Bottom conforms to any type,
-    an empty list conforms to any list type, and an alias conforms when the
-    type of its referent is provably a subtype of the required type.
-    """
-    if isinstance(t, T.Bottom):
-        return True
-    if isinstance(t, T.TermAlias):
-        target = resolve(t.name) if resolve is not None else None
-        if target is None:
-            return False
-        if isinstance(ty, (T.SubsetTy, T.TyAlias)):
-            return False
-        return prove_subtype(target, ty, tax) is not None
-    if isinstance(ty, T.NumTy):
-        return isinstance(t, T.Num)
-    if isinstance(ty, T.StrTy):
-        return isinstance(t, T.Str)
-    if isinstance(ty, T.EnumTy):
-        return (isinstance(t, T.Atom)
-                and any(tax.equiv(t.concept, c) for c in ty.concepts))
-    if isinstance(ty, T.ListTy):
-        return (isinstance(t, T.List)
-                and all(check_term(i, ty.elem, tax, resolve) for i in t.items))
-    if isinstance(ty, T.RecordTy):
-        if not isinstance(t, T.Record):
-            return False
-        if tuple(l for l, _ in t.fields) != tuple(l for l, _ in ty.fields):
-            return False
-        return all(check_term(v, fty, tax, resolve)
-                   for (_, v), (_, fty) in zip(t.fields, ty.fields))
-    return False

@@ -17,6 +17,7 @@ from flutes.oracle import oracle_extensions
 from flutes.sexp import parse_sexp, render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
+from flutes.taxonomy import mk_concept
 
 from termgen import (WORKED_CORPUS, build_worked_store, define_target_class,
                      define_tx_classes, related_prop)
@@ -65,13 +66,13 @@ class TestSkolemize:
         assert {d[0].skolem for d in clause.disjuncts} == {"f"}
 
     def test_true_body(self):
-        ty = T.subset_ty(T.num(1), T.num_ty, T.TRUE)
+        ty = T.subset_ty(T.num_f(1), T.num_ty, T.TRUE)
         clause = skolemize(ty)
         assert clause.skolems == ()
         assert clause.disjuncts == ((),)
 
     def test_false_body(self):
-        ty = T.subset_ty(T.num(1), T.num_ty, T.FALSE)
+        ty = T.subset_ty(T.num_f(1), T.num_ty, T.FALSE)
         assert skolemize(ty).disjuncts == ()
 
     def test_skolem_on_left_of_equality(self):
@@ -83,9 +84,9 @@ class TestSkolemize:
         assert clause.disjuncts == ((EqLit(T.var("x"), "s"),),)
 
     def test_negated_conjunction_distributes(self):
-        lt = T.less_than(T.num(1), T.num(2))
-        gt = T.greater_than(T.num(3), T.num(4))
-        ty = T.subset_ty(T.num(1), T.num_ty, T.neg(T.conj(lt, gt)))
+        lt = T.BuiltinPred(T.PredOp.LT, (T.num_f(1), T.num_f(2)))
+        gt = T.BuiltinPred(T.PredOp.GT, (T.num_f(3), T.num_f(4)))
+        ty = T.subset_ty(T.num_f(1), T.num_ty, T.Not(T.conj(lt, gt)))
         clause = skolemize(ty)
         # not(a and b) -> not a or not b, each a negated check
         assert len(clause.disjuncts) == 2
@@ -94,32 +95,32 @@ class TestSkolemize:
         assert all(d[0].negated for d in clause.disjuncts)
 
     def test_negated_equality_stays_negated_check(self):
-        ty = T.subset_ty(T.num(1), T.num_ty,
-                         T.neg(T.equals(T.num(1), T.num(2))))
+        ty = T.subset_ty(T.num_f(1), T.num_ty,
+                         T.Not(T.equals(T.num_f(1), T.num_f(2))))
         lit = skolemize(ty).disjuncts[0][0]
         assert isinstance(lit, CheckLit)
         assert lit.negated and lit.prop.op is T.PredOp.EQ
 
     def test_equality_without_skolem_is_a_check(self):
         ty = T.subset_ty(T.var("x"), T.num_ty,
-                         T.equals(T.var("x"), T.num(2)))
+                         T.equals(T.var("x"), T.num_f(2)))
         lit = skolemize(ty).disjuncts[0][0]
         assert isinstance(lit, CheckLit)  # x is a binding var, not a skolem
 
     def test_exists_under_not_rejected(self):
-        body = T.neg(T.exists("t", T.type_name("trans"), T.TRUE))
-        ty = T.subset_ty(T.num(1), T.num_ty, body)
+        body = T.Not(T.exists("t", T.type_name("trans"), T.TRUE))
+        ty = T.subset_ty(T.num_f(1), T.num_ty, body)
         with pytest.raises(UnsupportedPropError):
             skolemize(ty)
 
     def test_exists_inside_matrix_rejected(self):
         body = T.conj(T.TRUE, T.exists("t", T.type_name("trans"), T.TRUE))
-        ty = T.subset_ty(T.num(1), T.num_ty, body)
+        ty = T.subset_ty(T.num_f(1), T.num_ty, body)
         with pytest.raises(UnsupportedPropError):
             skolemize(ty)
 
     def test_non_alias_bound_rejected(self):
-        ty = T.subset_ty(T.num(1), T.num_ty,
+        ty = T.subset_ty(T.num_f(1), T.num_ty,
                          T.exists("t", T.num_ty, T.TRUE))
         with pytest.raises(UnsupportedPropError):
             skolemize(ty)
@@ -130,7 +131,8 @@ def outside_all(n: int) -> T.SubsetTy:
     normal form has 2**n disjuncts."""
     x = T.var("x")
     return T.subset_ty(x, T.num_ty, functools.reduce(T.conj, [
-        T.disj(T.less_than(x, T.num(i)), T.greater_than(x, T.num(i)))
+        T.disj(T.BuiltinPred(T.PredOp.LT, (x, T.num_f(i))),
+               T.BuiltinPred(T.PredOp.GT, (x, T.num_f(i))))
         for i in range(n)]))
 
 
@@ -168,7 +170,7 @@ class TestDnfCap:
     @pytest.mark.parametrize("ty", [
         outside_all(11),
         T.subset_ty(T.var("x"), T.num_ty,
-                    T.neg(T.exists("t", T.type_name("c"), T.TRUE))),
+                    T.Not(T.exists("t", T.type_name("c"), T.TRUE))),
     ], ids=["wide", "inner-exists"])
     def test_api_class_that_cannot_be_compiled_is_refused(self, tmp_path, ty):
         path = str(tmp_path / "kb")
@@ -176,7 +178,7 @@ class TestDnfCap:
             s.mk_kb_class("c", T.num_ty)
             with pytest.raises(UnsupportedPropError):
                 s.mk_kb_class("bad", ty)
-            s.abox_insert("one", T.num(1))
+            s.abox_insert("one", T.num_f(1))
             assert find_members(s).per_class["c"].matched == 1
         with Store(path) as s:
             assert set(s.classes) == {"c"}
@@ -235,7 +237,7 @@ class TestPromoteUntyped:
 
     def test_heterogeneous_list_stays_untyped(self):
         s = Store()
-        s.abox_insert("m", T.term_list([T.num(1), T.string("two")]))
+        s.abox_insert("m", T.List((T.num_f(1), T.string("two"))))
         assert promote_untyped(s) == 0
         assert "m" in s.untyped
 
@@ -250,7 +252,7 @@ class TestWorkedExample:
                              ("name", T.string("Sue"))])
         assert store.kb_class("person").member_terms.keys() == {joe, sue}
         assert store.kb_class("trans").member_terms.keys() == {
-            T.record(tax, [("amount", T.num(500.0)),
+            T.record(tax, [("amount", T.num_f(500.0)),
                            ("type", T.atom("check"))])}
         assert store.kb_class("orig_of").member_terms.keys() == {
             T.triple("orig-of", T.term_name("joe"), T.term_name("t1"))}
@@ -414,17 +416,19 @@ class TestChecksAndFilters:
         return s
 
     def amount(self):
-        return T.record_select(T.var("y"), "amount")
+        return T.FieldSelection(T.var("y"), mk_concept("amount"))
+
+    def over_100(self):
+        return T.BuiltinPred(T.PredOp.GT, (self.amount(), T.num_f(100)))
 
     def test_threshold_filter(self):
-        s = self.build(T.greater_than(self.amount(), T.num(100)))
-        big = T.record(s.tax, [("amount", T.num(500.0)),
+        s = self.build(self.over_100())
+        big = T.record(s.tax, [("amount", T.num_f(500.0)),
                                ("type", T.atom("check"))])
         assert s.kb_class("flt0").member_terms.keys() == {big}
 
     def test_negated_filter_complements(self):
-        s = self.build(T.greater_than(self.amount(), T.num(100)),
-                       T.neg(T.greater_than(self.amount(), T.num(100))))
+        s = self.build(self.over_100(), T.Not(self.over_100()))
         both = s.kb_class("trans").member_terms.keys()
         assert (s.kb_class("flt0").member_terms.keys()
                 | s.kb_class("flt1").member_terms.keys()) == both
@@ -432,35 +436,36 @@ class TestChecksAndFilters:
                     & s.kb_class("flt1").member_terms.keys())
 
     @pytest.mark.parametrize("negated", [False, True], ids=["plain", "negated"])
-    @pytest.mark.parametrize("op", [T.less_than, T.less_equal, T.greater_than,
-                                    T.greater_equal],
+    @pytest.mark.parametrize("op", [T.PredOp.LT, T.PredOp.LE, T.PredOp.GT,
+                                    T.PredOp.GE],
                              ids=["lt", "le", "gt", "ge"])
     @pytest.mark.parametrize("base, label, bound", [
-        ("trans", "amount", T.num(10)),
+        ("trans", "amount", T.num_f(10)),
         ("person", "name", T.string("Joe")),
         ("trans", "amount", T.string("Joe")),
-        ("person", "name", T.num(10)),
+        ("person", "name", T.num_f(10)),
     ], ids=["number", "string", "number-string", "string-number"])
     def test_comparison_matches_oracle(self, base, label, bound, op, negated):
         # a negated comparison is one negated check, in engine and oracle
         # alike; a comparison of mismatched kinds fails either way
         s = build_worked_store()
         insert_program(s, 't2 := {"amount"=10.0, "type"=cc()};')
-        check = op(T.record_select(T.var("y"), label), bound)
+        check = T.BuiltinPred(
+            op, (T.FieldSelection(T.var("y"), mk_concept(label)), bound))
         s.mk_kb_class("flt", T.subset_ty(
             T.var("x"), T.type_name(base),
             T.exists("y", T.type_name(base), T.conj(
                 T.equals(T.var("x"), T.var("y")),
-                T.neg(check) if negated else check))))
+                T.Not(check) if negated else check))))
         find_members(s)
         assert (s.kb_class("flt").member_terms.keys()
                 == oracle_extensions(s)["flt"])
 
     def test_in_sequence_check(self):
-        s = self.build(T.in_sequence(
-            T.record_select(T.var("y"), "type"),
-            [T.atom("cc"), T.atom("wire")]))
-        small = T.record(s.tax, [("amount", T.num(10.0)),
+        s = self.build(T.InSequence(
+            T.FieldSelection(T.var("y"), mk_concept("type")),
+            (T.atom("cc"), T.atom("wire"))))
+        small = T.record(s.tax, [("amount", T.num_f(10.0)),
                                  ("type", T.atom("cc"))])
         assert s.kb_class("flt0").member_terms.keys() == {small}
 
@@ -470,15 +475,17 @@ class TestChecksAndFilters:
             T.var("x"), T.type_name("person"),
             T.exists("y", T.type_name("person"), T.conj(
                 T.equals(T.var("x"), T.var("y")),
-                T.less_than(T.record_select(T.var("y"), "birth_date"),
-                            T.string("1960-01-01"))))))
+                T.BuiltinPred(T.PredOp.LT, (
+                    T.FieldSelection(T.var("y"), mk_concept("birth_date")),
+                    T.string("1960-01-01")))))))
         find_members(s)
         assert s.kb_class("older").member_terms.keys() == {
             T.record(s.tax, [("dob", T.string("1941-12-07")),
                              ("name", T.string("Sue"))])}
 
     def test_check_on_mismatched_kinds_fails_disjunct(self):
-        s = self.build(T.less_than(self.amount(), T.string("big")))
+        s = self.build(
+            T.BuiltinPred(T.PredOp.LT, (self.amount(), T.string("big"))))
         assert s.kb_class("flt0").member_terms.keys() == set()
 
     def test_check_that_never_grounds_fails_disjunct(self):
@@ -487,7 +494,9 @@ class TestChecksAndFilters:
         s = build_worked_store()
         s.mk_kb_class("never", T.subset_ty(
             T.var("x"), T.type_name("trans"),
-            T.greater_than(T.record_select(T.var("x"), "amount"), T.num(1))))
+            T.BuiltinPred(T.PredOp.GT, (
+                T.FieldSelection(T.var("x"), mk_concept("amount")),
+                T.num_f(1)))))
         find_members(s)
         assert s.kb_class("never").member_terms.keys() == set()
 

@@ -6,8 +6,10 @@ from flutes import terms as T
 from flutes.cli import Session, _member_handle, main, run_session
 from flutes.errors import RuleFailure
 from flutes.classifier import find_members
-from flutes.sexp import render_sexp
+from flutes.rules import member_name
+from flutes.sexp import parse_sexp, render_sexp
 from flutes.store import Store
+from flutes.taxonomy import Taxonomy
 
 from termgen import WORKED_CORPUS, build_worked_store, related_prop
 
@@ -134,8 +136,8 @@ class TestCommands:
             assert "c" not in store.classes
 
     def test_defclass_rejects_unsupported_proposition(self, tmp_path, capsys):
-        bad = T.SubsetTy(T.num(1), T.num_ty,
-                         T.neg(T.exists("t", T.type_name("q"), T.TRUE)))
+        bad = T.SubsetTy(T.num_f(1), T.num_ty,
+                         T.Not(T.exists("t", T.type_name("q"), T.TRUE)))
         code, out = run_script(
             tmp_path, capsys, [f"defclass bad {render_sexp(bad)}"])
         assert code == 1
@@ -243,6 +245,60 @@ class TestAnalytics:
         assert "unknown analytic" in out
 
 
+class TestLambdaRules:
+    NAMES = "defclass names (recordty ((name (strty))))"
+    RULE = ("def-rule names person names p "
+            "(record ((name (select (var p) name))))")
+
+    def base(self, corpus_file):
+        return (["same_as dob birth_date", f"load {corpus_file}"]
+                + class_commands() + ["find-members", self.NAMES])
+
+    def test_rule_projects_members_and_they_persist(self, tmp_path, capsys,
+                                                    corpus_file):
+        rendered = sorted(
+            render_sexp(T.record(Taxonomy(), [("name", T.string(n))]))
+            for n in ("Joe", "Sue"))
+        code, out = run_script(tmp_path, capsys, self.base(corpus_file) + [
+            self.RULE, "run-analytic names", "members names"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[lines.index("rule\tnames"):] == [
+            "rule\tnames", "analytic\tnames", "processed\t2", "inserted\t2",
+            "failures\t0", *[f"member\t{member_name('names', parse_sexp(r))}"
+                             f"\t{r}" for r in rendered], "count\t2"]
+        # the rule is not stored; its members are, and a rerun adds none
+        code, again = run_script(tmp_path, capsys, [
+            "members names", self.RULE, "run-analytic names"])
+        assert code == 0
+        assert again.splitlines() == lines[-3:] + [
+            "rule\tnames", "analytic\tnames", "processed\t2", "inserted\t0",
+            "failures\t0"]
+
+    def test_body_variable_other_than_the_parameter(self, tmp_path, capsys,
+                                                    corpus_file):
+        code, out = run_script(tmp_path, capsys, self.base(corpus_file) + [
+            "def-rule bad person names p (select (var q) name)"])
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "error\trule 'bad' body has unbound variables ['q']")
+
+    def test_name_taken_by_an_analytic_refused(self, tmp_path, capsys,
+                                               corpus_file):
+        code, out = run_script(tmp_path, capsys, self.base(corpus_file) + [
+            "def-analytic names person names nearest 2 trans", self.RULE])
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "error\tanalytic 'names' already registered")
+
+    def test_missing_body_is_a_usage_error(self, tmp_path, capsys):
+        code, out = run_script(tmp_path, capsys,
+                               ["def-rule names person names p"])
+        assert code == 1
+        assert out.splitlines()[-1] == ("error\tusage: def-rule <name> <in> "
+                                        "<out> <param> <term s-expression>")
+
+
 class TestStoreHandling:
     def test_lock_excludes_second_session(self, tmp_path, capsys):
         holder = Store(str(tmp_path / "kb"))
@@ -258,9 +314,9 @@ class TestStoreHandling:
     def test_corrupt_store_exits_2(self, tmp_path, capsys):
         path = tmp_path / "kb"
         s = Store(str(path))
-        s.abox_insert("a", T.num(1))
+        s.abox_insert("a", T.num_f(1))
         s.commit()
-        s.abox_insert("b", T.num(2))
+        s.abox_insert("b", T.num_f(2))
         s.close()
         log = path / "log.fsx"
         lines = log.read_text(encoding="utf-8").splitlines(keepends=True)

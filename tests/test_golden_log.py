@@ -36,9 +36,10 @@ def every_term_head(x: T.Term) -> T.Term:
         (mk_concept("num"), T.num_f(-0.1)),
         (mk_concept("str"), T.Str('q"u\\o\nte\t\r')),
         (mk_concept("atom"), T.atom("check")),
-        (mk_concept("list"), T.term_list([T.num(1), T.term_list([])])),
-        (mk_concept("bottom"), T.bottom("dob")),
-        (mk_concept("select"), T.record_select(T.term_name("a"), "name")),
+        (mk_concept("list"), T.List((T.num_f(1), T.List(())))),
+        (mk_concept("bottom"), T.Bottom(mk_concept("dob"))),
+        (mk_concept("select"),
+         T.FieldSelection(T.term_name("a"), mk_concept("name"))),
         (mk_concept("with space"), x),
         (mk_concept("pos"), T.triple("link", T.num_f(1e16), T.num_f(2.5e-7))),
     ]))
@@ -48,17 +49,18 @@ def every_type_and_prop_head(tax) -> T.SubsetTy:
     x = T.var("x")
     ty = T.record_ty(tax, [
         ("n", T.num_ty), ("s", T.str_ty), ("v", T.void_ty),
-        ("l", T.list_ty(T.num_ty)), ("e", T.enum_ty(["check", "cash"])),
+        ("l", T.ListTy(T.num_ty)), ("e", T.enum_ty(["check", "cash"])),
         ("r", T.record_ty(tax, [("who", T.type_name("person"))]))])
+    n, e, r = (T.FieldSelection(x, mk_concept(l)) for l in "ner")
     prop = T.exists("k", T.type_name("link"), T.conj(
-        T.equals(T.triple("link", T.record_select(x, "r"), T.var("y")),
-                 T.var("k")),
-        T.disj(T.conj(T.less_than(T.record_select(x, "n"), T.num(1)),
-                      T.neg(T.greater_equal(T.record_select(x, "n"), T.num(5)))),
-               T.disj(T.conj(T.less_equal(T.num(0), T.record_select(x, "n")),
-                             T.greater_than(T.num(9), T.num(8))),
-                      T.disj(T.in_sequence(T.record_select(x, "e"),
-                                           [T.atom("check"), every_term_head(x)]),
+        T.equals(T.triple("link", r, T.var("y")), T.var("k")),
+        T.disj(T.conj(T.BuiltinPred(T.PredOp.LT, (n, T.num_f(1))),
+                      T.Not(T.BuiltinPred(T.PredOp.GE, (n, T.num_f(5))))),
+               T.disj(T.conj(T.BuiltinPred(T.PredOp.LE, (T.num_f(0), n)),
+                             T.BuiltinPred(T.PredOp.GT,
+                                           (T.num_f(9), T.num_f(8)))),
+                      T.disj(T.InSequence(e, (T.atom("check"),
+                                              every_term_head(x))),
                              T.conj(T.TRUE, T.FALSE))))))
     return T.subset_ty(x, ty, prop)
 

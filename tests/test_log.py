@@ -154,7 +154,7 @@ def test_a_damaged_second_to_last_marker_is_corruption(session, tmp_path):
 
 @pytest.mark.parametrize("record, want", [
     ('(term "x" {})\n'.format(render_sexp(T.num_ty)), "term"),
-    ('(class "c" {})\n'.format(render_sexp(T.num(1))), "type"),
+    ('(class "c" {})\n'.format(render_sexp(T.num_f(1))), "type"),
 ], ids=["term-holding-a-type", "class-holding-a-term"])
 def test_a_record_of_the_wrong_category_is_corruption(tmp_path, record, want):
     path = str(tmp_path / "kb")

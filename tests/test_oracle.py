@@ -7,6 +7,7 @@ from flutes.classifier import find_members
 from flutes.oracle import oracle_extensions
 from flutes.store import Store
 from flutes.syntax import parse_program
+from flutes.taxonomy import mk_concept
 
 from termgen import build_worked_store, define_target_class
 from test_classifier import _random_corpus, insert_program
@@ -78,8 +79,9 @@ def test_oracle_sees_check_literals():
         T.var("x"), T.type_name("trans"),
         T.exists("y", T.type_name("trans"), T.conj(
             T.equals(T.var("x"), T.var("y")),
-            T.greater_than(T.record_select(T.var("y"), "amount"),
-                           T.num(100))))))
+            T.BuiltinPred(T.PredOp.GT, (
+                T.FieldSelection(T.var("y"), mk_concept("amount")),
+                T.num_f(100)))))))
     find_members(s)
     assert len(s.kb_class("big").members) == 1
     assert_agreement(s)
@@ -88,13 +90,13 @@ def test_oracle_sees_check_literals():
 def test_oracle_handles_disjunction_and_negation():
     s = build_worked_store()
     insert_program(s, 'tz := {"amount"=10.0, "type"=cc()};')
-    amount = T.record_select(T.var("y"), "amount")
+    amount = T.FieldSelection(T.var("y"), mk_concept("amount"))
     s.mk_kb_class("oddball", T.subset_ty(
         T.var("x"), T.type_name("trans"),
         T.exists("y", T.type_name("trans"), T.conj(
             T.equals(T.var("x"), T.var("y")),
-            T.disj(T.neg(T.less_equal(amount, T.num(100))),
-                   T.equals(amount, T.num(10.0)))))))
+            T.disj(T.Not(T.BuiltinPred(T.PredOp.LE, (amount, T.num_f(100)))),
+                   T.equals(amount, T.num_f(10.0)))))))
     find_members(s)
     assert len(s.kb_class("oddball").members) == 2
     assert_agreement(s)
@@ -104,17 +106,17 @@ def test_typed_term_holding_a_selection_is_coerced_as_its_value():
     # x's amount is a selection from t1; inference types it, and the
     # static class coerces x as the value it selects, in engine and oracle
     s = Store()
-    amount = T.record_select(T.term_name("t1"), "amount")
-    s.abox_insert("t1", T.record(s.tax, [("amount", T.num(5)),
+    amount = T.FieldSelection(T.term_name("t1"), mk_concept("amount"))
+    s.abox_insert("t1", T.record(s.tax, [("amount", T.num_f(5)),
                                          ("memo", T.string("m"))]))
     s.abox_insert("x", T.record(s.tax, [("amount", amount)]))
-    s.abox_insert("y", T.List((amount, T.num(7))))
+    s.abox_insert("y", T.List((amount, T.num_f(7))))
     s.mk_kb_class("amt", T.record_ty(s.tax, [("amount", T.num_ty)]))
-    s.mk_kb_class("nums", T.list_ty(T.num_ty))
+    s.mk_kb_class("nums", T.ListTy(T.num_ty))
     find_members(s)
     assert s.kb_class("amt").member_terms.keys() == {
-        T.record(s.tax, [("amount", T.num(5))])}
+        T.record(s.tax, [("amount", T.num_f(5))])}
     assert [name for name, _ in s.kb_class("amt").members] == ["t1"]
     assert s.kb_class("nums").member_terms.keys() == {
-        T.List((T.num(5), T.num(7)))}
+        T.List((T.num_f(5), T.num_f(7)))}
     assert_agreement(s)

@@ -11,6 +11,7 @@ from flutes.classifier import find_members
 from flutes.clause import skolemize
 from flutes.oracle import oracle_extensions
 from flutes.store import Store
+from flutes.taxonomy import mk_concept
 
 from termgen import build_worked_store
 from test_classifier import insert_program
@@ -20,7 +21,8 @@ PERSON = T.type_name("person")
 
 
 def amount_over(n):
-    return T.greater_than(T.record_select(T_, "amount"), T.num(n))
+    amount = T.FieldSelection(T_, mk_concept("amount"))
+    return T.BuiltinPred(T.PredOp.GT, (amount, T.num_f(n)))
 
 
 def related_with(head, check, t_class="trans"):
@@ -39,10 +41,11 @@ def related_with(head, check, t_class="trans"):
 # checks naming variables that different steps bind
 CHECKS = {
     "large": amount_over(2000),                      # t: the first step
-    "apart": T.neg(T.equals(P, Q)),                  # p and q: both steps
+    "apart": T.Not(T.equals(P, Q)),                  # p and q: both steps
     "large_or_self": T.disj(amount_over(4000), T.equals(P, Q)),
-    "ground": T.less_than(T.num(1), T.num(2)),       # before any step
-    "named": T.in_sequence(Q, [P, T.term_name("p0"), T.term_name("p1")]),
+    "ground": T.BuiltinPred(T.PredOp.LT,              # before any step
+                            (T.num_f(1), T.num_f(2))),
+    "named": T.InSequence(Q, (P, T.term_name("p0"), T.term_name("p1"))),
 }
 
 
@@ -97,7 +100,9 @@ class TestCompiledPlans:
         ty = T.subset_ty(X, T.type_name("trans"), T.exists(
             "y", T.type_name("trans"), T.conj(
                 T.equals(T.var("y"), T.var("y")),
-                T.greater_than(T.record_select(X, "amount"), T.num(1)))))
+                T.BuiltinPred(T.PredOp.GT, (
+                    T.FieldSelection(X, mk_concept("amount")),
+                    T.num_f(1))))))
         (plans,) = skolemize(ty).plans
         assert not plans.drives[0].grounds
 
@@ -245,6 +250,22 @@ class TestPersistedBinding:
         find_members(s)
         assert s.kb_class("marked").member_terms.keys() == {marked}
         assert oracle_extensions(s)["marked"] == {marked}
+
+    def test_tuples_rejected_before_the_alias_is_promoted_are_revisited(self):
+        # while c is unknown no tuple's binding has a type; a run then must
+        # keep the marks, or joe and sue are never tried again
+        s = build_worked_store()
+        s.mk_kb_class("tagged", T.subset_ty(
+            T.record(s.tax, [("ref", T.term_name("c")), ("who", X)]),
+            T.record_ty(s.tax, [("ref", PERSON), ("who", PERSON)]),
+            T.exists("y", PERSON, T.equals(X, T.var("y")))))
+        find_members(s)
+        assert not s.kb_class("tagged").members
+        insert_program(s, 'c := {"name"="Cee", "dob"="2001-01-01"};')
+        find_members(s)
+        engine = s.kb_class("tagged").member_terms.keys()
+        assert engine == oracle_extensions(s)["tagged"]
+        assert len(engine) == 3
 
     def test_same_as_clears_the_proof_memo(self):
         # raw keeps birth_date; the binding type asks for dob, which only

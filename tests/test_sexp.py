@@ -77,14 +77,14 @@ def examples(tax):
                          ("birth_date", T.string("1984-06-27"))])
     yield joe
     yield T.triple("orig-of", T.term_name("joe"), T.term_name("t1"))
-    yield T.term_list([T.num(1), T.string("a"), T.atom("check")])
+    yield T.List((T.num_f(1), T.string("a"), T.atom("check")))
     yield T.Bottom(mk_concept("owner"))
     yield T.FieldSelection(T.Var("p"), mk_concept("name"))
     yield T.FieldSelection(T.Var("s"), positional(1))
     yield T.List(())
     yield T.record(tax, [])
     yield T.num_ty
-    yield T.list_ty(T.record_ty(tax, [("a", T.num_ty)]))
+    yield T.ListTy(T.record_ty(tax, [("a", T.num_ty)]))
     yield T.enum_ty(["check", "cc"])
     yield T.triple_ty("orig-of", T.type_name("person"), T.type_name("trans"))
     yield T.subset_ty(
@@ -94,8 +94,9 @@ def examples(tax):
                  T.conj(T.equals(T.triple("orig-of", T.Var("p"), T.Var("t")),
                                  T.Var("s")),
                         T.TRUE)))
-    yield T.in_sequence(T.num(1), [T.num(1), T.num(2)])
-    yield T.disj(T.neg(T.FALSE), T.less_than(T.Var("x"), T.num(10)))
+    yield T.InSequence(T.num_f(1), (T.num_f(1), T.num_f(2)))
+    yield T.disj(T.Not(T.FALSE),
+                 T.BuiltinPred(T.PredOp.LT, (T.Var("x"), T.num_f(10))))
 
 
 class TestRoundTrip:

@@ -45,12 +45,12 @@ class TestInsert:
 
     def test_duplicate_name_rejected(self):
         s = Store()
-        s.abox_insert("joe", T.num(1))
+        s.abox_insert("joe", T.num_f(1))
         with pytest.raises(DuplicateNameError):
-            s.abox_insert("joe", T.num(2))
+            s.abox_insert("joe", T.num_f(2))
         s.promote("joe")
         with pytest.raises(DuplicateNameError):
-            s.abox_insert("joe", T.num(3))
+            s.abox_insert("joe", T.num_f(3))
 
     def test_name_of_a_class_member_rejected(self):
         # a subset member's name is in the containment graph, not among the
@@ -60,27 +60,27 @@ class TestInsert:
         mname, member = s.kb_class("fi_related").members[0]
         refs = set(s.contains_map[mname])
         with pytest.raises(DuplicateNameError):
-            s.abox_insert(mname, T.num(1))
+            s.abox_insert(mname, T.num_f(1))
         assert s.contains_map[mname] == refs == T.alias_names(member)
         assert mname not in s.untyped
 
     def test_alias_cycle_rejected(self):
         s = Store()
-        s.abox_insert("a", T.term_list([T.term_name("b")]))
+        s.abox_insert("a", T.List((T.term_name("b"),)))
         with pytest.raises(AliasCycleError):
-            s.abox_insert("b", T.term_list([T.term_name("a")]))
+            s.abox_insert("b", T.List((T.term_name("a"),)))
 
     def test_self_reference_rejected(self):
         s = Store()
         with pytest.raises(AliasCycleError):
-            s.abox_insert("a", T.term_list([T.term_name("a")]))
+            s.abox_insert("a", T.List((T.term_name("a"),)))
 
     def test_longer_cycle_rejected(self):
         s = Store()
-        s.abox_insert("a", T.term_list([T.term_name("b")]))
-        s.abox_insert("b", T.term_list([T.term_name("c")]))
+        s.abox_insert("a", T.List((T.term_name("b"),)))
+        s.abox_insert("b", T.List((T.term_name("c"),)))
         with pytest.raises(AliasCycleError):
-            s.abox_insert("c", T.term_list([T.term_name("a")]))
+            s.abox_insert("c", T.List((T.term_name("a"),)))
 
     def test_forward_references_allowed(self):
         s = Store()
@@ -118,8 +118,8 @@ class TestClasses:
     def test_member_dedup(self):
         s = Store()
         s.mk_kb_class("c", T.num_ty)
-        assert s.add_member("c", "m1", T.num(1))
-        assert not s.add_member("c", "m2", T.num(1))
+        assert s.add_member("c", "m1", T.num_f(1))
+        assert not s.add_member("c", "m2", T.num_f(1))
         assert len(s.kb_class("c").members) == 1
 
 
@@ -253,7 +253,7 @@ class TestPersistence:
         code = ("import os, sys\n"
                 "from flutes import Store, terms\n"
                 "s = Store(sys.argv[1])\n"
-                "s.abox_insert('a', terms.num(1))\n"
+                "s.abox_insert('a', terms.num_f(1))\n"
                 "s.commit()\n"
                 "os._exit(0)  # dies without close()\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -261,7 +261,7 @@ class TestPersistence:
                        check=True, timeout=60)
         assert os.path.exists(os.path.join(path, "lock"))
         with Store(path) as s:
-            assert s.lookup("a") == T.num(1)
+            assert s.lookup("a") == T.num_f(1)
 
     def two_batches(self, path):
         """The built store plus a second batch, so that the first batch has
@@ -315,7 +315,7 @@ class TestPersistence:
     def test_non_finite_number_refused_before_the_log(self, tmp_path):
         path = str(tmp_path / "kb")
         with Store(path) as s:
-            s.abox_insert("a", T.num(1))
+            s.abox_insert("a", T.num_f(1))
             with pytest.raises(TermError):
                 s.abox_insert("c", T.record(s.tax, [("v", T.Num(float("inf")))]))
         with Store(path) as s:
@@ -324,11 +324,11 @@ class TestPersistence:
     @pytest.mark.parametrize("kind", ["term", "class", "nested"])
     def test_repeated_label_refused_before_the_log(self, tmp_path, kind):
         a = mk_concept("a")
-        term = T.Record(((a, T.num(1)), (a, T.num(2))))
+        term = T.Record(((a, T.num_f(1)), (a, T.num_f(2))))
         ty = T.RecordTy(((a, T.num_ty), (a, T.num_ty)))
         path = str(tmp_path / "kb")
         with Store(path) as s:
-            s.abox_insert("ok", T.num(1))
+            s.abox_insert("ok", T.num_f(1))
             with pytest.raises(MalformedRecordError, match="repeated label"):
                 if kind == "term":
                     s.abox_insert("x", term)
@@ -337,7 +337,7 @@ class TestPersistence:
                 else:
                     s.mk_kb_class("c", T.subset_ty(
                         T.var("x"), T.num_ty,
-                        T.equals(T.var("x"), T.term_list([term]))))
+                        T.equals(T.var("x"), T.List((term,)))))
         with Store(path) as s:
             assert set(s.untyped) == {"ok"} and s.classes == {}
 
@@ -392,12 +392,12 @@ class TestPersistence:
         s = Store(path)
         s.commit()
         assert synced == []                 # opening and an empty commit write nothing
-        s.abox_insert("a", T.num(1))
+        s.abox_insert("a", T.num_f(1))
         s.commit()
         assert synced == [LOG, "kb"]        # the new log, then its directory
         del synced[:]
         s.same_as("dob", "birth_date")
-        s.abox_insert("b", T.num(2))
+        s.abox_insert("b", T.num_f(2))
         s.commit()
         s.commit()
         assert synced == [LOG]              # one per non-empty commit

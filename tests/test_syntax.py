@@ -73,7 +73,7 @@ class TestPrograms:
         assert head == mk_concept("p")
         inner_head, inner_args = T.pred_app_parts(args[0])
         assert inner_head == mk_concept("q")
-        assert inner_args == (T.term_name("a"), T.num(5))
+        assert inner_args == (T.term_name("a"), T.num_f(5))
 
     def test_empty_record_and_negative_number(self):
         decls = parse_program('a := {}; b := {"n" = -3.5};')

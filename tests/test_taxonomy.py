@@ -235,7 +235,7 @@ operations = st.lists(st.one_of(
 
 def check_record(tax, ref, labels):
     expected = ref.ambiguous(labels)
-    for build, value in ((T.record, T.num(1)), (T.record_ty, T.num_ty)):
+    for build, value in ((T.record, T.num_f(1)), (T.record_ty, T.num_ty)):
         try:
             build(tax, [(label, value) for label in labels])
         except MalformedRecordError:

@@ -22,9 +22,9 @@ class TestConstructors:
 
     def test_positional_fields_precede_named(self, tax):
         r = T.Record(T.sort_fields([
-            (mk_concept("z"), T.num(1)),
-            (positional(1), T.num(2)),
-            (positional(0), T.num(3)),
+            (mk_concept("z"), T.num_f(1)),
+            (positional(1), T.num_f(2)),
+            (positional(0), T.num_f(3)),
         ]))
         assert [c.sort_key()[:2] for c, _ in r.fields] == [(0, 0), (0, 1), (1, 0)]
 
@@ -35,12 +35,12 @@ class TestConstructors:
 
     def test_duplicate_labels_rejected(self, tax):
         with pytest.raises(MalformedRecordError):
-            T.record(tax, [("a", T.num(1)), ("a", T.num(2))])
+            T.record(tax, [("a", T.num_f(1)), ("a", T.num_f(2))])
 
     def test_hyponym_only_labels_allowed(self, tax):
         # one-way label_match does not make the pairing ambiguous
         tax.add_is_a(mk_concept("check"), mk_concept("payment"))
-        r = T.record(tax, [("check", T.num(1)), ("payment", T.num(2))])
+        r = T.record(tax, [("check", T.num_f(1)), ("payment", T.num_f(2))])
         assert len(r.fields) == 2
 
     def test_mutual_hyponyms_with_distinct_roots_rejected(self, tax):
@@ -52,15 +52,17 @@ class TestConstructors:
         tax.same_as(x, z)
         assert tax.find(x) != tax.find(y)
         with pytest.raises(MalformedRecordError, match="equivalent"):
-            T.record(tax, [("x", T.num(1)), ("y", T.num(2))])
+            T.record(tax, [("x", T.num_f(1)), ("y", T.num_f(2))])
         with pytest.raises(MalformedRecordError, match="equivalent"):
             T.record_ty(tax, [("x", T.num_ty), ("y", T.num_ty)])
-        T.record(tax, [("x", T.num(1)), ("w", T.num(2))])
+        T.record(tax, [("x", T.num_f(1)), ("w", T.num_f(2))])
 
     def test_duplicate_positions_rejected(self, tax):
         with pytest.raises(MalformedRecordError):
-            T.record(tax, [(positional(0), T.num(1)), (positional(0), T.num(2))])
-        T.record(tax, [(positional(0), T.num(1)), (positional(1), T.num(2))])
+            T.record(tax, [(positional(0), T.num_f(1)),
+                           (positional(0), T.num_f(2))])
+        T.record(tax, [(positional(0), T.num_f(1)),
+                       (positional(1), T.num_f(2))])
 
     def test_num_rejects_non_finite(self):
         with pytest.raises(TermError):
@@ -69,7 +71,7 @@ class TestConstructors:
             T.num_f(float("nan"))
         with pytest.raises(TermError):
             T.Num(float("-inf"))
-        assert T.num(500) == T.Num(500.0)
+        assert T.num_f(500) == T.Num(500.0)
 
     def test_pred_app_positional_encoding(self):
         t = T.triple("orig-of", T.term_name("joe"), T.term_name("t1"))
@@ -106,14 +108,14 @@ class TestPredAppParts:
     def test_plain_records_are_not_pred_apps(self, tax):
         obj = T.record(tax, [("name", T.string("Joe"))])
         assert T.pred_app_parts(obj) is None
-        two = T.record(tax, [("a", T.num(1)), ("b", T.num(2))])
+        two = T.record(tax, [("a", T.num_f(1)), ("b", T.num_f(2))])
         assert T.pred_app_parts(two) is None
 
 
 class TestVariables:
     def test_free_vars_in_terms(self, tax):
         t = T.record(tax, [("a", T.Var("x")),
-                           ("b", T.term_list([T.Var("y"), T.num(1)]))])
+                           ("b", T.List((T.Var("y"), T.num_f(1))))])
         assert T.free_vars(t) == {"x", "y"}
 
     def test_exists_binds(self):
@@ -122,8 +124,8 @@ class TestVariables:
 
     def test_substitute_only_free(self):
         p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
-        q = T.substitute({"t": T.num(1), "p": T.num(2)}, p)
-        assert q == T.exists("t", T.num_ty, T.equals(T.Var("t"), T.num(2)))
+        q = T.substitute({"t": T.num_f(1), "p": T.num_f(2)}, p)
+        assert q == T.exists("t", T.num_ty, T.equals(T.Var("t"), T.num_f(2)))
 
     def test_substitute_avoids_capture(self):
         # replacing p with a term mentioning t must not capture t
@@ -135,7 +137,7 @@ class TestVariables:
 
     def test_alias_names(self, tax):
         t = T.record(tax, [("a", T.term_name("joe")),
-                           ("b", T.term_list([T.term_name("t1")]))])
+                           ("b", T.List((T.term_name("t1"),)))])
         assert T.alias_names(t) == {"joe", "t1"}
 
     def test_fresh_binder_avoids_inserted_variables(self):
@@ -153,10 +155,10 @@ class TestVariables:
         nested = T.SubsetTy(T.Var("z"), T.num_ty, T.equals(T.Var("z"), T.Var("x")))
         p = T.Exists("x", nested, T.equals(T.Var("x"), T.Var("z")))
         assert T.free_vars(p) == {"x", "z"}
-        q = T.substitute({"z": T.num(1), "x": T.num(2)}, p)
+        q = T.substitute({"z": T.num_f(1), "x": T.num_f(2)}, p)
         assert T.free_vars(q) == set()
-        assert q == T.Exists("x", T.SubsetTy(T.num(1), T.num_ty, T.equals(
-            T.num(1), T.num(2))), T.equals(T.Var("x"), T.num(1)))
+        assert q == T.Exists("x", T.SubsetTy(T.num_f(1), T.num_ty, T.equals(
+            T.num_f(1), T.num_f(2))), T.equals(T.Var("x"), T.num_f(1)))
 
 
 def _marked_samples():

@@ -17,8 +17,8 @@ class TestBasics:
         assert unify(t, t) == {}
 
     def test_var_binds_constant(self):
-        assert unify(T.Var("x"), T.num(5)) == {"x": T.num(5)}
-        assert unify(T.num(5), T.Var("x")) == {"x": T.num(5)}
+        assert unify(T.Var("x"), T.num_f(5)) == {"x": T.num_f(5)}
+        assert unify(T.num_f(5), T.Var("x")) == {"x": T.num_f(5)}
 
     def test_stored_relation_pattern(self):
         pattern = T.triple("orig-of", T.Var("p"), T.Var("t"))
@@ -46,21 +46,22 @@ class TestBasics:
         assert unify(T.Var("x"), wrap) is None
 
     def test_var_chains_resolve(self):
-        s = unify(T.Var("y"), T.num(1), unify(T.Var("x"), T.Var("y")))
-        assert s == {"x": T.num(1), "y": T.num(1)}
+        s = unify(T.Var("y"), T.num_f(1), unify(T.Var("x"), T.Var("y")))
+        assert s == {"x": T.num_f(1), "y": T.num_f(1)}
 
     def test_lists_by_position(self):
-        a = T.term_list([T.Var("x"), T.num(2)])
-        b = T.term_list([T.num(1), T.Var("y")])
-        assert unify(a, b) == {"x": T.num(1), "y": T.num(2)}
-        assert unify(a, T.term_list([T.num(1)])) is None
+        a = T.List((T.Var("x"), T.num_f(2)))
+        b = T.List((T.num_f(1), T.Var("y")))
+        assert unify(a, b) == {"x": T.num_f(1), "y": T.num_f(2)}
+        assert unify(a, T.List((T.num_f(1),))) is None
 
     def test_conflicting_bindings_fail(self):
-        assert unify(T.Var("x"), T.num(2), unify(T.Var("x"), T.num(1))) is None
+        one = unify(T.Var("x"), T.num_f(1))
+        assert unify(T.Var("x"), T.num_f(2), one) is None
 
     def test_extends_existing_substitution(self):
-        s = unify(T.Var("x"), T.num(1))
-        assert unify(T.Var("y"), T.Var("x"), s)["y"] == T.num(1)
+        s = unify(T.Var("x"), T.num_f(1))
+        assert unify(T.Var("y"), T.Var("x"), s)["y"] == T.num_f(1)
 
 
 class TestProperties:
