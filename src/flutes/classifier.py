@@ -20,7 +20,7 @@ from time import perf_counter
 from . import terms as T
 from .clause import DisjunctPlans, Plan, Step
 from .errors import ClassDependencyError, EvalError
-from .rules import coerce_term, eval_term, member_name
+from .rules import eval_term, member_name
 from .store import Store, KbClass
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
@@ -351,51 +351,52 @@ class _DisjunctRun:
 # -- the classifier --------------------------------------------------------------
 
 def _run_static(store: Store, cls: KbClass, st: ClassStats):
-    target = store.resolve_class_type(cls.name)
-    for idx in range(cls.watermark, len(store.typed_list)):
-        name, term = store.typed_list[idx]
-        st.scanned += 1
-        ty = store.type_of(name)
-        if ty is None:
-            continue
-        proof = prove_subtype(ty, target, store.tax)
-        if proof is None:
-            continue
-        coerced = coerce_term(store, proof, term)
-        if coerced is not None and store.add_member(cls.name, name, coerced):
-            st.matched += 1
+    # moving the watermark runs the store's scan, the one that replay runs
+    old, size = cls.watermark, len(cls.members)
     _advance(store, cls, len(store.typed_list), cls.dep_marks)
+    st.scanned = cls.watermark - old
+    st.matched = len(cls.members) - size
 
 
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
     binding = cls.binding = cls.binding or _Binding(store, cls)
-    if not binding.selects and any(store.type_of(c) is None
-                                   for c in binding.consts):
-        # no tuple's binding can be typed yet: keep the marks, so that the
-        # tuples are tried again once the alias is promoted
+    if any(store.lookup(c) is None or not binding.selects and store.type_of(c) is None
+           for c in binding.consts):
+        # no tuple's binding can be typed yet, or, when it selects a field,
+        # evaluated: keep the marks, so that the tuples are tried again once
+        # the alias is promoted or stored
         return
     dep_names = sorted({c for _, c in clause.skolems})
     sizes = {d: len(store.kb_class(d).members) for d in dep_names}
     marks = {d: cls.dep_marks.get(d, 0) for d in dep_names}
     produced: list[T.Term] = []
+    held = False
 
     for plans in clause.plans:
         deps = plans.classes
-        if not deps or any(marks[c] == 0 and sizes[c] for c in plans.guards):
-            # one run over full windows: there is no literal to window, or a
-            # guard class just gained its first member, which admits tuples
-            # below the marks that earlier runs rejected
+        if any(store.lookup(a) is None for a in plans.aliases):
+            # a check naming an alias not yet stored fails every tuple, and
+            # no later window would revisit them: hold the marks until then
+            held = True
+            continue
+        if (not deps and not cls.watermark
+                or any(marks[c] == 0 and sizes[c] for c in plans.guards)):
+            # one run over full windows: there is no literal to window and
+            # the disjunct has not been solved (the watermark), or a guard
+            # class just gained its first member, which admits tuples below
+            # the marks that earlier runs rejected
             runs = [(plans.drives[0], [(0, sizes[d]) for d in deps])]
         else:
             # semi-naive: the drive literal takes the members added since
             # the marks, the literals before it only older members; a drive
-            # with no new members enumerates nothing, so it is not run
+            # with no new members enumerates nothing, so it is not run, and
+            # a solved disjunct with no literal has no drive
             runs = [(plan, [(marks[d], sizes[d]) if i == drive
                             else (0, marks[d] if i < drive else sizes[d])
                             for i, d in enumerate(deps)])
-                    for drive, plan in enumerate(plans.drives)
-                    if marks[deps[drive]] < sizes[deps[drive]]]
+                    for drive, (dep, plan) in enumerate(zip(deps, plans.drives))
+                    if marks[dep] < sizes[dep]]
         for plan, windows in runs:
             run = _DisjunctRun(store, plans, plan, windows, prune, binding, st)
             produced.extend(run.solve())
@@ -403,7 +404,11 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     for t in produced:
         if store.add_member(cls.name, member_name(cls.name, t), t):
             st.matched += 1
-    _advance(store, cls, cls.watermark, sizes)
+    if not held:
+        # a subset class's watermark is 1 once its disjuncts with no literal
+        # have been solved; a class without one keeps 0 and logs no change
+        _advance(store, cls, int(any(not p.classes for p in clause.plans)),
+                 sizes)
 
 
 def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (CoercionDomainError, EvalError, RuleFailure, StoreError,
                      TermError)
-from .store import Store
 from .taxonomy import Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
+
+if TYPE_CHECKING:          # the store imports this module for coerce_term
+    from .store import Store
 
 Env = Callable[[str], Optional[T.Term]]
 

@@ -3,27 +3,32 @@
 A store directory holds one append-only S-expression log, `log.fsx`, one
 record per line, in the order the changes were made:
 
-  (flutes-log 1)                      format version, first record of the log
+  (flutes-log 2)                      format version, first record of the log
   (class "name" <type>) | (same-as "a" "b") | (is-a "a" "b")
   (term "name" <term>)                an untyped term
   (promote "name")                    typed ids follow promotion order
-  (member "class" "mname" <term>)
+  (member "class" "mname" <term>)     a member that no scan derives
   (watermark "class" N (("dep" M) ...))
   (commit N crc)                      ends a batch of N records
 
-Mutations render their record into an in-memory batch; commit() appends
-the batch and its marker, where crc is zlib.crc32 of the batch's bytes,
-with one write and one fsync.  Replay applies a batch only once its marker
-checks out, and derives adjacency and each class's alias index from the
-term and member records; it compiles each subset class as definition
-does, so a class record that this version cannot compile is corruption.  A batch that fails its marker
-is a torn tail when no valid marker follows it (it is truncated and
-reported in `torn_tail`), and corruption otherwise.
-It is also corruption when the marker checks out against the batch's last
-records: a damaged marker then joined two committed batches.  A store
-constructed without a path lives purely in memory and renders no records
-at all.  An exclusive flock on the file `lock` serializes writer
-sessions per directory.
+Each record kind has one method that applies it (`_RECORDS`): a mutation
+validates, applies and renders its record into an in-memory batch, and
+replay applies the decoded record through the same method.  A static
+class's watermark says that typed ids [old, N) were scanned, so applying
+it runs that scan: static members, like adjacency and alias indexes, are
+derived, not logged.  A version-1 log, which logged them, still opens;
+the first batch appended to it starts with (flutes-log 2).
+
+commit() appends the batch and its marker, where crc is zlib.crc32 of the
+batch's bytes, with one write and one fsync.  Replay applies a batch only
+once its marker checks out; a record that the mutation would refuse, such
+as a class this version cannot compile, is corruption.  A batch that fails
+its marker is a torn tail when no valid marker follows it (it is truncated
+and reported in `torn_tail`), and corruption otherwise.  It is also
+corruption when the marker checks out against the batch's last records: a
+damaged marker then joined two committed batches.  A store constructed
+without a path lives in memory and renders no records.  An exclusive
+flock on the file `lock` serializes writer sessions per directory.
 """
 
 from __future__ import annotations
@@ -39,16 +44,17 @@ from typing import Container
 from .clause import SkolemClause, skolemize
 from .errors import (AliasCycleError, DuplicateNameError, StoreCorruptionError,
                      StoreError)
+from .rules import coerce_term
 from .sexp import build_value, quote_string, read_node, render_sexp
 from .taxonomy import Concept, Taxonomy, mk_concept
-from .typecheck import infer_static_type, resolve_type
+from .typecheck import infer_static_type, prove_subtype, resolve_type
 from . import terms as T
 
 _CLASS_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 LOG = "log.fsx"
 LOCK = "lock"
-_VERSION = "(flutes-log 1)\n"
+_VERSION = 2   # of the log this version writes; it also reads version 1
 _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
@@ -61,23 +67,15 @@ class KbClass:
     by_name: dict[str, int] = field(default_factory=dict)  # name -> member index
     # alias -> ascending indices of the members whose adjacency holds it
     by_alias: dict[str, list[int]] = field(default_factory=dict)
-    # term -> name of its first member; add_member keeps terms distinct
+    # term -> name of its first member; members hold distinct terms
     member_terms: dict[T.Term, str] = field(default_factory=dict)
-    watermark: int = 0                 # last typed id scanned (static classes)
+    watermark: int = 0   # static: typed ids scanned; subset: 1 once solved
     dep_marks: dict[str, int] = field(default_factory=dict)  # subset classes
     binding: object = None   # the classifier's, with its proof memo
 
     @property
     def is_subset(self) -> bool:
         return self.clause is not None
-
-    def _index(self, mname: str, t: T.Term, refs: set[str]):
-        idx = len(self.members)
-        self.by_name[mname] = idx
-        self.members.append((mname, t))
-        self.member_terms.setdefault(t, mname)
-        for ref in refs:
-            self.by_alias.setdefault(ref, []).append(idx)
 
 
 class Store:
@@ -97,6 +95,7 @@ class Store:
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
+        self._log_version = 0             # of log.fsx; 0 while it is empty
         self._lock_fd: int | None = None
         self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
@@ -148,7 +147,8 @@ class Store:
         if not self._batch:
             return
         first = self._log_size == 0
-        records = [_VERSION, *self._batch] if first else self._batch
+        records = (self._batch if self._log_version == _VERSION
+                   else [f"(flutes-log {_VERSION})\n", *self._batch])
         data = "".join(records).encode("utf-8")
         data += b"(commit %d %d)\n" % (len(records), zlib.crc32(data))
         if self._log_fd is None:
@@ -167,6 +167,7 @@ class Store:
         if first:
             _fsync_dir(self.path)   # the directory entry of a new log
         self._log_size += len(data)
+        self._log_version = _VERSION
         self._batch.clear()
 
     def _log_path(self) -> str:
@@ -191,15 +192,21 @@ class Store:
 
     def same_as(self, a: str | Concept, b: str | Concept):
         a, b = _concept(a), _concept(b)
+        self._put_same_as(a, b)
+        self._log("same-as", a.name, b.name)
+
+    def _put_same_as(self, a: Concept, b: Concept):
         self.tax.same_as(a, b)
         self._forget_types()
-        self._log("same-as", a.name, b.name)
 
     def add_is_a(self, child: str | Concept, parent: str | Concept):
         child, parent = _concept(child), _concept(parent)
+        self._put_is_a(child, parent)
+        self._log("is-a", child.name, parent.name)
+
+    def _put_is_a(self, child: Concept, parent: Concept):
         self.tax.add_is_a(child, parent)
         self._forget_types()
-        self._log("is-a", child.name, parent.name)
 
     def _forget_types(self):
         # field selections infer through label_match, so an edit may change
@@ -209,6 +216,8 @@ class Store:
         self._class_types.clear()
         for cls in self.classes.values():
             cls.binding = None
+            if cls.is_subset:   # its disjuncts with no literal are solved anew
+                cls.watermark = 0
 
     def _intern(self, ty: T.Type) -> T.Type:
         """The shared instance equal to ty, so that proof-memo keys built
@@ -229,9 +238,9 @@ class Store:
         self._put_term(name, t, refs)
         self._log("term", name, t)
 
-    def _put_term(self, name: str, t: T.Term, refs: set[str]):
+    def _put_term(self, name: str, t: T.Term, refs: set[str] | None = None):
         self.untyped[name] = t
-        self._add_adjacency(name, refs)
+        self._add_adjacency(name, T.alias_names(t) if refs is None else refs)
 
     def _check_acyclic(self, name: str, refs: set[str]):
         # the new term may complete a cycle only through terms that already
@@ -321,31 +330,49 @@ class Store:
         return cls.definition if cls else None
 
     def add_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
-        """Insert a coerced member; returns False when already present."""
-        cls = self.kb_class(class_name)
-        if t in cls.member_terms:
+        """Insert and log a coerced member; returns False when present."""
+        if not self._put_member(class_name, member_name, t):
             return False
-        self._put_member(class_name, member_name, t)
         self._log("member", class_name, member_name, t)
         return True
 
-    def _put_member(self, class_name: str, member_name: str, t: T.Term):
+    def _put_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
+        cls = self.kb_class(class_name)
+        if t in cls.member_terms:
+            return False
         refs = self.contains_map.get(member_name)
         if refs is None:
             refs = T.alias_names(t)
             self._add_adjacency(member_name, refs)
-        self.classes[class_name]._index(member_name, t, refs)
+        idx = cls.by_name[member_name] = len(cls.members)
+        cls.members.append((member_name, t))
+        cls.member_terms[t] = member_name
+        for ref in refs:
+            cls.by_alias.setdefault(ref, []).append(idx)
+        return True
 
     def set_watermark(self, class_name: str, watermark: int,
                       dep_marks: dict[str, int] | None = None):
-        self.kb_class(class_name)           # raises for an unknown class
+        """Move a class's marks; a static class's scan runs as they move."""
         dep_marks = dict(dep_marks or {})
         self._put_watermark(class_name, watermark, dep_marks)
         self._log("watermark", class_name, watermark, sorted(dep_marks.items()))
 
     def _put_watermark(self, class_name: str, watermark: int,
                        dep_marks: dict[str, int]):
-        cls = self.classes[class_name]
+        """Moving a static class's watermark scans the typed ids it passes."""
+        cls = self.kb_class(class_name)
+        if not cls.is_subset:
+            if not cls.watermark <= watermark <= len(self.typed_list):
+                raise StoreError(f"class {class_name!r} cannot move its "
+                                 f"watermark from {cls.watermark} to {watermark}")
+            target = self.resolve_class_type(class_name)
+            for name, term in self.typed_list[cls.watermark:watermark]:
+                ty = self.type_of(name)
+                proof = None if ty is None else prove_subtype(ty, target, self.tax)
+                coerced = None if proof is None else coerce_term(self, proof, term)
+                if coerced is not None:
+                    self._put_member(class_name, name, coerced)
         cls.watermark = watermark
         cls.dep_marks = dep_marks
 
@@ -431,12 +458,12 @@ class Store:
         self._log_size = good
 
     def _apply(self, batch: list[tuple[int, bytes]], first: bool):
-        if first and batch[0][1] != _VERSION.encode():
-            raise StoreCorruptionError(f"{LOG}:1: expected {_VERSION.strip()}")
+        if first and not batch[0][1].startswith(b"(flutes-log "):
+            raise StoreCorruptionError(f"{LOG}:1: expected (flutes-log {_VERSION})")
         for lineno, raw in batch:
             try:
-                fn, args = self._decode(raw)
-                fn(*args)
+                apply, args = _decode(raw)
+                apply(self, *args)
             except Exception as exc:
                 raise StoreCorruptionError(f"{LOG}:{lineno}: {exc}") from exc
 
@@ -445,39 +472,16 @@ class Store:
         that does not decode, else the marker itself."""
         for lineno, raw in batch:
             try:
-                self._decode(raw)
+                _decode(raw)
             except Exception as exc:
                 return f"{LOG}:{lineno}: {exc}"
         return (f"{LOG}:{marker_line}: record count or checksum does not "
                 f"match the batch before it")
 
-    def _decode(self, raw: bytes):
-        """The method that replays one record, and its arguments."""
-        node = read_node(raw.decode("utf-8"))
-        if not isinstance(node, list) or not node or not isinstance(node[0], str):
-            raise ValueError("not a record")
-        head, args = node[0], node[1:]
-        shape = (head, len(args))
-        if shape == ("term", 2):
-            t = build_value(args[1], T.Term)
-            return self._put_term, (str(args[0]), t, T.alias_names(t))
-        if shape == ("promote", 1):
-            return self._promote, (str(args[0]),)
-        if shape == ("member", 3):
-            return self._put_member, (str(args[0]), str(args[1]),
-                                      build_value(args[2], T.Term))
-        if shape == ("watermark", 3):
-            return self._put_watermark, (
-                str(args[0]), int(args[1]), {str(d[0]): int(d[1]) for d in args[2]})
-        if shape == ("class", 2):
-            return self._put_class, (str(args[0]), build_value(args[1], T.Type))
-        if shape == ("same-as", 2):
-            return self.tax.same_as, (mk_concept(args[0]), mk_concept(args[1]))
-        if shape == ("is-a", 2):
-            return self.tax.add_is_a, (mk_concept(args[0]), mk_concept(args[1]))
-        if shape == ("flutes-log", 1) and args[0] == 1:
-            return _nothing, ()
-        raise ValueError(f"unknown record {head!r}")
+    def _put_version(self, version: int):
+        if version not in (1, _VERSION):
+            raise ValueError(f"unknown log version {version}")
+        self._log_version = version
 
     def dump_state(self) -> str:
         """Canonical rendering of all in-memory state, for equality checks."""
@@ -540,8 +544,34 @@ def _concept(x: str | Concept) -> Concept:
     return c
 
 
-def _nothing():
-    pass
+def _term(node) -> T.Term:
+    return build_value(node, T.Term)
+
+
+# The log's records, each head once: head -> (the Store method that applies
+# the record, live and on replay, and the reader of each field).
+_RECORDS = {
+    "flutes-log": (Store._put_version, (int,)),
+    "same-as": (Store._put_same_as, (_concept, _concept)),
+    "is-a": (Store._put_is_a, (_concept, _concept)),
+    "class": (Store._put_class, (str, lambda node: build_value(node, T.Type))),
+    "term": (Store._put_term, (str, _term)),
+    "promote": (Store._promote, (str,)),
+    "member": (Store._put_member, (str, str, _term)),
+    "watermark": (Store._put_watermark,
+                  (str, int, lambda marks: {str(d): int(m) for d, m in marks})),
+}
+
+
+def _decode(raw: bytes):
+    """The method that applies one record, and its arguments."""
+    node = read_node(raw.decode("utf-8"))
+    if not isinstance(node, list) or not node or not isinstance(node[0], str):
+        raise ValueError("not a record")
+    apply, readers = _RECORDS.get(node[0], (None, ()))
+    if apply is None or len(node) - 1 != len(readers):
+        raise ValueError(f"unknown record {node[0]!r}")
+    return apply, [read(arg) for read, arg in zip(readers, node[1:])]
 
 
 def _fsync_dir(path: str):

@@ -401,6 +401,87 @@ class TestIncrementality:
         report = find_members(store)
         assert report.per_class["originator"].candidates == 0
 
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "or-other"])
+    def test_tuples_a_check_rejected_for_a_missing_alias_are_revisited(
+            self, store, alone):
+        # the check names lim before lim is stored, which fails every tuple
+        # of its disjunct: the class keeps its marks until lim arrives, while
+        # a disjunct that does not name lim is solved as usual
+        find_members(store)
+        insert_program(store, 't2 := {"amount"=50.0, "type"=cc()};')
+        x = T.var("x")
+
+        def amount(t):
+            return T.FieldSelection(t, mk_concept("amount"))
+        check = T.BuiltinPred(T.PredOp.GT, (amount(x), amount(T.term_name("lim"))))
+        if not alone:
+            check = T.disj(check, T.BuiltinPred(T.PredOp.GT,
+                                                (amount(x), T.num_f(100))))
+        store.mk_kb_class("big", T.subset_ty(
+            x, T.type_name("trans"), T.exists("y", T.type_name("trans"), T.conj(
+                T.equals(x, T.var("y")), check))))
+        find_members(store)
+        engine = store.kb_class("big").member_terms.keys()
+        assert engine == oracle_extensions(store)["big"]
+        assert len(engine) == (0 if alone else 1)
+        insert_program(store, 'lim := {"amount"=1.0, "type"=cc()};')
+        find_members(store)
+        engine = store.kb_class("big").member_terms.keys()
+        assert engine == oracle_extensions(store)["big"]
+        assert len(engine) == 2
+
+    def test_a_disjunct_with_no_literal_is_solved_once(self, tmp_path):
+        path = str(tmp_path / "kb")
+        s = build_worked_store(path)
+        insert_program(s, 'lim := {"amount"=1.0, "type"=cc()};')
+        s.mk_kb_class("konst", T.subset_ty(T.term_name("lim"),
+                                           T.type_name("trans"), T.TRUE))
+        tuples = []
+        for _ in range(3):
+            tuples.append(find_members(s).per_class["konst"].tuples)
+            engine = s.kb_class("konst").member_terms.keys()
+            assert engine == oracle_extensions(s)["konst"]
+            assert len(engine) == 1
+        assert tuples == [1, 0, 0]
+        state = s.dump_state()
+        s.close()
+        with Store(path) as s:      # solved, as its watermark says
+            assert s.dump_state() == state
+            assert find_members(s).per_class["konst"].tuples == 0
+
+    def test_a_taxonomy_edit_solves_a_disjunct_with_no_literal_again(self):
+        # ball's birth_date makes it a person only once it means dob
+        s = Store()
+        insert_program(s, 'ball := {"name"="carbon", "birth_date"="1000-01-01"};')
+        s.mk_kb_class("person", T.record_ty(s.tax, [("name", T.str_ty),
+                                                     ("dob", T.str_ty)]))
+        s.mk_kb_class("konst", T.subset_ty(T.term_name("ball"),
+                                           T.type_name("person"), T.TRUE))
+        find_members(s)
+        assert not s.kb_class("konst").members
+        s.same_as("dob", "birth_date")
+        find_members(s)
+        engine = s.kb_class("konst").member_terms.keys()
+        assert engine == oracle_extensions(s)["konst"]
+        assert len(engine) == 1
+
+    def test_a_disjunct_with_no_literal_is_solved_again_when_its_guard_fills(
+            self, store):
+        marker = T.record(store.tax, [("name", T.string("m")),
+                                      ("dob", T.string("2000-01-01"))])
+        store.mk_kb_class("wires", T.record_ty(store.tax, [("wired", T.num_ty)]))
+        store.mk_kb_class("probe", T.subset_ty(
+            marker, T.type_name("person"),
+            T.exists("w", T.type_name("wires"), T.TRUE)))
+        tuples = []
+        for text in ("", 'w1 := {"wired"=1.0};', 'w2 := {"wired"=2.0};', ""):
+            insert_program(store, text)
+            tuples.append(find_members(store).per_class["probe"].tuples)
+            engine = store.kb_class("probe").member_terms.keys()
+            assert engine == oracle_extensions(store)["probe"]
+        assert engine == {marker}
+        assert tuples == [0, 1, 0, 0]
+
 
 class TestChecksAndFilters:
     def build(self, *props):

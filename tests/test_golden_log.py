@@ -4,14 +4,18 @@ A fixed file-backed session writes a log whose records cover every head of
 the storage grammar (the `sink` class record holds all of them at once),
 a positional label, a quoted label, escaped strings, and the `same-as`,
 `is-a`, `term`, `promote`, `class`, `member` and `watermark` records over
-three commits.  The session must write exactly the committed golden log,
-and both that log and the session's own must reopen to the session's
-state.  Run this file as a script to rewrite the golden log after a
-deliberate change of the storage format.
+three commits.  The session must write exactly the committed golden log
+of the current format (version 2, whose static classes log no members),
+and that log, the session's own and the version-1 golden log (which also
+logged the static members, and is kept byte for byte) must reopen to the
+session's state.  Run this file as a script to rewrite the version-2
+golden log after a deliberate change of the storage format.
 """
 
 import os
 import shutil
+import sys
+import tempfile
 
 from flutes import terms as T
 from flutes.classifier import find_members
@@ -19,8 +23,9 @@ from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                      "golden_log.fsx")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+GOLDEN = os.path.join(DATA, "golden_log_v2.fsx")
+GOLDEN_V1 = os.path.join(DATA, "golden_log.fsx")
 
 PEOPLE = """
 a := {"name"="A", "dob"="1984-06-27"};
@@ -104,22 +109,59 @@ def test_session_writes_the_golden_log(tmp_path):
         assert s.dump_state() == state
 
 
-def test_golden_log_reopens_to_the_session_state(tmp_path):
+def assert_reopens_to_the_session_state(tmp_path, golden):
     state = golden_session(str(tmp_path / "kb"))
     other = str(tmp_path / "golden")
     os.makedirs(other)
-    shutil.copyfile(GOLDEN, os.path.join(other, LOG))
+    shutil.copyfile(golden, os.path.join(other, LOG))
     with Store(other) as s:
         assert s.torn_tail is None
         assert s.dump_state() == state
 
 
+def test_golden_log_reopens_to_the_session_state(tmp_path):
+    assert_reopens_to_the_session_state(tmp_path, GOLDEN)
+
+
+def test_version_1_golden_log_reopens_to_the_session_state(tmp_path):
+    # its static member records replay, and the scans find them present
+    assert_reopens_to_the_session_state(tmp_path, GOLDEN_V1)
+
+
+def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
+    # a version-1 reader stops at (flutes-log 2) instead of opening static
+    # classes with no members behind their watermarks
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    shutil.copyfile(GOLDEN_V1, os.path.join(path, LOG))
+    with Store(path) as s:
+        for d in parse_program('c := {"name"="C", "dob"="2001-01-01"};', s.tax):
+            s.abox_insert(d.name, d.body)
+        s.commit()
+        s.abox_insert("d", T.num_f(1))
+        find_members(s)
+        state = s.dump_state()
+    data = read(os.path.join(path, LOG))
+    old = read(GOLDEN_V1)
+    assert data.startswith(old)
+    assert data[len(old):].startswith(b"(flutes-log 2)\n(term \"c\" ")
+    assert data.count(b"(flutes-log ") == 2
+    assert b'(member "person" "c"' not in data
+    with Store(path) as s:
+        assert s.dump_state() == state
+        assert "c" in s.kb_class("person").by_name
+
+
 def test_golden_log_covers_the_records_and_heads():
     data = read(GOLDEN).decode("utf-8")
+    assert data.startswith("(flutes-log 2)\n")
     for record in ("flutes-log", "same-as", "is-a", "term", "promote",
                    "class", "member", "watermark"):
         assert f"\n({record} " in "\n" + data, record
     assert data.count("\n(commit ") == 3
+    # only the subset class logs its member; the static ones derive theirs
+    assert [line.split()[1] for line in data.splitlines()
+            if line.startswith("(member ")] == ['"sender"']
     (sink,) = [line for line in data.splitlines()
                if line.startswith('(class "sink" ')]
     heads = ("num str atom record list bottom select var alias "
@@ -129,3 +171,10 @@ def test_golden_log_covers_the_records_and_heads():
         assert f"({head} " in sink or f"({head})" in sink, head
 
 
+if __name__ == "__main__":
+    # rewrite the version-2 golden log from the session; the version-1 one
+    # stays as committed
+    with tempfile.TemporaryDirectory() as tmp:
+        golden_session(os.path.join(tmp, "kb"))
+        shutil.copyfile(os.path.join(tmp, "kb", LOG), GOLDEN)
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -15,6 +15,7 @@ from flutes.rules import mk_analytic, run_analytic
 from flutes.sexp import render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
+from flutes.taxonomy import mk_concept
 
 FIRST = """
 a := {"name"="A", "dob"="1"};
@@ -25,6 +26,13 @@ MORE = """
 c := {"name"="C", "dob"="3"};
 l2 := link(c, a);
 """
+
+
+def add_selection(store, source):
+    """x := {"d" = source.dob}: after `is-a date dob` the selection finds a
+    "date" field first, so x's type can change with the taxonomy."""
+    store.abox_insert("x", T.record(store.tax, [
+        ("d", T.FieldSelection(T.term_name(source), mk_concept("dob")))]))
 
 
 def add(store, text):
@@ -66,6 +74,14 @@ def run_session(path):
              lambda: s.mk_kb_class("kept", s.kb_class("person").definition),
              lambda: run_analytic(s, mk_analytic(s, "keep", "person", "kept",
                                                  lambda t: t)),
+             lambda: find_members(s),
+             # the static scans type x before the edit and strd's after it,
+             # which replay derives only if it forgets the types as well
+             lambda: insert(s, 'e := {"date"="2020", "dob"=1.0};'),
+             lambda: add_selection(s, "e"),
+             lambda: find_members(s),
+             lambda: s.add_is_a("date", "dob"),
+             lambda: s.mk_kb_class("strd", T.record_ty(s.tax, [("d", T.str_ty)])),
              lambda: find_members(s)]
     states = [(0, Store().dump_state())]
     for step in steps:
@@ -99,7 +115,33 @@ def test_session_has_several_batches(session):
     states, data = session
     assert len(states) >= 6
     assert data.count(b"\n(commit ") == len(states) - 1
-    assert data.startswith(b"(flutes-log 1)\n")
+    assert data.startswith(b"(flutes-log 2)\n")
+    assert data.count(b"(flutes-log ") == 1
+
+
+def test_the_session_derives_after_its_taxonomy_edit(session):
+    states, data = session
+    assert "member strd x " in states[-1][1]
+    assert b'(member "strd"' not in data
+
+
+def test_replay_applies_a_taxonomy_edit_as_the_live_edit_does(tmp_path):
+    # x's type is inferred through the selection a.dob; the edit changes it
+    # from {d: num} to {d: str}, so strd holds x only if the replayed edit
+    # forgets the types inferred before it
+    path = str(tmp_path / "kb")
+    with Store(path) as s:
+        insert(s, 'a := {"date"="2020", "dob"=1.0};')
+        add_selection(s, "a")
+        s.mk_kb_class("anyd", T.record_ty(s.tax, [("d", T.num_ty)]))
+        find_members(s)
+        s.add_is_a("date", "dob")
+        s.mk_kb_class("strd", T.record_ty(s.tax, [("d", T.str_ty)]))
+        find_members(s)
+        state = s.dump_state()
+        assert "x" in s.kb_class("strd").by_name
+    with Store(path) as s:
+        assert s.dump_state() == state
 
 
 def test_every_cut_reopens_to_the_last_committed_state(session, tmp_path):

@@ -267,6 +267,24 @@ class TestPersistedBinding:
         assert engine == oracle_extensions(s)["tagged"]
         assert len(engine) == 3
 
+    def test_a_selecting_binding_waits_for_its_alias(self):
+        # the binding selects lim.amount: it is evaluated, so lim need not
+        # be typed, but every tuple fails while lim is not stored
+        s = build_worked_store()
+        find_members(s)
+        amount = T.FieldSelection(T.term_name("lim"), mk_concept("amount"))
+        s.mk_kb_class("tagged", T.subset_ty(
+            T.record(s.tax, [("v", amount), ("who", X)]),
+            T.record_ty(s.tax, [("v", T.num_ty), ("who", PERSON)]),
+            T.exists("y", PERSON, T.equals(X, T.var("y")))))
+        find_members(s)
+        assert not s.kb_class("tagged").members
+        insert_program(s, 'lim := {"amount"=1.0, "type"=cc()};')
+        find_members(s)
+        engine = s.kb_class("tagged").member_terms.keys()
+        assert engine == oracle_extensions(s)["tagged"]
+        assert len(engine) == 2
+
     def test_same_as_clears_the_proof_memo(self):
         # raw keeps birth_date; the binding type asks for dob, which only
         # the synonym makes a match
