@@ -19,7 +19,7 @@ from time import perf_counter
 
 from . import terms as T
 from .clause import DisjunctPlans, Plan, Step
-from .errors import ClassDependencyError, EvalError
+from .errors import ClassDependencyError, EvalError, UnboundAliasError
 from .rules import eval_term, member_name
 from .store import Store, KbClass
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
@@ -228,11 +228,7 @@ class _Binding:
     def member(self, store: Store, subst: dict[str, T.Term]) -> T.Term | None:
         """The coerced member term that a tuple yields, or None."""
         if self.selects:
-            try:
-                mt = eval_term(T.substitute(subst, self.term),
-                               store.lookup, store.tax)
-            except EvalError:     # an unbound variable, or a failed selection
-                return None
+            mt = eval_term(T.substitute(subst, self.term), store.lookup, store.tax)
             shape = (False, infer_static_type(mt, store.tax, store.type_of))
         else:
             try:
@@ -281,6 +277,7 @@ class _DisjunctRun:
         # an ungroundable check or an empty guard class fails every tuple
         self.live = plan.grounds and all(store.kb_class(c).members
                                          for c in plans.guards)
+        self.waits = False   # a tuple failed on an alias not yet stored
 
     def solve(self) -> list[T.Term]:
         """The coerced member terms of every tuple the plan finds."""
@@ -293,7 +290,8 @@ class _DisjunctRun:
         for c in checks:
             try:
                 holds = eval_ground_prop(T.substitute(subst, c.prop), self.store)
-            except EvalError:
+            except EvalError as exc:
+                self.waits |= isinstance(exc, UnboundAliasError)
                 return False
             if holds == c.negated:
                 return False
@@ -343,7 +341,11 @@ class _DisjunctRun:
                     or value in kcls.member_terms):
                 return
         self.stats.tuples += 1
-        mt = self.binding.member(self.store, subst)
+        try:
+            mt = self.binding.member(self.store, subst)
+        except EvalError as exc:   # an unbound variable, or a failed selection
+            self.waits |= isinstance(exc, UnboundAliasError)
+            return
         if mt is not None:
             out.append(mt)
 
@@ -354,18 +356,16 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
     # moving the watermark runs the store's scan, the one that replay runs
     old, size = cls.watermark, len(cls.members)
     _advance(store, cls, len(store.typed_list), cls.dep_marks)
-    st.scanned = cls.watermark - old
-    st.matched = len(cls.members) - size
+    st.scanned, st.matched = cls.watermark - old, len(cls.members) - size
 
 
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
     binding = cls.binding = cls.binding or _Binding(store, cls)
-    if any(store.lookup(c) is None or not binding.selects and store.type_of(c) is None
-           for c in binding.consts):
-        # no tuple's binding can be typed yet, or, when it selects a field,
-        # evaluated: keep the marks, so that the tuples are tried again once
-        # the alias is promoted or stored
+    if not binding.selects and any(store.type_of(c) is None
+                                   for c in binding.consts):
+        # no tuple's binding can be typed yet: keep the marks, so that the
+        # tuples are tried again once the alias is promoted
         return
     dep_names = sorted({c for _, c in clause.skolems})
     sizes = {d: len(store.kb_class(d).members) for d in dep_names}
@@ -375,23 +375,16 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
 
     for plans in clause.plans:
         deps = plans.classes
-        if any(store.lookup(a) is None for a in plans.aliases):
-            # a check naming an alias not yet stored fails every tuple, and
-            # no later window would revisit them: hold the marks until then
-            held = True
-            continue
         if (not deps and not cls.watermark
                 or any(marks[c] == 0 and sizes[c] for c in plans.guards)):
-            # one run over full windows: there is no literal to window and
-            # the disjunct has not been solved (the watermark), or a guard
-            # class just gained its first member, which admits tuples below
-            # the marks that earlier runs rejected
+            # one run over full windows: the disjunct has no literal to window
+            # and is unsolved, or a guard class just gained its first member,
+            # which admits tuples below the marks that earlier runs rejected
             runs = [(plans.drives[0], [(0, sizes[d]) for d in deps])]
         else:
             # semi-naive: the drive literal takes the members added since
             # the marks, the literals before it only older members; a drive
-            # with no new members enumerates nothing, so it is not run, and
-            # a solved disjunct with no literal has no drive
+            # with no new members enumerates nothing, so it is not run
             runs = [(plan, [(marks[d], sizes[d]) if i == drive
                             else (0, marks[d] if i < drive else sizes[d])
                             for i, d in enumerate(deps)])
@@ -400,15 +393,15 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
         for plan, windows in runs:
             run = _DisjunctRun(store, plans, plan, windows, prune, binding, st)
             produced.extend(run.solve())
+            held |= run.waits
 
     for t in produced:
         if store.add_member(cls.name, member_name(cls.name, t), t):
             st.matched += 1
     if not held:
-        # a subset class's watermark is 1 once its disjuncts with no literal
-        # have been solved; a class without one keeps 0 and logs no change
-        _advance(store, cls, int(any(not p.classes for p in clause.plans)),
-                 sizes)
+        # a tuple that failed on an alias not yet stored keeps the marks; the
+        # watermark is 1 once the disjuncts with no literal are solved
+        _advance(store, cls, int(any(not p.classes for p in clause.plans)), sizes)
 
 
 def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):

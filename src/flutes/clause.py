@@ -52,7 +52,6 @@ class Plan(NamedTuple):
 class DisjunctPlans(NamedTuple):
     classes: tuple[str, ...]    # the class of each match literal's skolem
     guards: tuple[str, ...]     # classes of the skolems no literal names
-    aliases: frozenset[str]     # the term aliases the checks name
     # per drive literal: it first, then the others in order; the first is
     # also the full order, and the only one when there is no match literal
     drives: tuple[Plan, ...]
@@ -100,7 +99,6 @@ def _plans(skolems: list[tuple[str, str]], disjunct) -> DisjunctPlans:
     return DisjunctPlans(
         tuple(cls_of[l.skolem] for l in lits),
         tuple(c for v, c in skolems if v not in named),
-        frozenset().union(*(T.alias_names(c.prop) for c, _ in checks)),
         tuple(_plan(skolems, lits, names, checks, o) for o in orders))
 
 

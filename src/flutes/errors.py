@@ -74,5 +74,9 @@ class EvalError(FlutesError):
     pass
 
 
+class UnboundAliasError(EvalError):
+    """An evaluation needed the term of an alias that is not stored."""
+
+
 class RuleFailure(FlutesError):
     """A grammar rule failed on one member (evaluation error or failed subsumption)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (CoercionDomainError, EvalError, RuleFailure, StoreError,
-                     TermError)
+                     TermError, UnboundAliasError)
 from .taxonomy import Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
@@ -65,7 +65,7 @@ def _deref(t: T.Term, env: Env) -> T.Term:
         seen.add(t.name)
         target = env(t.name)
         if target is None:
-            raise EvalError(f"unbound alias {t.name!r}")
+            raise UnboundAliasError(f"unbound alias {t.name!r}")
         t = target
     return t
 

@@ -11,24 +11,21 @@ record per line, in the order the changes were made:
   (watermark "class" N (("dep" M) ...))
   (commit N crc)                      ends a batch of N records
 
-Each record kind has one method that applies it (`_RECORDS`): a mutation
-validates, applies and renders its record into an in-memory batch, and
-replay applies the decoded record through the same method.  A static
-class's watermark says that typed ids [old, N) were scanned, so applying
-it runs that scan: static members, like adjacency and alias indexes, are
-derived, not logged.  A version-1 log, which logged them, still opens;
-the first batch appended to it starts with (flutes-log 2).
+Each record kind has one method that applies it (`_RECORDS`), live and on
+replay.  A static class's watermark says that typed ids [old, N) were
+scanned, so applying it runs that scan: static members are derived, not
+logged.  A version-1 log, which logged them, still opens, and the first
+batch appended to it begins with (flutes-log 2).
 
 commit() appends the batch and its marker, where crc is zlib.crc32 of the
 batch's bytes, with one write and one fsync.  Replay applies a batch only
-once its marker checks out; a record that the mutation would refuse, such
-as a class this version cannot compile, is corruption.  A batch that fails
-its marker is a torn tail when no valid marker follows it (it is truncated
-and reported in `torn_tail`), and corruption otherwise.  It is also
-corruption when the marker checks out against the batch's last records: a
-damaged marker then joined two committed batches.  A store constructed
-without a path lives in memory and renders no records.  An exclusive
-flock on the file `lock` serializes writer sessions per directory.
+once its marker checks out; a record that the mutation would refuse is
+corruption.  A batch that fails its marker is a torn tail when no valid
+marker follows it (it is truncated and reported in `torn_tail`), and
+corruption otherwise, also when the marker checks out against the batch's
+last records: a damaged marker then joined two committed batches.  A store
+without a path lives in memory and renders no records.  An exclusive flock
+on the file `lock` serializes writer sessions per directory.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ import re
 import zlib
 from collections import ChainMap
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Container
 
 from .clause import SkolemClause, skolemize
@@ -54,7 +52,7 @@ _CLASS_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 LOG = "log.fsx"
 LOCK = "lock"
-_VERSION = 2   # of the log this version writes; it also reads version 1
+_VERSION = "(flutes-log 2)\n"   # this version also reads (flutes-log 1)
 _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
@@ -95,7 +93,7 @@ class Store:
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
-        self._log_version = 0             # of log.fsx; 0 while it is empty
+        self._header = [_VERSION]  # begins the next batch of a new or version-1 log
         self._lock_fd: int | None = None
         self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
@@ -146,9 +144,7 @@ class Store:
         the same file, so no order between files has to be kept."""
         if not self._batch:
             return
-        first = self._log_size == 0
-        records = (self._batch if self._log_version == _VERSION
-                   else [f"(flutes-log {_VERSION})\n", *self._batch])
+        records = self._header + self._batch
         data = "".join(records).encode("utf-8")
         data += b"(commit %d %d)\n" % (len(records), zlib.crc32(data))
         if self._log_fd is None:
@@ -164,10 +160,10 @@ class Store:
             # for the next batch's marker to turn into corruption
             os.ftruncate(self._log_fd, self._log_size)
             raise
-        if first:
+        if self._log_size == 0:
             _fsync_dir(self.path)   # the directory entry of a new log
         self._log_size += len(data)
-        self._log_version = _VERSION
+        self._header = []
         self._batch.clear()
 
     def _log_path(self) -> str:
@@ -192,23 +188,16 @@ class Store:
 
     def same_as(self, a: str | Concept, b: str | Concept):
         a, b = _concept(a), _concept(b)
-        self._put_same_as(a, b)
+        self._put_edit(a, b, Taxonomy.same_as)
         self._log("same-as", a.name, b.name)
-
-    def _put_same_as(self, a: Concept, b: Concept):
-        self.tax.same_as(a, b)
-        self._forget_types()
 
     def add_is_a(self, child: str | Concept, parent: str | Concept):
         child, parent = _concept(child), _concept(parent)
-        self._put_is_a(child, parent)
+        self._put_edit(child, parent, Taxonomy.add_is_a)
         self._log("is-a", child.name, parent.name)
 
-    def _put_is_a(self, child: Concept, parent: Concept):
-        self.tax.add_is_a(child, parent)
-        self._forget_types()
-
-    def _forget_types(self):
+    def _put_edit(self, a: Concept, b: Concept, edit):
+        edit(self.tax, a, b)
         # field selections infer through label_match, so an edit may change
         # inferred types; the taxonomy has cleared its proof memo
         self._type_memo.clear()
@@ -360,12 +349,8 @@ class Store:
 
     def _put_watermark(self, class_name: str, watermark: int,
                        dep_marks: dict[str, int]):
-        """Moving a static class's watermark scans the typed ids it passes."""
         cls = self.kb_class(class_name)
         if not cls.is_subset:
-            if not cls.watermark <= watermark <= len(self.typed_list):
-                raise StoreError(f"class {class_name!r} cannot move its "
-                                 f"watermark from {cls.watermark} to {watermark}")
             target = self.resolve_class_type(class_name)
             for name, term in self.typed_list[cls.watermark:watermark]:
                 ty = self.type_of(name)
@@ -459,7 +444,7 @@ class Store:
 
     def _apply(self, batch: list[tuple[int, bytes]], first: bool):
         if first and not batch[0][1].startswith(b"(flutes-log "):
-            raise StoreCorruptionError(f"{LOG}:1: expected (flutes-log {_VERSION})")
+            raise StoreCorruptionError(f"{LOG}:1: expected {_VERSION.strip()}")
         for lineno, raw in batch:
             try:
                 apply, args = _decode(raw)
@@ -479,9 +464,9 @@ class Store:
                 f"match the batch before it")
 
     def _put_version(self, version: int):
-        if version not in (1, _VERSION):
+        if version not in (1, 2):
             raise ValueError(f"unknown log version {version}")
-        self._log_version = version
+        self._header = [_VERSION] if version == 1 else []
 
     def dump_state(self) -> str:
         """Canonical rendering of all in-memory state, for equality checks."""
@@ -544,20 +529,15 @@ def _concept(x: str | Concept) -> Concept:
     return c
 
 
-def _term(node) -> T.Term:
-    return build_value(node, T.Term)
-
-
-# The log's records, each head once: head -> (the Store method that applies
-# the record, live and on replay, and the reader of each field).
+# head -> (the method that applies it, live and on replay; its field readers)
 _RECORDS = {
     "flutes-log": (Store._put_version, (int,)),
-    "same-as": (Store._put_same_as, (_concept, _concept)),
-    "is-a": (Store._put_is_a, (_concept, _concept)),
-    "class": (Store._put_class, (str, lambda node: build_value(node, T.Type))),
-    "term": (Store._put_term, (str, _term)),
+    "same-as": (partial(Store._put_edit, edit=Taxonomy.same_as), (_concept,) * 2),
+    "is-a": (partial(Store._put_edit, edit=Taxonomy.add_is_a), (_concept,) * 2),
+    "class": (Store._put_class, (str, partial(build_value, want=T.Type))),
+    "term": (Store._put_term, (str, partial(build_value, want=T.Term))),
     "promote": (Store._promote, (str,)),
-    "member": (Store._put_member, (str, str, _term)),
+    "member": (Store._put_member, (str, str, partial(build_value, want=T.Term))),
     "watermark": (Store._put_watermark,
                   (str, int, lambda marks: {str(d): int(m) for d, m in marks})),
 }

@@ -401,34 +401,63 @@ class TestIncrementality:
         report = find_members(store)
         assert report.per_class["originator"].candidates == 0
 
-    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "or-other"])
+    @pytest.mark.parametrize("case, before", [
+        ("gt", 0), ("gt-or-other", 1), ("not-eq", 2), ("inseq", 1)])
     def test_tuples_a_check_rejected_for_a_missing_alias_are_revisited(
-            self, store, alone):
-        # the check names lim before lim is stored, which fails every tuple
-        # of its disjunct: the class keeps its marks until lim arrives, while
-        # a disjunct that does not name lim is solved as usual
+            self, store, case, before):
+        # x.amount > lim.amount fails on lim before lim is stored, so the
+        # class keeps its marks until lim arrives; a check that compares lim
+        # as a name does not fail on it, and the engine agrees with the
+        # oracle on the value lim has as a name
         find_members(store)
         insert_program(store, 't2 := {"amount"=50.0, "type"=cc()};')
-        x = T.var("x")
+        x, lim = T.var("x"), T.term_name("lim")
 
         def amount(t):
             return T.FieldSelection(t, mk_concept("amount"))
-        check = T.BuiltinPred(T.PredOp.GT, (amount(x), amount(T.term_name("lim"))))
-        if not alone:
-            check = T.disj(check, T.BuiltinPred(T.PredOp.GT,
-                                                (amount(x), T.num_f(100))))
+        check = {
+            "gt": T.BuiltinPred(T.PredOp.GT, (amount(x), amount(lim))),
+            "gt-or-other": T.disj(
+                T.BuiltinPred(T.PredOp.GT, (amount(x), amount(lim))),
+                T.BuiltinPred(T.PredOp.GT, (amount(x), T.num_f(100)))),
+            "not-eq": T.Not(T.equals(x, lim)),
+            "inseq": T.InSequence(T.FieldSelection(x, mk_concept("type")),
+                                  (T.Atom(mk_concept("cc")), lim)),
+        }[case]
         store.mk_kb_class("big", T.subset_ty(
             x, T.type_name("trans"), T.exists("y", T.type_name("trans"), T.conj(
                 T.equals(x, T.var("y")), check))))
         find_members(store)
         engine = store.kb_class("big").member_terms.keys()
         assert engine == oracle_extensions(store)["big"]
-        assert len(engine) == (0 if alone else 1)
+        assert len(engine) == before
         insert_program(store, 'lim := {"amount"=1.0, "type"=cc()};')
         find_members(store)
         engine = store.kb_class("big").member_terms.keys()
         assert engine == oracle_extensions(store)["big"]
         assert len(engine) == 2
+
+    def test_a_check_through_a_stored_alias_waits_for_the_one_it_names(
+            self, store):
+        # cfg is stored, but the z its ref names is not: cfg.ref.amount
+        # fails on z, and the disjunct with no literal is solved again once
+        # z arrives
+        find_members(store)
+        ref = T.FieldSelection(T.term_name("cfg"), mk_concept("ref"))
+        store.abox_insert("cfg", T.record(store.tax, [("ref", T.term_name("z"))]))
+        store.mk_kb_class("konst", T.subset_ty(
+            T.term_name("joe"), T.type_name("person"),
+            T.BuiltinPred(T.PredOp.GT, (T.FieldSelection(ref, mk_concept("amount")),
+                                        T.num_f(0)))))
+        for _ in range(2):
+            find_members(store)
+            assert not store.kb_class("konst").members
+            assert not oracle_extensions(store)["konst"]
+        insert_program(store, 'z := {"amount"=1.0, "type"=cc()};')
+        find_members(store)
+        engine = store.kb_class("konst").member_terms.keys()
+        assert engine == oracle_extensions(store)["konst"]
+        assert len(engine) == 1
 
     def test_a_disjunct_with_no_literal_is_solved_once(self, tmp_path):
         path = str(tmp_path / "kb")
