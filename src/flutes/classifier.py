@@ -20,7 +20,7 @@ from time import perf_counter
 from . import terms as T
 from .clause import DisjunctPlans, Plan, Step
 from .errors import ClassDependencyError, EvalError, UnboundAliasError
-from .rules import eval_term, member_name
+from .rules import deref, eval_term, member_name
 from .store import Store, KbClass
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
@@ -72,18 +72,6 @@ def promote_untyped(store: Store) -> int:
 
 # -- ground proposition evaluation -------------------------------------------
 
-def _norm(t: T.Term, store: Store) -> T.Term:
-    """Resolve alias chains to stored terms for comparison purposes."""
-    seen: set[str] = set()
-    while isinstance(t, T.TermAlias) and t.name not in seen:
-        seen.add(t.name)
-        ref = store.lookup(t.name)
-        if ref is None:
-            break
-        t = ref
-    return t
-
-
 _COMPARE = {T.PredOp.LT: operator.lt, T.PredOp.LE: operator.le,
             T.PredOp.GT: operator.gt, T.PredOp.GE: operator.ge}
 
@@ -91,23 +79,33 @@ _COMPARE = {T.PredOp.LT: operator.lt, T.PredOp.LE: operator.le,
 def eval_ground_prop(p: T.Prop, store: Store) -> bool:
     """Truth of a variable-free proposition.  Comparison operands must
     evaluate to two numbers or two strings; equality and sequence
-    membership compare structurally after resolving aliases."""
+    membership compare the terms that aliases name.  An alias that is not
+    stored raises UnboundAliasError, unless a sequence item already matches."""
     if isinstance(p, T.TrueProp):
         return True
     if isinstance(p, T.FalseProp):
         return False
+
+    def value(x):
+        return deref(eval_term(x, store.lookup, store.tax), store.lookup)
     if isinstance(p, T.BuiltinPred):
-        a, b = (eval_term(x, store.lookup, store.tax) for x in p.args)
         if p.op is T.PredOp.EQ:
-            return _norm(a, store) == _norm(b, store)
+            return value(p.args[0]) == value(p.args[1])
+        a, b = (eval_term(x, store.lookup, store.tax) for x in p.args)
         if type(a) is not type(b) or type(a) not in (T.Num, T.Str):
             raise EvalError("comparison needs two numbers or two strings")
         return _COMPARE[p.op](a.value, b.value)
     if isinstance(p, T.InSequence):
-        item = _norm(eval_term(p.item, store.lookup, store.tax), store)
-        return any(
-            item == _norm(eval_term(i, store.lookup, store.tax), store)
-            for i in p.items)
+        item, missing = value(p.item), None
+        for i in p.items:
+            try:
+                if item == value(i):
+                    return True
+            except UnboundAliasError as exc:
+                missing = exc
+        if missing is not None:
+            raise missing
+        return False
     raise EvalError(f"cannot evaluate proposition {type(p).__name__}")
 
 
@@ -206,21 +204,21 @@ class _Binding:
     edit drops it.
 
     The substituted binding's type is a function of its shape: the types
-    of the variables' values, whether they all are aliases, and the types
-    of the aliases the binding names itself (a later run may find one
-    promoted).  Each shape is proved once.  Its coercion is skipped when
-    the proof is identity shaped, or when the values all are aliases and
-    the coercion left the shape's first term unchanged: a coercion stops at
-    aliases.  A binding that selects a field is evaluated before it is
-    typed, and keyed by the evaluated term's type, since a selection can
-    reach a typeable part of a value that has no type.
+    of the variables' values and whether they all are aliases.  Each shape
+    is proved once, and remembered only once every alias in its term has a
+    type (which it keeps until an edit): a term that has no type because an
+    alias it names has none yet raises UnboundAliasError.  Its coercion is
+    skipped when the proof is identity shaped, or when the values all are
+    aliases and the coercion left the shape's first term unchanged: a
+    coercion stops at aliases.  A binding that selects a field is evaluated
+    before it is typed, and keyed by the evaluated term's type, since a
+    selection can reach a typeable part of a value that has no type.
     """
 
     def __init__(self, store: Store, cls: KbClass):
         self.term = cls.definition.binding_term
         self.ty = store.resolve_class_type(cls.name)
         self.vars = sorted(T.free_vars(self.term))
-        self.consts = sorted(T.alias_names(self.term))
         self.selects = any(type(n) is T.FieldSelection
                            for n in T.nodes(self.term))
         self.proofs: dict = {}   # shape -> (proof, unchanged) or None
@@ -239,8 +237,7 @@ class _Binding:
             aliases = all(type(v) is T.TermAlias for v in values)
             shape = (aliases, *[store.type_of(v.name) if type(v) is T.TermAlias
                                 else infer_static_type(v, store.tax, store.type_of)
-                                for v in values],
-                     *map(store.type_of, self.consts))
+                                for v in values])
         hit = self.proofs.get(shape, _MISS)
         if hit is _MISS:
             hit = self.proofs[shape] = self._prove(store, mt, shape[0])
@@ -253,7 +250,12 @@ class _Binding:
         """The proof for mt's shape and whether its coercion leaves the
         shape's terms unchanged, or None."""
         ty = infer_static_type(mt, store.tax, store.type_of)
-        proof = None if ty is None else prove_subtype(ty, self.ty, store.tax)
+        if ty is None:
+            for name in sorted(T.alias_names(mt)):
+                if store.type_of(name) is None:
+                    raise UnboundAliasError(f"alias {name!r} has no type yet")
+            return None
+        proof = prove_subtype(ty, self.ty, store.tax)
         if proof is None:
             return None
         return proof, (is_identity_shaped(proof)
@@ -277,7 +279,7 @@ class _DisjunctRun:
         # an ungroundable check or an empty guard class fails every tuple
         self.live = plan.grounds and all(store.kb_class(c).members
                                          for c in plans.guards)
-        self.waits = False   # a tuple failed on an alias not yet stored
+        self.waits = False   # a tuple failed on an alias not yet stored or typed
 
     def solve(self) -> list[T.Term]:
         """The coerced member terms of every tuple the plan finds."""
@@ -343,7 +345,7 @@ class _DisjunctRun:
         self.stats.tuples += 1
         try:
             mt = self.binding.member(self.store, subst)
-        except EvalError as exc:   # an unbound variable, or a failed selection
+        except EvalError as exc:   # a failed selection, or an alias not yet typed
             self.waits |= isinstance(exc, UnboundAliasError)
             return
         if mt is not None:
@@ -362,20 +364,15 @@ def _run_static(store: Store, cls: KbClass, st: ClassStats):
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
     binding = cls.binding = cls.binding or _Binding(store, cls)
-    if not binding.selects and any(store.type_of(c) is None
-                                   for c in binding.consts):
-        # no tuple's binding can be typed yet: keep the marks, so that the
-        # tuples are tried again once the alias is promoted
-        return
     dep_names = sorted({c for _, c in clause.skolems})
     sizes = {d: len(store.kb_class(d).members) for d in dep_names}
-    marks = {d: cls.dep_marks.get(d, 0) for d in dep_names}
+    marks = {d: (cls.dep_marks or {}).get(d, 0) for d in dep_names}
     produced: list[T.Term] = []
     held = False
 
     for plans in clause.plans:
         deps = plans.classes
-        if (not deps and not cls.watermark
+        if (not deps and cls.dep_marks is None
                 or any(marks[c] == 0 and sizes[c] for c in plans.guards)):
             # one run over full windows: the disjunct has no literal to window
             # and is unsolved, or a guard class just gained its first member,
@@ -399,9 +396,9 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
         if store.add_member(cls.name, member_name(cls.name, t), t):
             st.matched += 1
     if not held:
-        # a tuple that failed on an alias not yet stored keeps the marks; the
-        # watermark is 1 once the disjuncts with no literal are solved
-        _advance(store, cls, int(any(not p.classes for p in clause.plans)), sizes)
+        # marks move only past final verdicts: a tuple that failed on an
+        # alias not yet stored or typed is judged again from the old marks
+        _advance(store, cls, 0, sizes)
 
 
 def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):

@@ -75,7 +75,7 @@ class EvalError(FlutesError):
 
 
 class UnboundAliasError(EvalError):
-    """An evaluation needed the term of an alias that is not stored."""
+    """Not yet: a verdict needs an alias that is not stored or not typed."""
 
 
 class RuleFailure(FlutesError):

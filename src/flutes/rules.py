@@ -37,7 +37,7 @@ def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
     only when a selection needs to look inside one.
     """
     if isinstance(t, T.FieldSelection):
-        base = _deref(eval_term(t.base, env, tax), env)
+        base = deref(eval_term(t.base, env, tax), env)
         if t.label.is_positional:
             inner = T.pred_app_parts(base)
             if inner is not None:
@@ -57,7 +57,9 @@ def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
     return T.map_parts(t, lambda x: eval_term(x, env, tax))
 
 
-def _deref(t: T.Term, env: Env) -> T.Term:
+def deref(t: T.Term, env: Env) -> T.Term:
+    """The term an alias chain names, or t itself when it is no alias; an
+    alias that is not stored raises UnboundAliasError."""
     seen = set()
     while isinstance(t, T.TermAlias):
         if t.name in seen:

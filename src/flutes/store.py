@@ -15,7 +15,8 @@ Each record kind has one method that applies it (`_RECORDS`), live and on
 replay.  A static class's watermark says that typed ids [old, N) were
 scanned, so applying it runs that scan: static members are derived, not
 logged.  A version-1 log, which logged them, still opens, and the first
-batch appended to it begins with (flutes-log 2).
+batch appended to it begins with (flutes-log 2).  A taxonomy edit rewinds
+every class's marks, live and on replay.
 
 commit() appends the batch and its marker, where crc is zlib.crc32 of the
 batch's bytes, with one write and one fsync.  Replay applies a batch only
@@ -67,8 +68,9 @@ class KbClass:
     by_alias: dict[str, list[int]] = field(default_factory=dict)
     # term -> name of its first member; members hold distinct terms
     member_terms: dict[T.Term, str] = field(default_factory=dict)
-    watermark: int = 0   # static: typed ids scanned; subset: 1 once solved
-    dep_marks: dict[str, int] = field(default_factory=dict)  # subset classes
+    watermark: int = 0   # static: the typed ids judged; subset: 0
+    # subset: members per dependency class judged; None while unsolved
+    dep_marks: dict[str, int] | None = None
     binding: object = None   # the classifier's, with its proof memo
 
     @property
@@ -203,10 +205,12 @@ class Store:
         self._type_memo.clear()
         self._types.clear()
         self._class_types.clear()
+        # every verdict may change, so every class judges everything again;
+        # members stay, and a static scan skips those it already holds
         for cls in self.classes.values():
-            cls.binding = None
-            if cls.is_subset:   # its disjuncts with no literal are solved anew
-                cls.watermark = 0
+            cls.watermark, cls.binding = 0, None
+            if cls.is_subset:
+                cls.dep_marks = None
 
     def _intern(self, ty: T.Type) -> T.Type:
         """The shared instance equal to ty, so that proof-memo keys built
@@ -353,6 +357,8 @@ class Store:
         if not cls.is_subset:
             target = self.resolve_class_type(class_name)
             for name, term in self.typed_list[cls.watermark:watermark]:
+                if name in cls.by_name:
+                    continue
                 ty = self.type_of(name)
                 proof = None if ty is None else prove_subtype(ty, target, self.tax)
                 coerced = None if proof is None else coerce_term(self, proof, term)
@@ -479,7 +485,8 @@ class Store:
             refs = " ".join(sorted(self.contains_map[name]))
             lines.append(f"adj {name} [{refs}]")
         for name, cls in sorted(self.classes.items()):
-            deps = " ".join(f"{k}={v}" for k, v in sorted(cls.dep_marks.items()))
+            marks = sorted((cls.dep_marks or {}).items())
+            deps = " ".join(f"{k}={v}" for k, v in marks)
             lines.append(f"class {name} wm={cls.watermark} deps=[{deps}] "
                          f"{render_sexp(cls.definition)}")
             for mname, t in cls.members:

@@ -127,23 +127,8 @@ class Proof:
 
 
 @dataclass(frozen=True)
-class NumLeaf(Proof):
-    pass
-
-
-@dataclass(frozen=True)
-class StrLeaf(Proof):
-    pass
-
-
-@dataclass(frozen=True)
-class VoidLeaf(Proof):
-    pass
-
-
-@dataclass(frozen=True)
-class EnumLeaf(Proof):
-    pass
+class Leaf(Proof):
+    admits: type | None   # the term class its coercion accepts; None: void
 
 
 @dataclass(frozen=True)
@@ -182,15 +167,15 @@ def prove_subtype_uncached(sub: T.Type, sup: T.Type,
         if isinstance(ty, (T.SubsetTy, T.TyAlias)):
             raise TypeCheckError(f"prove_subtype needs static types, got {ty!r}")
     if isinstance(sub, T.VoidTy):
-        return VoidLeaf()
+        return Leaf(None)
     if isinstance(sub, T.NumTy) and isinstance(sup, T.NumTy):
-        return NumLeaf()
+        return Leaf(T.Num)
     if isinstance(sub, T.StrTy) and isinstance(sup, T.StrTy):
-        return StrLeaf()
+        return Leaf(T.Str)
     if isinstance(sub, T.EnumTy) and isinstance(sup, T.EnumTy):
         included = all(any(tax.equiv(c, d) for d in sup.concepts)
                        for c in sub.concepts)
-        return EnumLeaf() if included else None
+        return Leaf(T.Atom) if included else None
     if isinstance(sub, T.ListTy) and isinstance(sup, T.ListTy):
         child = prove_subtype_uncached(sub.elem, sup.elem, tax)
         return ListNode(child) if child is not None else None
@@ -219,7 +204,7 @@ def prove_subtype_uncached(sub: T.Type, sup: T.Type,
 def is_identity_shaped(proof: Proof) -> bool:
     """True when the proof's coercion maps every conforming term to itself.
 
-    Enum inclusion and void leaves rewrite nothing, so they count.
+    Leaves rewrite nothing, so they count.
     """
     if isinstance(proof, RecordNode):
         return (not proof.dropped
@@ -266,19 +251,9 @@ def _coerce(proof: Proof, t: T.Term) -> T.Term:
             raise CoercionDomainError(f"list coercion applied to {t!r}")
         items = tuple(_coerce(proof.child, i) for i in t.items)
         return t if all(map(operator.is_, items, t.items)) else T.List(items)
-    if isinstance(proof, NumLeaf):
-        if not isinstance(t, T.Num):
-            raise CoercionDomainError(f"number expected, got {t!r}")
-        return t
-    if isinstance(proof, StrLeaf):
-        if not isinstance(t, T.Str):
-            raise CoercionDomainError(f"string expected, got {t!r}")
-        return t
-    if isinstance(proof, EnumLeaf):
-        if not isinstance(t, T.Atom):
-            raise CoercionDomainError(f"atom expected, got {t!r}")
-        return t
-    if isinstance(proof, VoidLeaf):
-        raise CoercionDomainError(f"no term inhabits the void type: {t!r}")
+    if isinstance(proof, Leaf):
+        if isinstance(t, proof.admits or ()):   # no term inhabits void
+            return t
+        raise CoercionDomainError(f"{proof!r} applied to {t!r}")
     raise CoercionDomainError(f"unknown proof node {proof!r}")
 

@@ -7,7 +7,7 @@ from flutes.errors import AliasCycleError, CoercionDomainError, TypeCheckError
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 from flutes import terms as T
 from flutes.typecheck import (
-    EnumLeaf, ListNode, RecordNode, apply_coercion,
+    Leaf, ListNode, RecordNode, apply_coercion,
     infer_static_type, is_identity_shaped, prove_subtype, resolve_type,
     select_field_type,
 )
@@ -117,7 +117,7 @@ class TestProve:
 
     def test_enum_inclusion(self, tax):
         small, big = T.enum_ty(["check"]), T.enum_ty(["check", "cc"])
-        assert isinstance(prove_subtype(small, big, tax), EnumLeaf)
+        assert prove_subtype(small, big, tax) == Leaf(T.Atom)
         assert prove_subtype(big, small, tax) is None
         tax.same_as(mk_concept("check"), mk_concept("cheque"))
         assert prove_subtype(T.enum_ty(["cheque"]), big, tax) is not None
