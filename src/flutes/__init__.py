@@ -9,9 +9,9 @@ from .benchgen import GenConfig, generate, run_experiment
 from .classifier import (FindReport, eval_ground_prop, find_members,
                          promote_untyped)
 from .clause import skolemize
-from .errors import (ClassDependencyError, FlutesError, ParseError,
-                     RuleFailure, StoreCorruptionError, StoreError,
-                     TypeCheckError, UnsupportedPropError)
+from .errors import (FlutesError, ParseError, RuleFailure,
+                     StoreCorruptionError, StoreError, TypeCheckError,
+                     UnsupportedPropError)
 from .oracle import oracle_extensions
 from .rules import Analytic, RuleReport, mk_analytic, run_analytic
 from .sexp import parse_sexp, render_sexp
@@ -24,10 +24,10 @@ from .typecheck import (apply_coercion, infer_static_type,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analytic", "ClassDependencyError", "Concept", "FindReport",
-    "FlutesError", "GenConfig", "KbClass", "ParseError", "RuleFailure",
-    "RuleReport", "Store", "StoreCorruptionError", "StoreError", "Taxonomy",
-    "TypeCheckError", "UnsupportedPropError", "apply_coercion",
+    "Analytic", "Concept", "FindReport", "FlutesError", "GenConfig",
+    "KbClass", "ParseError", "RuleFailure", "RuleReport", "Store",
+    "StoreCorruptionError", "StoreError", "Taxonomy", "TypeCheckError",
+    "UnsupportedPropError", "apply_coercion",
     "eval_ground_prop", "find_members", "generate", "infer_static_type",
     "is_identity_shaped", "mk_analytic", "mk_concept", "oracle_extensions",
     "parse_program", "parse_sexp", "positional", "promote_untyped",

@@ -164,8 +164,7 @@ def _phase(store: Store, phase: str, emit, prune: bool) -> bool:
     elapsed = time.perf_counter() - start
     expected = oracle_extensions(store)
     all_agree = True
-    for name in report.order:
-        st = report.per_class[name]
+    for name, st in report.per_class.items():
         cls = store.kb_class(name)
         agree = cls.member_terms.keys() == expected[name]
         all_agree = all_agree and agree

@@ -10,49 +10,31 @@ against candidate members.  Candidate scans are restricted by each
 class's alias index (the containment graph, per member) and by per-class
 watermarks, so re-runs only consider tuples that involve at least one
 member added since the previous run.
+
+A class's judgement (`judge`) is what applying its watermark record runs,
+live and on replay (see store.py), so derived members are never logged.
 """
+
+from __future__ import annotations
 
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from . import terms as T
 from .clause import DisjunctPlans, Plan, Step
-from .errors import ClassDependencyError, EvalError, UnboundAliasError
-from .rules import deref, eval_term, member_name
-from .store import Store, KbClass
+from .errors import EvalError, UnboundAliasError
+from .rules import coerce_term, deref, eval_term, member_name
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
 
+if TYPE_CHECKING:   # the store imports this module to apply watermark records
+    from .store import KbClass, Store
 
-# -- class ordering and term promotion ---------------------------------------
 
-def dependency_order(store: Store) -> list[str]:
-    """Classes in an order that places every referenced class first;
-    ties keep registration order.  Computed once per set of classes."""
-    if store.class_order is not None:
-        return list(store.class_order)
-    deps = {name: sorted(T.type_alias_names(cls.definition))
-            for name, cls in store.classes.items()}
-    order: list[str] = []
-    placed: set[str] = set()
-    names = list(store.classes)
-    while len(order) < len(names):
-        progressed = False
-        for name in names:
-            if name in placed:
-                continue
-            if all(d in placed for d in deps[name]):
-                order.append(name)
-                placed.add(name)
-                progressed = True
-        if not progressed:
-            stuck = ", ".join(n for n in names if n not in placed)
-            raise ClassDependencyError(f"cyclic class dependencies: {stuck}")
-    store.class_order = order
-    return list(order)
-
+# -- term promotion ------------------------------------------------------------
 
 def promote_untyped(store: Store) -> int:
     """Promote every untyped term that now infers a static type; repeated
@@ -77,10 +59,10 @@ _COMPARE = {T.PredOp.LT: operator.lt, T.PredOp.LE: operator.le,
 
 
 def eval_ground_prop(p: T.Prop, store: Store) -> bool:
-    """Truth of a variable-free proposition.  Comparison operands must
-    evaluate to two numbers or two strings; equality and sequence
-    membership compare the terms that aliases name.  An alias that is not
-    stored raises UnboundAliasError, unless a sequence item already matches."""
+    """Truth of a variable-free proposition.  Operands are compared as the
+    terms that aliases name, and comparison operands must be two numbers or
+    two strings.  An alias that is not stored raises UnboundAliasError,
+    unless a sequence item already matches."""
     if isinstance(p, T.TrueProp):
         return True
     if isinstance(p, T.FalseProp):
@@ -89,9 +71,9 @@ def eval_ground_prop(p: T.Prop, store: Store) -> bool:
     def value(x):
         return deref(eval_term(x, store.lookup, store.tax), store.lookup)
     if isinstance(p, T.BuiltinPred):
+        a, b = value(p.args[0]), value(p.args[1])
         if p.op is T.PredOp.EQ:
-            return value(p.args[0]) == value(p.args[1])
-        a, b = (eval_term(x, store.lookup, store.tax) for x in p.args)
+            return a == b
         if type(a) is not type(b) or type(a) not in (T.Num, T.Str):
             raise EvalError("comparison needs two numbers or two strings")
         return _COMPARE[p.op](a.value, b.value)
@@ -176,14 +158,12 @@ class ClassStats:
 @dataclass
 class FindReport:
     promoted: int = 0
-    order: list[str] = field(default_factory=list)
     per_class: dict[str, ClassStats] = field(default_factory=dict)
     elapsed: float = 0.0
 
     def lines(self, timings: bool = True) -> list[str]:
         out = [f"promoted\t{self.promoted}"]
-        for name in self.order:
-            st = self.per_class[name]
+        for name, st in self.per_class.items():   # in definition order
             for key in ("scanned", "candidates", "tuples", "matched"):
                 out.append(f"class.{name}.{key}\t{getattr(st, key)}")
             if timings:
@@ -352,21 +332,46 @@ class _DisjunctRun:
             out.append(mt)
 
 
-# -- the classifier --------------------------------------------------------------
+# -- the judgement ---------------------------------------------------------------
 
-def _run_static(store: Store, cls: KbClass, st: ClassStats):
-    # moving the watermark runs the store's scan, the one that replay runs
-    old, size = cls.watermark, len(cls.members)
-    _advance(store, cls, len(store.typed_list), cls.dep_marks)
-    st.scanned, st.matched = cls.watermark - old, len(cls.members) - size
+def judge(store: Store, cls: KbClass, watermark: int, prune: bool = True,
+          st: ClassStats | None = None) -> tuple[int, dict[str, int]]:
+    """Run the judgement a watermark record of the class stands for, adding
+    the members it derives unlogged; returns the record's figures: a static
+    class's watermark, moved to `watermark`, and no marks, or a subset
+    class's member count and marks, moved to its dependencies' sizes."""
+    st = st or ClassStats()
+    if cls.is_subset:
+        _run_subset(store, cls, prune, st)
+        return len(cls.members), cls.dep_marks or {}
+    _run_static(store, cls, watermark, st)
+    return cls.watermark, {}
+
+
+def _run_static(store: Store, cls: KbClass, watermark: int, st: ClassStats):
+    target = store.resolve_class_type(cls.name)
+    size = len(cls.members)
+    for name, term in store.typed_list[cls.watermark:watermark]:
+        if name in cls.by_name:   # judged before an edit rewound the class,
+            continue              # or a version-1 member record
+        ty = store.type_of(name)
+        proof = None if ty is None else prove_subtype(ty, target, store.tax)
+        coerced = None if proof is None else coerce_term(store, proof, term)
+        if coerced is not None:
+            store._put_member(cls.name, name, coerced)
+    st.scanned, st.matched = watermark - cls.watermark, len(cls.members) - size
+    cls.watermark = watermark
+
+
+def _sizes(store: Store, cls: KbClass) -> dict[str, int]:
+    return {c: len(store.kb_class(c).members) for _, c in cls.clause.skolems}
 
 
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     clause = cls.clause
     binding = cls.binding = cls.binding or _Binding(store, cls)
-    dep_names = sorted({c for _, c in clause.skolems})
-    sizes = {d: len(store.kb_class(d).members) for d in dep_names}
-    marks = {d: (cls.dep_marks or {}).get(d, 0) for d in dep_names}
+    sizes = _sizes(store, cls)
+    marks = {d: (cls.dep_marks or {}).get(d, 0) for d in sizes}
     produced: list[T.Term] = []
     held = False
 
@@ -393,36 +398,29 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
             held |= run.waits
 
     for t in produced:
-        if store.add_member(cls.name, member_name(cls.name, t), t):
+        if t not in cls.member_terms:   # naming renders and digests the term
+            store._put_member(cls.name, member_name(cls.name, t), t)
             st.matched += 1
     if not held:
         # marks move only past final verdicts: a tuple that failed on an
         # alias not yet stored or typed is judged again from the old marks
-        _advance(store, cls, 0, sizes)
+        cls.dep_marks = sizes
 
 
-def _advance(store: Store, cls: KbClass, watermark: int, dep_marks: dict[str, int]):
-    # an unchanged watermark record would only lengthen the log
-    if watermark != cls.watermark or dep_marks != cls.dep_marks:
-        store.set_watermark(cls.name, watermark, dep_marks)
-
+# -- the classifier --------------------------------------------------------------
 
 def find_members(store: Store, prune: bool = True) -> FindReport:
-    """Promote newly typeable terms, then bring every class's member
-    collection up to date, dependencies first."""
+    """Promote newly typeable terms, then judge every class that has
+    something new to judge, in definition order: a class is defined after
+    the classes it names."""
     t0 = perf_counter()
-    order = dependency_order(store)
-    report = FindReport(order=order)
-    report.promoted = promote_untyped(store)
-    for name in order:
-        cls = store.kb_class(name)
-        st = ClassStats()
-        report.per_class[name] = st
+    report = FindReport(promote_untyped(store))
+    for name, cls in store.classes.items():
+        st = report.per_class[name] = ClassStats()
         t1 = perf_counter()
-        if cls.is_subset:
-            _run_subset(store, cls, prune, st)
-        else:
-            _run_static(store, cls, st)
+        if (cls.dep_marks != _sizes(store, cls) if cls.is_subset
+                else cls.watermark < len(store.typed_list)):
+            store.set_watermark(name, prune, st)
         st.elapsed = perf_counter() - t1
     store.commit()
     report.elapsed = perf_counter() - t0

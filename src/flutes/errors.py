@@ -66,10 +66,6 @@ class UnsupportedPropError(ClassifierError):
     """Raised for proposition shapes the clause compiler does not handle."""
 
 
-class ClassDependencyError(ClassifierError):
-    pass
-
-
 class EvalError(FlutesError):
     pass
 

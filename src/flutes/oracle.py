@@ -11,7 +11,7 @@ stale memo cannot fool the engine and the oracle alike.
 """
 
 from . import terms as T
-from .classifier import dependency_order, eval_ground_prop
+from .classifier import eval_ground_prop
 from .errors import EvalError, UnsupportedPropError
 from .rules import coerce_term, eval_term, member_name
 from .store import Store, KbClass
@@ -25,8 +25,7 @@ def oracle_extensions(store: Store) -> dict[str, set[T.Term]]:
     untyped terms have already been promoted (run after find_members or
     promote_untyped)."""
     ext: Ext = {}
-    for name in dependency_order(store):
-        cls = store.kb_class(name)
+    for name, cls in store.classes.items():
         if cls.is_subset:
             ext[name] = _subset_ext(store, cls, ext)
         else:

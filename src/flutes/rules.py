@@ -20,7 +20,7 @@ from .taxonomy import Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
 
-if TYPE_CHECKING:          # the store imports this module for coerce_term
+if TYPE_CHECKING:          # the store imports the classifier, which imports this
     from .store import Store
 
 Env = Callable[[str], Optional[T.Term]]
@@ -94,10 +94,10 @@ def check_and_coerce(store: Store, result: T.Term, out_ty: T.Type,
     proof = prove_subtype(ty, out_ty, store.tax)
     if proof is None:
         raise RuleFailure(f"{who}: result type is not subsumed by the output type")
-    try:
-        return apply_coercion(proof, result)
-    except CoercionDomainError as exc:   # e.g. an unevaluated field selection
-        raise RuleFailure(f"{who}: result cannot be coerced: {exc}") from exc
+    coerced = coerce_term(store, proof, result)   # as the static scan does
+    if coerced is None:
+        raise RuleFailure(f"{who}: result cannot be coerced")
+    return coerced
 
 
 # ---------------------------------------------------------------------------

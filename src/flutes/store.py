@@ -3,20 +3,23 @@
 A store directory holds one append-only S-expression log, `log.fsx`, one
 record per line, in the order the changes were made:
 
-  (flutes-log 2)                      format version, first record of the log
+  (flutes-log 3)                      format version, first record of the log
   (class "name" <type>) | (same-as "a" "b") | (is-a "a" "b")
   (term "name" <term>)                an untyped term
   (promote "name")                    typed ids follow promotion order
-  (member "class" "mname" <term>)     a member that no scan derives
-  (watermark "class" N (("dep" M) ...))
+  (member "class" "mname" <term>)     a member an analytic asserted
+  (watermark "class" N (("dep" M) ...))   a judgement of the class
   (commit N crc)                      ends a batch of N records
 
 Each record kind has one method that applies it (`_RECORDS`), live and on
-replay.  A static class's watermark says that typed ids [old, N) were
-scanned, so applying it runs that scan: static members are derived, not
-logged.  A version-1 log, which logged them, still opens, and the first
-batch appended to it begins with (flutes-log 2).  A taxonomy edit rewinds
-every class's marks, live and on replay.
+replay.  For a watermark record that is the class's judgement
+(`classifier.judge`), so derived members are never logged: a static class
+scans the typed ids from its old watermark up to N; a subset class solves
+its disjuncts over its dependency classes' members, and N and the M are its
+member count and marks after, which replay must reach.  Logs of versions 1
+and 2, which also logged derived members, still open; the first batch
+appended to one begins with (flutes-log 3).  A taxonomy edit rewinds every
+class's marks, live and on replay.
 
 commit() appends the batch and its marker, where crc is zlib.crc32 of the
 batch's bytes, with one write and one fsync.  Replay applies a batch only
@@ -40,20 +43,20 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Container
 
+from .classifier import ClassStats, judge
 from .clause import SkolemClause, skolemize
 from .errors import (AliasCycleError, DuplicateNameError, StoreCorruptionError,
                      StoreError)
-from .rules import coerce_term
 from .sexp import build_value, quote_string, read_node, render_sexp
 from .taxonomy import Concept, Taxonomy, mk_concept
-from .typecheck import infer_static_type, prove_subtype, resolve_type
+from .typecheck import infer_static_type, resolve_type
 from . import terms as T
 
 _CLASS_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 LOG = "log.fsx"
 LOCK = "lock"
-_VERSION = "(flutes-log 2)\n"   # this version also reads (flutes-log 1)
+_VERSION = "(flutes-log 3)\n"   # this version also reads versions 1 and 2
 _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
@@ -91,11 +94,11 @@ class Store:
         self._type_memo: dict[str, T.Type | None] = {}
         self._types: dict[T.Type, T.Type] = {}   # one instance per static type
         self._class_types: dict[str, T.Type] = {}  # resolved, interned
-        self.class_order: list[str] | None = None  # cleared by a new class
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
-        self._header = [_VERSION]  # begins the next batch of a new or version-1 log
+        self._header = [_VERSION]  # begins the next batch of a new or older log
+        self._version = 3          # of the log records being replayed
         self._lock_fd: int | None = None
         self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
@@ -142,8 +145,8 @@ class Store:
 
     def commit(self):
         """Append the batch and its (commit N crc) marker to the log with one
-        write and one fsync.  Watermarks follow the members they cover in
-        the same file, so no order between files has to be kept."""
+        write and one fsync.  Every record follows the ones it depends on
+        in the same file, so no order between files has to be kept."""
         if not self._batch:
             return
         records = self._header + self._batch
@@ -290,19 +293,19 @@ class Store:
         proposition skolemize refuses is refused before it is logged."""
         if not _CLASS_NAME.match(name or ""):
             raise StoreError(f"invalid class name {name!r}")
-        if name in self.classes:
-            raise DuplicateNameError(f"class {name!r} already defined")
-        for ref in sorted(T.type_alias_names(ty)):
-            if ref not in self.classes:
-                raise StoreError(f"class {name!r} references unknown type {ref!r}")
         T.check_labels(ty)
         self._put_class(name, ty)
         self._log("class", name, ty)
 
     def _put_class(self, name: str, ty: T.Type):
+        if name in self.classes:
+            raise DuplicateNameError(f"class {name!r} already defined")
+        # so the classes are always registered in dependency order
+        for ref in sorted(T.type_alias_names(ty)):
+            if ref not in self.classes:
+                raise StoreError(f"class {name!r} references unknown type {ref!r}")
         clause = skolemize(ty) if isinstance(ty, T.SubsetTy) else None
         self.classes[name] = KbClass(name, ty, clause)
-        self.class_order = None
 
     def kb_class(self, name: str) -> KbClass:
         cls = self.classes.get(name)
@@ -344,28 +347,29 @@ class Store:
             cls.by_alias.setdefault(ref, []).append(idx)
         return True
 
-    def set_watermark(self, class_name: str, watermark: int,
-                      dep_marks: dict[str, int] | None = None):
-        """Move a class's marks; a static class's scan runs as they move."""
-        dep_marks = dict(dep_marks or {})
-        self._put_watermark(class_name, watermark, dep_marks)
-        self._log("watermark", class_name, watermark, sorted(dep_marks.items()))
-
-    def _put_watermark(self, class_name: str, watermark: int,
-                       dep_marks: dict[str, int]):
+    def set_watermark(self, class_name: str, prune: bool = True,
+                      stats: ClassStats | None = None):
+        """Judge the class as applying its watermark record does, up to the
+        typed ids stored now, and log the record when the judgement moved a
+        mark or added a member."""
         cls = self.kb_class(class_name)
-        if not cls.is_subset:
-            target = self.resolve_class_type(class_name)
-            for name, term in self.typed_list[cls.watermark:watermark]:
-                if name in cls.by_name:
-                    continue
-                ty = self.type_of(name)
-                proof = None if ty is None else prove_subtype(ty, target, self.tax)
-                coerced = None if proof is None else coerce_term(self, proof, term)
-                if coerced is not None:
-                    self._put_member(class_name, name, coerced)
-        cls.watermark = watermark
-        cls.dep_marks = dep_marks
+        before = cls.watermark, cls.dep_marks, len(cls.members)
+        first, marks = judge(self, cls, len(self.typed_list), prune, stats)
+        if (cls.watermark, cls.dep_marks, len(cls.members)) != before:
+            self._log("watermark", class_name, first, sorted(marks.items()))
+
+    def _put_watermark(self, class_name: str, first: int,
+                       dep_marks: dict[str, int]):
+        """Replay a watermark record by running its judgement, which must
+        reach the record's figures."""
+        cls = self.kb_class(class_name)
+        if cls.is_subset and self._version < 3:
+            cls.dep_marks = dep_marks   # the members have member records
+            return
+        reached = judge(self, cls, first)
+        if reached != (first, dep_marks):
+            raise ValueError(f"judging class {class_name!r} again reaches "
+                             f"{reached}, not {(first, dep_marks)}")
 
     # -- containment graph --
 
@@ -470,9 +474,10 @@ class Store:
                 f"match the batch before it")
 
     def _put_version(self, version: int):
-        if version not in (1, 2):
+        if version not in (1, 2, 3):
             raise ValueError(f"unknown log version {version}")
-        self._header = [_VERSION] if version == 1 else []
+        self._version = version
+        self._header = [_VERSION] if version < 3 else []
 
     def dump_state(self) -> str:
         """Canonical rendering of all in-memory state, for equality checks."""

@@ -5,11 +5,11 @@ the storage grammar (the `sink` class record holds all of them at once),
 a positional label, a quoted label, escaped strings, and the `same-as`,
 `is-a`, `term`, `promote`, `class`, `member` and `watermark` records over
 three commits.  The session must write exactly the committed golden log
-of the current format (version 2, whose static classes log no members),
-and that log, the session's own and the version-1 golden log (which also
-logged the static members, and is kept byte for byte) must reopen to the
-session's state.  Run this file as a script to rewrite the version-2
-golden log after a deliberate change of the storage format.
+of the current format (version 3, which logs only asserted members), and
+that log, the session's own and the golden logs of versions 1 and 2
+(which also logged derived members, and are kept byte for byte) must
+reopen to the session's state.  Run this file as a script to rewrite the
+version-3 golden log after a deliberate change of the storage format.
 """
 
 import os
@@ -19,12 +19,14 @@ import tempfile
 
 from flutes import terms as T
 from flutes.classifier import find_members
+from flutes.rules import member_name
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-GOLDEN = os.path.join(DATA, "golden_log_v2.fsx")
+GOLDEN = os.path.join(DATA, "golden_log_v3.fsx")
+GOLDEN_V2 = os.path.join(DATA, "golden_log_v2.fsx")
 GOLDEN_V1 = os.path.join(DATA, "golden_log.fsx")
 
 PEOPLE = """
@@ -88,6 +90,10 @@ def golden_session(path: str) -> str:
         s.abox_insert(d.name, d.body)
     s.abox_insert("odd", every_term_head(T.var("v")))
     s.commit()
+    # an asserted member, which the judgement then derives as well: the log
+    # holds a member record, and the state is that of the older sessions
+    s.add_member("sender", member_name("sender", T.term_name("a")),
+                 T.term_name("a"))
     find_members(s)
     s.mk_kb_class("sink", every_type_and_prop_head(s.tax))
     s.commit()
@@ -123,14 +129,20 @@ def test_golden_log_reopens_to_the_session_state(tmp_path):
     assert_reopens_to_the_session_state(tmp_path, GOLDEN)
 
 
+def test_version_2_golden_log_reopens_to_the_session_state(tmp_path):
+    # its subset member record replays, and its subset watermark only sets
+    # the marks
+    assert_reopens_to_the_session_state(tmp_path, GOLDEN_V2)
+
+
 def test_version_1_golden_log_reopens_to_the_session_state(tmp_path):
     # its static member records replay, and the scans find them present
     assert_reopens_to_the_session_state(tmp_path, GOLDEN_V1)
 
 
 def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
-    # a version-1 reader stops at (flutes-log 2) instead of opening static
-    # classes with no members behind their watermarks
+    # an older reader stops at (flutes-log 3) instead of opening classes
+    # with no members behind their watermarks
     path = str(tmp_path / "kb")
     os.makedirs(path)
     shutil.copyfile(GOLDEN_V1, os.path.join(path, LOG))
@@ -144,7 +156,7 @@ def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
     data = read(os.path.join(path, LOG))
     old = read(GOLDEN_V1)
     assert data.startswith(old)
-    assert data[len(old):].startswith(b"(flutes-log 2)\n(term \"c\" ")
+    assert data[len(old):].startswith(b"(flutes-log 3)\n(term \"c\" ")
     assert data.count(b"(flutes-log ") == 2
     assert b'(member "person" "c"' not in data
     with Store(path) as s:
@@ -154,12 +166,12 @@ def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
 
 def test_golden_log_covers_the_records_and_heads():
     data = read(GOLDEN).decode("utf-8")
-    assert data.startswith("(flutes-log 2)\n")
+    assert data.startswith("(flutes-log 3)\n")
     for record in ("flutes-log", "same-as", "is-a", "term", "promote",
                    "class", "member", "watermark"):
         assert f"\n({record} " in "\n" + data, record
     assert data.count("\n(commit ") == 3
-    # only the subset class logs its member; the static ones derive theirs
+    # only the asserted member is logged; the judgements derive the others
     assert [line.split()[1] for line in data.splitlines()
             if line.startswith("(member ")] == ['"sender"']
     (sink,) = [line for line in data.splitlines()
@@ -172,8 +184,8 @@ def test_golden_log_covers_the_records_and_heads():
 
 
 if __name__ == "__main__":
-    # rewrite the version-2 golden log from the session; the version-1 one
-    # stays as committed
+    # rewrite the version-3 golden log from the session; the older ones stay
+    # as committed
     with tempfile.TemporaryDirectory() as tmp:
         golden_session(os.path.join(tmp, "kb"))
         shutil.copyfile(os.path.join(tmp, "kb", LOG), GOLDEN)

@@ -115,7 +115,7 @@ def test_session_has_several_batches(session):
     states, data = session
     assert len(states) >= 6
     assert data.count(b"\n(commit ") == len(states) - 1
-    assert data.startswith(b"(flutes-log 2)\n")
+    assert data.startswith(b"(flutes-log 3)\n")
     assert data.count(b"(flutes-log ") == 1
 
 
@@ -205,6 +205,83 @@ def test_a_record_of_the_wrong_category_is_corruption(tmp_path, record, want):
     write_log(path, records + b"(commit 2 %d)\n" % zlib.crc32(records))
     with pytest.raises(StoreCorruptionError,
                        match=rf"{LOG}:2: expected a {want}, got"):
+        Store(path)
+
+
+def test_a_held_class_that_added_members_is_derived_on_replay(tmp_path):
+    # the first disjunct waits for lim and the second adds a: the marks stay,
+    # and the record carries the member count; no member record is logged
+    path = str(tmp_path / "kb")
+    p = T.var("p")
+
+    def field(label):
+        return T.FieldSelection(p, mk_concept(label))
+    s = small_store(path)
+    s.mk_kb_class("named", T.subset_ty(p, T.type_name("person"), T.exists(
+        "q", T.type_name("person"), T.conj(T.equals(p, T.var("q")), T.disj(
+            T.equals(field("name"), T.term_name("lim")),
+            T.equals(field("dob"), T.string("1")))))))
+    find_members(s)
+    assert len(s.kb_class("named").members) == 1
+    assert s.kb_class("named").dep_marks is None
+    state = s.dump_state()
+    s.close()
+    with Store(path) as s:
+        assert s.dump_state() == state
+        insert(s, 'lim := "B";')
+        find_members(s)
+        assert len(s.kb_class("named").members) == 2
+        assert s.kb_class("named").dep_marks == {"person": 2}
+        state = s.dump_state()
+    with Store(path) as s:
+        assert s.dump_state() == state
+    with open(os.path.join(path, LOG), "rb") as fh:
+        data = fh.read()
+    assert b"(member " not in data
+    assert b'(watermark "named" 1 ())\n' in data
+    assert b'(watermark "named" 2 (("person" 2)))\n' in data
+
+
+def replace_record(data: bytes, old: bytes, new: bytes) -> bytes:
+    """The log with one record replaced and its batch's marker recomputed."""
+    at = data.index(old)
+    start = data.rfind(b"(commit ", 0, at)
+    start = 0 if start < 0 else data.index(b"\n", start) + 1
+    end = data.index(b"(commit ", at)
+    batch = data[start:end].replace(old, new)
+    rest = data[data.index(b"\n", end) + 1:]
+    return (data[:start] + batch + b"(commit %d %d)\n"
+            % (batch.count(b"\n"), zlib.crc32(batch)) + rest)
+
+
+def test_a_subset_record_that_judging_again_does_not_reach_is_corruption(
+        tmp_path):
+    path = str(tmp_path / "kb")
+    s = small_store(path)
+    find_members(s)
+    s.close()
+    with open(os.path.join(path, LOG), "rb") as fh:
+        data = fh.read()
+    record = b'(watermark "sender" 1 (("link" 1)))\n'
+    line = data[:data.index(record)].count(b"\n") + 1
+    write_log(path, replace_record(data, record, record.replace(b" 1 ", b" 2 ")))
+    with pytest.raises(StoreCorruptionError,
+                       match=rf"{LOG}:{line}: judging class 'sender' again "
+                             r"reaches \(1, \{'link': 1\}\), not \(2, "):
+        Store(path)
+
+
+@pytest.mark.parametrize("record, want", [
+    ('(class "c" (tyalias b))', "class 'c' references unknown type 'b'"),
+    ('(class "a" (numty))', "class 'a' already defined"),
+], ids=["undefined-reference", "repeated-name"])
+def test_a_class_record_that_definition_refuses_is_corruption(tmp_path, record,
+                                                               want):
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = ('(flutes-log 2)\n(class "a" (strty))\n' + record + "\n").encode()
+    write_log(path, records + b"(commit 3 %d)\n" % zlib.crc32(records))
+    with pytest.raises(StoreCorruptionError, match=rf"{LOG}:3: {want}"):
         Store(path)
 
 

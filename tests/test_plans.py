@@ -320,13 +320,3 @@ class TestPersistedBinding:
         assert s.kb_class("fi_related").binding is binding
         assert binding.proofs == proofs      # the same shape, proved once
 
-
-def test_dependency_order_is_computed_once_per_set_of_classes(monkeypatch):
-    s = build_worked_store()
-    first = classifier.dependency_order(s)
-    monkeypatch.setattr(T, "type_alias_names",
-                        lambda node: pytest.fail("recomputed"))
-    assert classifier.dependency_order(s) == first
-    monkeypatch.undo()
-    define_planned(s)
-    assert classifier.dependency_order(s)[-1] == "fi_cheque"

@@ -1,5 +1,6 @@
 import pytest
 
+from flutes.classifier import find_members
 from flutes.errors import EvalError, RuleFailure, StoreError, TermError
 from flutes.rules import (eval_term, lambda_rule, member_name, mk_analytic,
                           run_analytic)
@@ -188,9 +189,9 @@ class TestAnalytics:
         assert report.inserted == 1
         assert len(report.failures) == 1
 
-    def test_unevaluated_selection_is_a_member_failure(self, store):
-        # a selection infers a type but no coercion takes one: the member
-        # fails, and the members after it are still processed and committed
+    def test_a_selection_is_coerced_as_the_value_it_selects(self, store):
+        # a selection infers a type but no coercion takes one; evaluated, it
+        # is coerced as the value it selects, as the static scan does
         store.mk_kb_class("txns", T.record_ty(store.tax, []))
         store.add_member("txns", "t1", store.lookup("t1"))
         store.add_member("txns", "joe", store.lookup("joe"))
@@ -203,10 +204,26 @@ class TestAnalytics:
 
         report = run_analytic(store, mk_analytic(store, "amt", "txns",
                                                  "amounts", amount))
-        assert (report.processed, report.inserted) == (2, 1)
-        assert [m for m, _ in report.failures] == ["t1"]
-        assert "cannot be coerced" in report.failures[0][1]
-        assert store.kb_class("amounts").member_terms.keys() == {T.Num(1.0)}
+        assert (report.processed, report.inserted, report.failures) == (2, 2, [])
+        assert store.kb_class("amounts").member_terms.keys() == {
+            T.Num(500.0), T.Num(1.0)}
+
+    def test_an_analytic_result_joins_a_class_as_a_stored_term_does(self):
+        # w := {"n" = a.name}
+        s = Store()
+        s.abox_insert("a", T.record(s.tax, [("name", T.string("A"))]))
+        s.abox_insert("w", T.record(s.tax, [
+            ("n", T.FieldSelection(T.term_name("a"), mk_concept("name")))]))
+        ty = T.record_ty(s.tax, [("n", T.str_ty)])
+        s.mk_kb_class("named", ty)
+        s.mk_kb_class("out", T.subset_ty(T.var("x"), ty, T.FALSE))
+        find_members(s)
+        want = T.record(s.tax, [("n", T.string("A"))])
+        assert s.kb_class("named").member_terms.keys() == {want}
+        report = run_analytic(s, mk_analytic(s, "same", "named", "out",
+                                             lambda m: s.lookup("w")))
+        assert report.failures == []
+        assert s.kb_class("out").member_terms.keys() == {want}
 
     def test_raising_fn_reported_not_fatal(self, store):
         person_members(store)
