@@ -18,7 +18,7 @@ from . import terms as T
 from .classifier import find_members
 from .oracle import oracle_extensions
 from .store import Store
-from .syntax import parse_program
+from .syntax import insert_text
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,11 @@ def define_schema(store: Store, target: str):
     store.mk_kb_class("m_target", T.subset_ty(x, T.type_name("person"), near))
 
 
-def insert_text(store: Store, text: str) -> int:
-    decls = parse_program(text, store.tax, known=store.term_names())
-    for d in decls:
-        store.abox_insert(d.name, d.body)
-    store.commit()
-    return len(decls)
+def _insert(store: Store, phase: str, text: str, emit):
+    times: dict[str, float] = {}
+    emit(f"inserted\t{insert_text(store, text, times=times)}")
+    emit(f"{phase}.parse_s\t{times['parse_s']:.6f}")
+    emit(f"{phase}.insert_s\t{times['insert_s']:.6f}")
 
 
 def _phase(store: Store, phase: str, emit, prune: bool) -> bool:
@@ -196,10 +195,10 @@ def run_experiment(cfg: GenConfig, out=None, prune: bool = True) -> int:
                 "extra_attrs", "seed"):
         emit(f"config.{key}\t{getattr(cfg, key)}")
     store = Store()
-    emit(f"inserted\t{insert_text(store, generate(cfg))}")
+    _insert(store, "initial", generate(cfg), emit)
     define_schema(store, "p0")
     ok = _phase(store, "initial", emit, prune)
-    emit(f"inserted\t{insert_text(store, generate_increment(cfg))}")
+    _insert(store, "increment", generate_increment(cfg), emit)
     ok = _phase(store, "increment", emit, prune) and ok
     emit(f"agree\t{str(ok).lower()}")
     return 0 if ok else 1

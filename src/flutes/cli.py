@@ -33,7 +33,7 @@ from .errors import FlutesError, RuleFailure, StoreCorruptionError
 from .rules import Analytic, lambda_rule, mk_analytic, run_analytic
 from .sexp import parse_sexp, render_sexp
 from .store import Store
-from .syntax import parse_program
+from .syntax import insert_text
 
 HELP = __doc__.strip()
 
@@ -70,11 +70,7 @@ class Session:
         handler(rest.strip())
 
     def _insert_text(self, text: str):
-        decls = parse_program(text, self.store.tax, known=self.known_names())
-        for d in decls:
-            self.store.abox_insert(d.name, d.body)
-        self.store.commit()
-        self.emit(f"inserted\t{len(decls)}")
+        self.emit(f"inserted\t{insert_text(self.store, text, self.known_names())}")
 
     def cmd_load(self, rest: str):
         if not rest:

@@ -2,7 +2,7 @@
 
 One value per line: the writer never emits a newline, and strings escape
 ``\\``, ``"``, newline, tab, and carriage return.  That string literal and
-the regex token scanner are shared with the declaration syntax.  The
+the regex token scanner `scan` are shared with the declaration syntax.  The
 grammar is head-symbol tagged and fully parenthesized, and it lives in one
 place, the head table `_HEADS`: for each head, the node class, the arity,
 the reader of the arguments and the writer.  Reading and writing both go
@@ -31,13 +31,8 @@ def quote_string(s: str) -> str:
     return '"' + s.translate(_QUOTE) + '"'
 
 
-def unquote_string(literal: str) -> str:
-    """The inverse of quote_string, for a literal that string_tokens
-    matched as STRING."""
-    body = literal[1:-1]
-    if "\\" not in body:
-        return body
-    return _ESCAPE_SEQ.sub(lambda m: _UNESCAPE[m[1]], body)
+def _unescape(m: re.Match) -> str:
+    return _UNESCAPE[m[1]]
 
 
 def _name(s: str) -> str:
@@ -75,53 +70,68 @@ def _fields(fields) -> str:
 
 
 def string_tokens(raw: str = "") -> str:
-    """Pattern alternatives for the string literal: a well-formed literal
-    (STRING), or else the longest well-formed start of one (badstring),
-    which `scan` reports.  `raw` names characters besides the quote and the
-    backslash that may not appear unescaped."""
+    """Pattern alternatives for the string literal: a well-formed literal,
+    whose STRING group holds the text between the quotes, or else the
+    longest well-formed start of one (badstring), which `scan` reports.
+    `raw` names characters besides the quote and the backslash that may
+    not appear unescaped."""
     char = '[^"\\\\' + re.escape(raw) + ']*'
     body = f'{char}(?:\\\\[{re.escape("".join(_UNESCAPE))}]{char})*'
-    return f'(?P<STRING>"{body}")|(?P<badstring>"{body})'
+    return f'"(?P<STRING>{body})"|(?P<badstring>"{body})'
 
 
 def token_pattern(skip: str, *tokens: str) -> re.Pattern:
-    """A pattern for `scan`: `skip` (whitespace, comments), or one of the
-    token alternatives followed by any whitespace, which then costs no
-    match of its own."""
-    return re.compile(f"(?P<skip>{skip})|(?:{'|'.join(tokens)})\\s*")
+    """A pattern for `scan`: one of the token alternatives followed by any
+    whitespace, which then costs no match of its own; else `skip`
+    (whitespace, comments); else any other character (`bad`).  No token
+    may start where `skip` can, so trying the tokens first, as the
+    commonest match, changes no token."""
+    return re.compile(f"(?:{'|'.join(tokens)})\\s*|(?P<skip>{skip})|(?P<bad>.)")
 
 
-def scan(pattern: re.Pattern, text: str, where=None):
-    """The tokens of `text` as (kind, value, offset) triples.
+# the kinds that `scan` drops, converts or reports; any other kind keeps
+# the matched text as its value
+_SPECIAL = frozenset({"skip", "STRING", "NUMBER", "badstring", "bad"})
+
+
+def scan(pattern: re.Pattern, text: str, where=None) -> list[tuple]:
+    """The tokens of `text`, a list of (kind, value, offset) triples.
 
     Each token alternative of `pattern` is a group named after the kind of
-    token it matches, and some alternative must match at every offset.  A
-    STRING is unquoted and a NUMBER converted by float; `badstring` and
-    `bad` (any other character) are errors.  `where` maps an offset to the
-    (line, col) that a ParseError carries.
+    token it matches.  A STRING is unquoted and a NUMBER converted by
+    float; `badstring` and `bad` are errors, raised before any token is
+    returned.  `where` maps an offset to the (line, col) that a ParseError
+    carries.
     """
-    def error(message, offset):
-        return ParseError(message, *(where(offset) if where else ()))
-
+    tokens: list[tuple] = []
+    append = tokens.append
     for m in pattern.finditer(text):
         kind = m.lastgroup
-        if kind == "STRING":
-            yield kind, unquote_string(m[kind]), m.start()
+        if kind not in _SPECIAL:
+            append((kind, m[kind], m.start()))
+        elif kind == "STRING":
+            body = m[kind]
+            if "\\" in body:
+                body = _ESCAPE_SEQ.sub(_unescape, body)
+            append((kind, body, m.start()))
         elif kind == "NUMBER":
             raw = m[kind]
             try:
-                yield kind, float(raw), m.start()
+                append((kind, float(raw), m.start()))
             except ValueError:
-                raise error(f"invalid number {raw!r}", m.start()) from None
+                raise _error(f"invalid number {raw!r}", m.start(), where) from None
         elif kind == "badstring":
             end = m.end(kind)
             if text.startswith("\\", end):
-                raise error("bad string escape", end + 1)
-            raise error("unterminated string", m.start())
+                raise _error("bad string escape", end + 1, where)
+            raise _error("unterminated string", m.start(), where)
         elif kind == "bad":
-            raise error(f"unexpected character {m[kind]!r}", m.start())
-        elif kind != "skip":
-            yield kind, m[kind], m.start()
+            raise _error(f"unexpected character {m[kind]!r}", m.start(), where)
+    return tokens
+
+
+def _error(message: str, offset: int, where) -> ParseError:
+    return ParseError(message, *(where(offset) if where else ()))
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +151,10 @@ _TOKEN = token_pattern(
 
 def read_node(text: str):
     """Read exactly one node (nested lists of symbols/strings/numbers)."""
-    tokens = scan(_TOKEN, text)
     top: list = []
     items, open_lists = top, []
-    for kind, value, _ in tokens:
+    for kind, value, _ in scan(_TOKEN, text):
         if not open_lists and (top or kind == "CLOSE"):
-            for _ in tokens:        # a lexical error further on comes first
-                pass
             raise ParseError("trailing tokens after S-expression" if top
                              else "unexpected ')'")
         if kind == "OPEN":

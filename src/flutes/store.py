@@ -226,17 +226,19 @@ class Store:
         """Record a named term in the untyped collection."""
         if not name or not isinstance(name, str):
             raise StoreError("term name must be a nonempty string")
-        if name in self.contains_map:     # a term's or a member's name
-            raise DuplicateNameError(f"term {name!r} already bound")
         T.check_labels(t)
-        refs = T.alias_names(t)
-        self._check_acyclic(name, refs)
-        self._put_term(name, t, refs)
+        self._put_term(name, t)
         self._log("term", name, t)
 
-    def _put_term(self, name: str, t: T.Term, refs: set[str] | None = None):
+    def _put_term(self, name: str, t: T.Term):
+        """Store an untyped term, live or on replay, refusing a bound name
+        and an alias cycle."""
+        if name in self.contains_map:     # a term's or a member's name
+            raise DuplicateNameError(f"term {name!r} already bound")
+        refs = T.alias_names(t)
+        self._check_acyclic(name, refs)
         self.untyped[name] = t
-        self._add_adjacency(name, T.alias_names(t) if refs is None else refs)
+        self._add_adjacency(name, refs)
 
     def _check_acyclic(self, name: str, refs: set[str]):
         # the new term may complete a cycle only through terms that already

@@ -25,6 +25,7 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Container
 
 from .errors import MalformedRecordError, ParseError, TermError
@@ -37,8 +38,7 @@ from . import terms as T
 _TOKEN = token_pattern(
     r"\s+|#[^\n]*", string_tokens("\n"),
     r"(?P<NUMBER>-?\d(?:[\d.eE]|(?<=[eE])[+-])*)",
-    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)", r"(?P<PUNCT>:=|[{}();,:=])",
-    r"(?P<bad>.)")
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)", r"(?P<PUNCT>:=|[{}();,:=])")
 
 
 @dataclass(frozen=True)
@@ -56,118 +56,121 @@ def where(text: str, offset: int) -> tuple[int, int]:
 def tokenize(text: str) -> list[tuple]:
     """The scanner's (kind, value, offset) triples, kinds IDENT, STRING,
     NUMBER and PUNCT, then ("EOF", None, len(text))."""
-    tokens = list(scan(_TOKEN, text, lambda offset: where(text, offset)))
+    tokens = scan(_TOKEN, text, lambda offset: where(text, offset))
     tokens.append(("EOF", None, len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list: each method takes the index
+    of its first token and returns what it built and the index after it.
+    Nothing the parser holds refers back to it, so a batch's tokens are
+    freed when the parse returns, not by the cyclic collector."""
+
     def __init__(self, text: str, tokens: list[tuple], tax: Taxonomy,
-                 declared: set[str], known: Container[str]):
+                 known: Container[str]):
         self.text = text
         self.tokens = tokens
-        self.pos = 0
         self.tax = tax
-        self.declared = declared
+        self.declared = declared_names(tokens)
         self.known = known
 
-    def error(self, message: str, tok: tuple) -> ParseError:
-        return ParseError(message, *where(self.text, tok[2]))
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *where(self.text, self.tokens[i][2]))
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value=None) -> tuple:
-        tok = self.peek()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise self.error(f"expected {want!r}, got {self._show(tok)}", tok)
-        return self.next()
-
-    @staticmethod
-    def _show(tok: tuple) -> str:
-        return "end of input" if tok[0] == "EOF" else repr(tok[1])
-
-    def at_punct(self, value: str) -> bool:
-        kind, tok_value, _ = self.peek()
-        return kind == "PUNCT" and tok_value == value
+    def expected(self, want: str, i: int) -> ParseError:
+        kind, value, _ = self.tokens[i]
+        got = "end of input" if kind == "EOF" else repr(value)
+        return self.error(f"expected {want}, got {got}", i)
 
     def program(self) -> list[Declaration]:
+        tokens = self.tokens
         decls: list[Declaration] = []
         seen: set[str] = set()
-        while self.peek()[0] != "EOF":
-            tok = self.expect("IDENT")
-            self.expect("PUNCT", ":=")
-            body = self.term(in_args=False)
-            self.expect("PUNCT", ";")
-            name = tok[1]
+        i = 0
+        while tokens[i][0] != "EOF":
+            kind, name, _ = tokens[i]
+            if kind != "IDENT":
+                raise self.expected("'IDENT'", i)
+            kind, value, _ = tokens[i + 1]
+            if value != ":=" or kind != "PUNCT":
+                raise self.expected("':='", i + 1)
+            body, end = self.term(i + 2, False)
+            kind, value, _ = tokens[end]
+            if value != ";" or kind != "PUNCT":
+                raise self.expected("';'", end)
             if name in seen:
-                raise self.error(f"duplicate declaration of {name!r}", tok)
+                raise self.error(f"duplicate declaration of {name!r}", i)
             seen.add(name)
             decls.append(Declaration(name, body))
+            i = end + 1
         return decls
 
-    def term(self, in_args: bool) -> T.Term:
-        tok = self.peek()
-        kind, value, _ = tok
+    def term(self, i: int, in_args: bool) -> tuple[T.Term, int]:
+        tokens = self.tokens
+        kind, value, _ = tokens[i]
         if kind == "STRING":
-            self.next()
-            return T.Str(value)
-        if kind == "NUMBER":
-            self.next()
-            try:
-                return T.Num(value)
-            except TermError:   # float() overflowed to inf
-                raise self.error("number out of range", tok) from None
+            return T.Str(value), i + 1
         if kind == "IDENT":
-            self.next()
-            if self.at_punct("("):
-                return self.application(value)
+            next_kind, next_value, _ = tokens[i + 1]
+            if next_value == "(" and next_kind == "PUNCT":
+                return self.application(value, i + 2)
             if in_args or value in self.declared or value in self.known:
-                return T.term_name(value)
-            return T.atom(value)
-        if self.at_punct("{"):
-            return self.record()
-        raise self.error(f"expected a term, got {self._show(tok)}", tok)
+                return T.TermAlias(value), i + 1
+            return T.atom(value), i + 1
+        if kind == "NUMBER":
+            try:
+                return T.Num(value), i + 1
+            except TermError:   # float() overflowed to inf
+                raise self.error("number out of range", i) from None
+        if value == "{" and kind == "PUNCT":
+            return self.record(i + 1)
+        raise self.expected("a term", i)
 
-    def application(self, head: str) -> T.Term:
-        self.expect("PUNCT", "(")
-        if self.at_punct(")"):
-            self.next()
-            return T.atom(head)
-        args = [self.term(in_args=True)]
-        while self.at_punct(","):
-            self.next()
-            args.append(self.term(in_args=True))
-        self.expect("PUNCT", ")")
-        return T.pred_app(head, args)
+    def application(self, head: str, i: int) -> tuple[T.Term, int]:
+        """`head(...)` from the token after its "("."""
+        tokens = self.tokens
+        kind, value, _ = tokens[i]
+        if value == ")" and kind == "PUNCT":
+            return T.atom(head), i + 1
+        args = []
+        while True:
+            arg, i = self.term(i, True)
+            args.append(arg)
+            kind, value, _ = tokens[i]
+            if value != "," or kind != "PUNCT":
+                break
+            i += 1
+        if value != ")" or kind != "PUNCT":
+            raise self.expected("')'", i)
+        return T.pred_app(head, args), i + 1
 
-    def record(self) -> T.Term:
-        open_tok = self.expect("PUNCT", "{")
+    def record(self, i: int) -> tuple[T.Term, int]:
+        """`{...}` from the token after its "{"."""
+        tokens = self.tokens
+        open_brace = i - 1
         fields: list[tuple[str, T.Term]] = []
-        if not self.at_punct("}"):
-            fields.append(self.field())
-            while self.at_punct(","):
-                self.next()
-                fields.append(self.field())
-        self.expect("PUNCT", "}")
+        kind, value, _ = tokens[i]
+        if value != "}" or kind != "PUNCT":
+            while True:
+                kind, label, _ = tokens[i]
+                if kind != "STRING":
+                    raise self.expected("'STRING'", i)
+                kind, value, _ = tokens[i + 1]
+                if (value != ":" and value != "=") or kind != "PUNCT":
+                    raise self.expected("':' or '='", i + 1)
+                field, i = self.term(i + 2, False)
+                fields.append((label, field))
+                kind, value, _ = tokens[i]
+                if value != "," or kind != "PUNCT":
+                    break
+                i += 1
+            if value != "}" or kind != "PUNCT":
+                raise self.expected("'}'", i)
         try:
-            return T.record(self.tax, fields)
+            return T.record(self.tax, fields), i + 1
         except MalformedRecordError as exc:  # re-raise with a position
-            raise self.error(str(exc), open_tok) from exc
-
-    def field(self) -> tuple[str, T.Term]:
-        name = self.expect("STRING")
-        tok = self.peek()
-        if not (self.at_punct(":") or self.at_punct("=")):
-            raise self.error(f"expected ':' or '=', got {self._show(tok)}", tok)
-        self.next()
-        return name[1], self.term(in_args=False)
+            raise self.error(str(exc), open_brace) from exc
 
 
 def declared_names(tokens: list[tuple]) -> set[str]:
@@ -185,6 +188,23 @@ def parse_program(text: str, tax: Taxonomy | None = None,
     only tested for membership, so a live view of the store's names serves.
     """
     tax = tax if tax is not None else Taxonomy()
-    tokens = tokenize(text)
-    parser = _Parser(text, tokens, tax, declared_names(tokens), known)
-    return parser.program()
+    return _Parser(text, tokenize(text), tax, known).program()
+
+
+def insert_text(store, text: str, known: Container[str] | None = None,
+                times: dict[str, float] | None = None) -> int:
+    """Parse a program against the store's taxonomy and `known` names (by
+    default `store.term_names()`), insert it and commit it as one batch;
+    the number of declarations.  `times`, when given, receives the seconds
+    spent parsing (`parse_s`) and inserting and committing (`insert_s`)."""
+    start = perf_counter()
+    decls = parse_program(text, store.tax,
+                          store.term_names() if known is None else known)
+    parsed = perf_counter()
+    for d in decls:
+        store.abox_insert(d.name, d.body)
+    store.commit()
+    if times is not None:
+        times["parse_s"] = parsed - start
+        times["insert_s"] = perf_counter() - parsed
+    return len(decls)

@@ -8,8 +8,9 @@ lattice (hyponym -> hypernym).  Record subtyping pairs field labels through
 Concepts are interned: ``mk_concept`` and ``positional`` hand out one shared
 ``Concept`` per name or index, and each concept computes its hash once.  A
 taxonomy memoises ``label_match`` and holds the memo of subtype proofs
-(``typecheck.prove_subtype``); its mutators, ``same_as`` and ``add_is_a``,
-clear both, so every answer reflects the current edges.
+(``typecheck.prove_subtype``) and the memo of record shapes
+(``terms.record``); its mutators, ``same_as`` and ``add_is_a``, clear all
+three, so every answer reflects the current edges.
 """
 
 from __future__ import annotations
@@ -99,9 +100,10 @@ class Taxonomy:
 
     Mutations (``same_as``, ``add_is_a``) are expected to be serialized by
     the caller; the query methods only read the relations.  The mutators are
-    the taxonomy epoch: each clears the ``label_match`` memo and the proof
-    memo, which therefore grow with the distinct label pairs and (subtype,
-    supertype) pairs queried since the last edit.
+    the taxonomy epoch: each clears the ``label_match`` memo, the proof memo
+    and the shape memo, which therefore grow with the distinct label pairs,
+    (subtype, supertype) pairs and record label tuples met since the last
+    edit.
     """
 
     def __init__(self):
@@ -114,6 +116,9 @@ class Taxonomy:
         self._upward: set[Concept] | None = None
         # (sub, sup) -> Proof or None, filled by typecheck.prove_subtype
         self.proofs: dict[tuple[object, object], object] = {}
+        # a record's labels in source order -> its sorted (concept, source
+        # index) pairs, filled by terms.record and terms.record_ty
+        self.shapes: dict[tuple, tuple] = {}
 
     # -- equivalence (union-find; the root is the least member, which makes
     # -- find() deterministic) --
@@ -154,6 +159,7 @@ class Taxonomy:
         # every memoised answer may depend on the edge just added
         self._match.clear()
         self.proofs.clear()
+        self.shapes.clear()
         self._upward = None
 
     def label_leq(self, sub: Concept, sup: Concept) -> bool:

@@ -7,7 +7,8 @@ the condition language of subset types.  All three are immutable values.
 The constructors below intern the labels they take by name.  Two of them
 enforce the record invariants: `record` and `record_ty` sort fields under
 the concept order and refuse labels the taxonomy makes equivalent, a
-repeated label included.  A value built from the dataclasses directly
+repeated label included; they do that work once per shape (the labels in
+the order given), which the taxonomy memoises until its next edit.  A value built from the dataclasses directly
 skips those checks; the store and the storage reader refuse one whose
 record repeats a label (`check_labels`).
 
@@ -265,19 +266,30 @@ def sort_fields(fields: Iterable[tuple[Concept, Node]]) -> tuple:
     return tuple(sorted(fields, key=lambda f: f[0].sort_key()))
 
 
-def _check_labels(tax: Taxonomy, labels: list[Concept], what: str) -> None:
-    # mutual label_match (synonymy or identity) makes subtype field pairing
-    # ambiguous, so such label pairs are rejected outright
-    pair = tax.mutual_pair(labels)
-    if pair is not None:
-        a, b = pair
-        raise MalformedRecordError(f"{what} labels {a!r} and {b!r} are equivalent")
+def _sorted_fields(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Node]],
+                   what: str) -> tuple:
+    """The fields sorted under the concept order, their labels interned.
+    The taxonomy's shape memo maps the labels, in the order given, to the
+    sorted concepts and the source index of each, so labels are interned,
+    checked and sorted once per shape until the next taxonomy edit."""
+    fields = tuple(fields)
+    labels = tuple([label for label, _ in fields])
+    shape = tax.shapes.get(labels)
+    if shape is None:
+        concepts = [_as_concept(label) for label in labels]
+        # mutual label_match (synonymy or identity) makes subtype field
+        # pairing ambiguous, so such label pairs are rejected outright
+        pair = tax.mutual_pair(concepts)
+        if pair is not None:
+            a, b = pair
+            raise MalformedRecordError(
+                f"{what} labels {a!r} and {b!r} are equivalent")
+        shape = tax.shapes[labels] = sort_fields(zip(concepts, range(len(labels))))
+    return tuple([(c, fields[i][1]) for c, i in shape])
 
 
 def record(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Term]]) -> Record:
-    pairs = [(_as_concept(label), value) for label, value in fields]
-    _check_labels(tax, [label for label, _ in pairs], "record")
-    return Record(sort_fields(pairs))
+    return Record(_sorted_fields(tax, fields, "record"))
 
 
 def pred_app(name: str, args: Iterable[Term]) -> Record:
@@ -302,9 +314,7 @@ void_ty = VoidTy()
 
 
 def record_ty(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Type]]) -> RecordTy:
-    pairs = [(_as_concept(label), ty) for label, ty in fields]
-    _check_labels(tax, [label for label, _ in pairs], "record type")
-    return RecordTy(sort_fields(pairs))
+    return RecordTy(_sorted_fields(tax, fields, "record type"))
 
 
 def enum_ty(names: Iterable[str | Concept]) -> EnumTy:

@@ -165,6 +165,18 @@ class TestExperiment:
         assert float(report_value(out, "initial.elapsed")) >= 0.0
         assert re.search(r"^initial\.trans\.elapsed\t", out, re.M)
 
+    def test_report_times_each_insert_phase(self):
+        code, out = self.run(GenConfig(persons=3, transactions=2, seed=6))
+        assert code == 0
+        lines = [line.split("\t")[0] for line in out.splitlines()]
+        for phase in ("initial", "increment"):
+            at = lines.index(f"{phase}.parse_s")
+            # right after the phase's insert count, parse before insert
+            assert lines[at - 1:at + 2] == ["inserted", f"{phase}.parse_s",
+                                            f"{phase}.insert_s"]
+            assert float(report_value(out, f"{phase}.parse_s")) > 0.0
+            assert float(report_value(out, f"{phase}.insert_s")) > 0.0
+
 
 class TestSchema:
     def test_insert_text_reports_declaration_count(self):

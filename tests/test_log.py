@@ -9,7 +9,7 @@ import pytest
 from flutes import terms as T
 from flutes.classifier import find_members
 from flutes.cli import main
-from flutes.errors import StoreCorruptionError
+from flutes.errors import DuplicateNameError, StoreCorruptionError
 from flutes.oracle import oracle_extensions
 from flutes.rules import mk_analytic, run_analytic
 from flutes.sexp import render_sexp
@@ -283,6 +283,34 @@ def test_a_class_record_that_definition_refuses_is_corruption(tmp_path, record,
     write_log(path, records + b"(commit 3 %d)\n" % zlib.crc32(records))
     with pytest.raises(StoreCorruptionError, match=rf"{LOG}:3: {want}"):
         Store(path)
+
+
+@pytest.mark.parametrize("record, want", [
+    ('(term "a" (str "x"))', "term 'a' already bound"),
+    ('(term "b" (list (alias b)))', "inserting 'b' would create an alias cycle"),
+], ids=["repeated-name", "alias-cycle"])
+def test_a_term_record_that_insertion_refuses_is_corruption(tmp_path, record,
+                                                            want):
+    # abox_insert and replay store a term through the one _put_term, so
+    # replay refuses what a live insert refuses, naming the line
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = ('(flutes-log 3)\n(term "a" (num 1.0))\n' + record + "\n").encode()
+    write_log(path, records + b"(commit 3 %d)\n" % zlib.crc32(records))
+    with pytest.raises(StoreCorruptionError, match=rf"{LOG}:3: {want}"):
+        Store(path)
+
+
+def test_a_live_insert_of_a_bound_name_is_refused_before_logging(tmp_path):
+    path = str(tmp_path / "kb")
+    with Store(path) as s:
+        s.abox_insert("a", T.num_f(1))
+        with pytest.raises(DuplicateNameError):
+            s.abox_insert("a", T.string("x"))
+        state = s.dump_state()
+    with Store(path) as s:
+        assert s.dump_state() == state
+        assert s.lookup("a") == T.num_f(1)
 
 
 class TestTornTail:

@@ -1,8 +1,9 @@
-"""The classifier's two shortcuts against the work they replace.
+"""The classifier's shortcuts against the work they replace.
 
-Subtype proofs are memoised per taxonomy and cleared by its edits, so the
-memoised prover must answer exactly as the uncached search does under any
-interleaving of edits and queries.  Match literals are solved by matching
+Subtype proofs and record shapes are memoised per taxonomy and cleared by
+its edits, so the memoised prover and record constructor must answer
+exactly as the uncached work does under any interleaving of edits and
+queries.  Match literals are solved by matching
 the pattern one way against a ground member, which must give exactly what
 two-way unification gives there.
 """
@@ -14,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from flutes import terms as T
 from flutes import classifier
-from flutes.errors import LatticeCycleError
+from flutes.errors import LatticeCycleError, MalformedRecordError
 from flutes.store import Store
-from flutes.taxonomy import Taxonomy, mk_concept
+from flutes.taxonomy import Concept, Taxonomy, mk_concept, positional
 from flutes.typecheck import prove_subtype, prove_subtype_uncached
 from flutes.unify import unify
 
@@ -180,3 +181,49 @@ def test_store_interns_inferred_and_class_types():
     s.same_as("name", "label")                 # an edit forgets both tables
     assert not s.tax.proofs
     assert s.type_of("a") == T.record_ty(s.tax, [("name", T.str_ty)])
+
+
+# ---------------------------------------------------------------------------
+# the record-shape memo
+
+
+def record_uncached(tax, fields):
+    """terms.record without the memo: intern, refuse a mutual pair, sort."""
+    pairs = [(l if isinstance(l, Concept) else mk_concept(l), v)
+             for l, v in fields]
+    if tax.mutual_pair([l for l, _ in pairs]) is not None:
+        return None
+    return T.Record(T.sort_fields(pairs))
+
+
+shape_label = st.sampled_from([c.name for c in LABELS] + LABELS[:2]
+                              + [positional(0), positional(1)])
+shape_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["same_as", "is_a"]), label, label),
+    st.tuples(st.just("record"), st.lists(shape_label, max_size=5)),
+), max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_ops)
+def test_memoised_record_equals_uncached_after_every_step(ops):
+    tax = Taxonomy()
+    seen = []                   # every shape built so far, asked again
+    for op, *args in ops:
+        if op == "same_as":
+            tax.same_as(*args)
+        elif op == "is_a":
+            try:
+                tax.add_is_a(*args)
+            except LatticeCycleError:
+                pass
+        else:
+            seen.append(args[0])
+        for labels in seen:
+            fields = [(l, T.num_f(i)) for i, l in enumerate(labels)]
+            want = record_uncached(tax, fields)
+            try:
+                got = T.record(tax, fields)
+            except MalformedRecordError:
+                got = None
+            assert got == want, labels

@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
-from flutes.errors import ParseError
+from flutes.benchgen import GenConfig, generate
+from flutes.errors import MalformedRecordError, ParseError
 from flutes.syntax import Declaration, parse_program
 from flutes.taxonomy import Taxonomy, mk_concept
 from flutes import terms as T
@@ -110,3 +113,73 @@ class TestErrors:
         tax.same_as(mk_concept("dob"), mk_concept("birth_date"))
         with pytest.raises(ParseError, match="equivalent"):
             parse_program('x := {"dob"="a", "birth_date"="b"};', tax)
+
+
+class TestRecordShapes:
+    """A record's labels are interned, checked and sorted once per shape:
+    the taxonomy memoises them (`Taxonomy.shapes`) until its next edit."""
+
+    RECORD = 'x := {"dob"="1", "birth_date"="2"};'
+
+    def refused_at_brace(self, tax):
+        with pytest.raises(ParseError, match="equivalent") as exc:
+            parse_program(self.RECORD, tax)
+        assert (exc.value.line, exc.value.col) == (1, 6)
+
+    def test_a_synonym_edit_refuses_a_shape_parsed_before(self):
+        tax = Taxonomy()
+        first = parse_program(self.RECORD, tax)
+        assert tax.shapes
+        tax.same_as(mk_concept("dob"), mk_concept("birth_date"))
+        assert not tax.shapes
+        self.refused_at_brace(tax)
+        # a refused shape is not remembered: it is refused again
+        self.refused_at_brace(tax)
+        assert first[0].body.fields[0][0] == mk_concept("birth_date")
+
+    def test_labels_made_mutual_through_is_a_edges(self):
+        # is-a edges cannot make two labels mutual on their own (that is a
+        # cycle), but they can once a synonym joins their ends; each edit
+        # clears the memo
+        tax = Taxonomy()
+        parse_program(self.RECORD, tax)
+        tax.add_is_a(mk_concept("dob"), mk_concept("born"))
+        assert not tax.shapes
+        tax.add_is_a(mk_concept("born"), mk_concept("birth_date"))
+        assert parse_program(self.RECORD, tax)
+        tax.same_as(mk_concept("dob"), mk_concept("birth_date"))
+        self.refused_at_brace(tax)
+
+    def test_one_shape_in_any_source_order_gives_one_record(self):
+        tax = Taxonomy()
+        a, b = parse_program('a := {"y"=1, "x"=f(2, 3)};\n'
+                             'b := {"x"=f(2, 3), "y"=1};', tax)
+        assert a.body == b.body
+        assert [c.name for c, _ in a.body.fields] == ["x", "y"]
+        assert len(tax.shapes) == 2
+
+    def test_a_record_type_shares_the_memo_and_names_itself(self):
+        tax = Taxonomy()
+        ty = T.record_ty(tax, [("b", T.num_ty), ("a", T.str_ty)])
+        assert ty == T.RecordTy(((mk_concept("a"), T.str_ty),
+                                 (mk_concept("b"), T.num_ty)))
+        tax.same_as(mk_concept("a"), mk_concept("b"))
+        with pytest.raises(MalformedRecordError, match="^record type labels"):
+            T.record_ty(tax, [("b", T.num_ty), ("a", T.str_ty)])
+        with pytest.raises(MalformedRecordError, match="^record labels"):
+            T.record(tax, [("b", T.num_f(1)), ("a", T.num_f(2))])
+
+
+def test_parsing_leaves_no_cyclic_garbage():
+    # the benchmark freezes the heap before each operation, so a cycle
+    # through a batch's tokens would keep them alive for the whole run
+    text = generate(GenConfig(persons=40, transactions=30, extra_attrs=3,
+                              seed=5))
+    gc.collect()
+    gc.disable()
+    try:
+        decls = parse_program(text, Taxonomy())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(decls) > 70
