@@ -23,7 +23,6 @@ tail was cut off reports torn_tail<TAB><bytes>.  Exit codes: 0 ok, 1
 command error, 2 store corruption.
 """
 
-import argparse
 import sys
 from typing import Container
 
@@ -217,6 +216,8 @@ def _stdin_lines(out):
 
 
 def main(argv=None) -> int:
+    import argparse   # only the command line needs it, not a session
+
     parser = argparse.ArgumentParser(
         prog="flutes", description="knowledge-base store session")
     parser.add_argument("--store", required=True,

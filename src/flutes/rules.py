@@ -104,8 +104,7 @@ def check_and_coerce(store: Store, result: T.Term, out_ty: T.Type,
 # analytics
 
 
-@dataclass(frozen=True)
-class Analytic:
+class Analytic(T.Value):
     name: str
     input_class: str
     output_class: str

@@ -127,8 +127,12 @@ class Store:
             os.close(fd)
             raise StoreError(f"store {self.path!r} is locked by another session"
                              f" (pid {holder or '?'})") from None
-        os.ftruncate(fd, 0)
-        os.write(fd, str(os.getpid()).encode("ascii"))
+        # overwrite, then cut what a longer stale pid left: truncating a
+        # non-empty file to 0 can block for tens of milliseconds (ext4
+        # mounted with discard), and every open of a store would pay it
+        pid = str(os.getpid()).encode("ascii")
+        os.pwrite(fd, pid, 0)
+        os.ftruncate(fd, len(pid))
         self._lock_fd = fd
 
     def _release_lock(self):
@@ -229,6 +233,31 @@ class Store:
         T.check_labels(t)
         self._put_term(name, t)
         self._log("term", name, t)
+
+    def abox_insert_all(self, terms: list[tuple[str, T.Term]]):
+        """Insert named terms in order, all or none: when abox_insert
+        refuses one, the terms inserted before it, their adjacency and
+        their records are taken out again and the error is raised."""
+        mark = len(self._batch)
+        done = []
+        try:
+            for name, t in terms:
+                self.abox_insert(name, t)
+                done.append(name)
+        except BaseException:
+            for name in reversed(done):
+                self._drop_term(name)
+            del self._batch[mark:]
+            raise
+
+    def _drop_term(self, name: str):
+        """Undo _put_term of a term that nothing has promoted or named yet."""
+        del self.untyped[name]
+        for ref in self.contains_map.pop(name):
+            users = self.contained_by_map[ref]
+            users.discard(name)
+            if not users:
+                del self.contained_by_map[ref]
 
     def _put_term(self, name: str, t: T.Term):
         """Store an untyped term, live or on replay, refusing a bound name

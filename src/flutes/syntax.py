@@ -24,7 +24,6 @@ atom otherwise (`Kentucky`).  `#` starts a comment to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Container
 
@@ -41,8 +40,7 @@ _TOKEN = token_pattern(
     r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)", r"(?P<PUNCT>:=|[{}();,:=])")
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(T.Value):
     name: str
     body: T.Term
 
@@ -194,15 +192,15 @@ def parse_program(text: str, tax: Taxonomy | None = None,
 def insert_text(store, text: str, known: Container[str] | None = None,
                 times: dict[str, float] | None = None) -> int:
     """Parse a program against the store's taxonomy and `known` names (by
-    default `store.term_names()`), insert it and commit it as one batch;
-    the number of declarations.  `times`, when given, receives the seconds
-    spent parsing (`parse_s`) and inserting and committing (`insert_s`)."""
+    default `store.term_names()`), insert it, all or nothing, and commit it
+    as one batch; the number of declarations.  `times`, when given,
+    receives the seconds spent parsing (`parse_s`) and inserting and
+    committing (`insert_s`)."""
     start = perf_counter()
     decls = parse_program(text, store.tax,
                           store.term_names() if known is None else known)
     parsed = perf_counter()
-    for d in decls:
-        store.abox_insert(d.name, d.body)
+    store.abox_insert_all([(d.name, d.body) for d in decls])
     store.commit()
     if times is not None:
         times["parse_s"] = parsed - start

@@ -2,15 +2,18 @@
 
 Terms are the graph values (objects are records, relationships are
 predicate-application records); types are graph schemas; propositions are
-the condition language of subset types.  All three are immutable values.
+the condition language of subset types.  All three are immutable values
+on one base, `Value`: each node class declares its fields as annotations,
+and the base gives it a positional constructor, equality and hash by class
+and field tuple, a `Name(field=value, ...)` repr, and refuses assignment.
 
 The constructors below intern the labels they take by name.  Two of them
 enforce the record invariants: `record` and `record_ty` sort fields under
 the concept order and refuse labels the taxonomy makes equivalent, a
 repeated label included; they do that work once per shape (the labels in
-the order given), which the taxonomy memoises until its next edit.  A value built from the dataclasses directly
-skips those checks; the store and the storage reader refuse one whose
-record repeats a label (`check_labels`).
+the order given), which the taxonomy memoises until its next edit.  A value
+built from the node classes directly skips those checks; the store and the
+storage reader refuse one whose record repeats a label (`check_labels`).
 
 `_SHAPES` is the one place node shapes live: for every node class that
 holds terms, types or propositions it names the parts and rebuilds the node
@@ -24,9 +27,9 @@ and the generic cases of `unify`, `typecheck.resolve_type` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ArityError, MalformedRecordError, TermError
@@ -37,131 +40,187 @@ from .taxonomy import Concept, Taxonomy, mk_concept, positional
 # data model
 
 
-class Term:
+class Value:
+    """A frozen value class.  A subclass's annotated fields, in order, are
+    set by its constructor (positional arguments) and never again; values
+    are equal when they have the same class and equal field tuples, hash as
+    their field tuple and print as `Name(field=value, ...)`, as frozen
+    dataclasses do, without compiling code per class.  A subclass declared
+    with `cache_hash=True` computes its hash once, on first use."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, cache_hash: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        init, cls.__eq__, field_hash = _field_methods(cls._fields)
+        cls.__hash__ = _cached(field_hash) if cache_hash else field_hash
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = init
+
+    def __repr__(self):
+        args = [f"{name}={getattr(self, name)!r}" for name in self._fields]
+        return f"{self.__class__.__qualname__}({', '.join(args)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _field_methods(names: tuple[str, ...]) -> tuple[Callable, ...]:
+    """__init__, __eq__ and __hash__ over the named fields, as closures of
+    one shape per arity; the one- and two-field shapes, which most terms
+    have, are spelled out, since building, hashing and comparing terms is
+    the classifier's inner loop."""
+    set_field = object.__setattr__
+    if len(names) == 1:
+        (a,) = names
+        get = attrgetter(a)
+
+        def __init__(self, x):
+            set_field(self, a, x)
+
+        def __eq__(self, other):
+            # the 1-tuples' comparison: no field holds a value unequal to
+            # itself (Num refuses NaN)
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+
+        return __init__, __eq__, __hash__
+
+    values = attrgetter(*names) if names else (lambda self: ())
+    if len(names) == 2:
+        a, b = names
+
+        def __init__(self, x, y):
+            set_field(self, a, x)
+            set_field(self, b, y)
+    else:
+        def __init__(self, *args):
+            if len(args) != len(names):
+                raise TypeError(f"{self.__class__.__qualname__}() takes "
+                                f"{len(names)} arguments, got {len(args)}")
+            for name, x in zip(names, args):
+                set_field(self, name, x)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    return __init__, __eq__, __hash__
+
+
+def _cached(field_hash: Callable[[Value], int]) -> Callable[[Value], int]:
+    """The hash kept in the instance dict after its first use (it is not a
+    field, so equality and repr ignore it)."""
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+    return __hash__
+
+
+class Term(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Term):
     value: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    def __init__(self, value):
+        if not math.isfinite(value):
             raise TermError("numeric terms must be finite")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Str(Term):
     value: str
 
 
-@dataclass(frozen=True)
 class Atom(Term):
     concept: Concept
 
 
-@dataclass(frozen=True)
 class Record(Term):
     fields: tuple[tuple[Concept, "Term"], ...]
 
 
-@dataclass(frozen=True)
 class List(Term):
     items: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
 class Bottom(Term):
     """An essential property whose value is unknown; carries its concept."""
 
     concept: Concept
 
 
-@dataclass(frozen=True)
 class FieldSelection(Term):
     base: "Term"
     label: Concept
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class TermAlias(Term):
     """A by-name reference to a declared term."""
 
     name: str
 
 
-class Type:
+class Type(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumTy(Type):
     pass
 
 
-@dataclass(frozen=True)
 class StrTy(Type):
     pass
 
 
-# The composite types compute their hash once, on first use, and keep it in
-# the instance dict (it is not a field, so equality and repr ignore it): they
-# key the proof memo and the store's intern table, and hashing a wide record
-# type field by field on every lookup would cost what the memo saves.  A type
-# that is never hashed (most that inference builds and drops) costs nothing
-# extra.
+# The composite types cache their hash: they key the proof memo and the
+# store's intern table, and hashing a wide record type field by field on
+# every lookup would cost what the memo saves.  A type that is never hashed
+# (most that inference builds and drops) costs nothing extra.
 
-@dataclass(frozen=True)
-class ListTy(Type):
+class ListTy(Type, cache_hash=True):
     elem: "Type"
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.elem,))
-        return h
 
-
-@dataclass(frozen=True)
-class RecordTy(Type):
+class RecordTy(Type, cache_hash=True):
     fields: tuple[tuple[Concept, "Type"], ...]
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.fields,))
-        return h
 
-
-@dataclass(frozen=True)
-class EnumTy(Type):
+class EnumTy(Type, cache_hash=True):
     concepts: tuple[Concept, ...]
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.concepts,))
-        return h
 
-
-@dataclass(frozen=True)
 class VoidTy(Type):
     pass
 
 
-@dataclass(frozen=True)
 class SubsetTy(Type):
     binding_term: Term
     binding_type: "Type"
     prop: "Prop"
 
 
-@dataclass(frozen=True)
 class TyAlias(Type):
     name: str
 
@@ -174,51 +233,43 @@ class PredOp(Enum):
     EQ = "eq"
 
 
-class Prop:
+class Prop(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BuiltinPred(Prop):
     op: PredOp
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
 class And(Prop):
     left: "Prop"
     right: "Prop"
 
 
-@dataclass(frozen=True)
 class Or(Prop):
     left: "Prop"
     right: "Prop"
 
 
-@dataclass(frozen=True)
 class Not(Prop):
     body: "Prop"
 
 
-@dataclass(frozen=True)
 class Exists(Prop):
     var: str
     bound_type: Type
     body: "Prop"
 
 
-@dataclass(frozen=True)
 class TrueProp(Prop):
     pass
 
 
-@dataclass(frozen=True)
 class FalseProp(Prop):
     pass
 
 
-@dataclass(frozen=True)
 class InSequence(Prop):
     item: Term
     items: tuple[Term, ...]
@@ -467,7 +518,7 @@ def type_alias_names(node: Node) -> set[str]:
 def check_labels(node: Node) -> None:
     """Refuse a term or type that holds a record naming a label twice.
     `record`, `record_ty` and the storage reader refuse one as they build it;
-    the store calls this for values built from the dataclasses directly,
+    the store calls this for values built from the node classes directly,
     which its log could otherwise not read back."""
     for x in nodes(node):
         cls = type(x)

@@ -15,7 +15,6 @@ nothing changes is returned as the same object.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import AliasCycleError, CoercionDomainError, TypeCheckError
@@ -122,21 +121,18 @@ def resolve_type(ty: T.Type, lookup: Resolve,
 # subtype proofs
 
 
-class Proof:
+class Proof(T.Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Leaf(Proof):
     admits: type | None   # the term class its coercion accepts; None: void
 
 
-@dataclass(frozen=True)
 class ListNode(Proof):
     child: Proof
 
 
-@dataclass(frozen=True)
 class RecordNode(Proof):
     # per supertype field: (sup_label, matched sub_label, child proof)
     pairs: tuple[tuple[Concept, Concept, Proof], ...]

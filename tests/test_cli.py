@@ -4,7 +4,7 @@ import pytest
 
 from flutes import terms as T
 from flutes.cli import Session, _member_handle, main, run_session
-from flutes.errors import RuleFailure
+from flutes.errors import FlutesError, RuleFailure
 from flutes.classifier import find_members
 from flutes.rules import member_name
 from flutes.sexp import parse_sexp, render_sexp
@@ -95,6 +95,19 @@ class TestCommands:
         assert code == 0
         assert "inserted\t2" in out.splitlines()
         assert "untyped\t2" in out.splitlines()
+
+    def test_failed_insert_stores_none_of_its_declarations(self, tmp_path):
+        path = str(tmp_path / "kb")
+        with Store(path) as store:
+            session = Session(store, io.StringIO(), timings=False)
+            session.run_line("insert b := 2;")
+            with pytest.raises(FlutesError, match="'b' already bound"):
+                session.run_line("insert a := 1; b := 3;")
+            assert store.lookup("a") is None
+            session.run_line("insert c := 4;")
+        with Store(path) as store:
+            assert sorted(store.term_names()) == ["b", "c"]
+            assert store.lookup("b") == T.num_f(2)
 
     def test_stored_names_parse_as_aliases(self):
         session = Session(Store(), io.StringIO())

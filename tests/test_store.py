@@ -89,6 +89,43 @@ class TestInsert:
         assert s.contained_by_map["t2"] == {"r1"}
 
 
+def _refs(*names):
+    return T.List(tuple(T.term_name(n) for n in names))
+
+
+class TestInsertAll:
+    """A batch of terms is stored whole or not at all."""
+
+    @pytest.mark.parametrize("batch, error", [
+        ([("a", T.num_f(1)), ("b", T.num_f(3))], DuplicateNameError),
+        ([("a", T.num_f(1)), ("a", T.num_f(3))], DuplicateNameError),
+        ([("a", _refs("c")), ("c", _refs("a"))], AliasCycleError),
+        ([("a", _refs("x")), ("c", _refs("w"))], AliasCycleError),
+        ([("a", _refs("y", "x")), ("", T.num_f(1))], StoreError),
+    ], ids=["bound-name", "name-repeated-in-batch", "cycle-in-batch",
+            "cycle-through-the-store", "bad-name"])
+    def test_refused_batch_stores_nothing(self, tmp_path, batch, error):
+        path = str(tmp_path / "kb")
+        s = Store(path)
+        s.abox_insert_all([("b", T.num_f(2)), ("w", _refs("c", "x"))])
+        s.commit()
+        before = (s.dump_state(), {k: set(v) for k, v in s.contained_by_map.items()})
+        with pytest.raises(error):
+            s.abox_insert_all(batch)
+        assert s.lookup("a") is None
+        assert (s.dump_state(), s.contained_by_map) == before
+        s.abox_insert_all([("c", T.num_f(4))])
+        s.close()
+        with Store(path) as s:
+            assert sorted(s.term_names()) == ["b", "c", "w"]
+
+    def test_batch_refers_to_itself_and_forward(self):
+        s = Store()
+        s.abox_insert_all([("a", _refs("b", "z")), ("b", T.num_f(1))])
+        assert s.contains_map["a"] == {"b", "z"}
+        assert s.contained_by_map == {"b": {"a"}, "z": {"a"}}
+
+
 class TestClasses:
     def test_register_and_resolve(self):
         s = Store()

@@ -208,12 +208,12 @@ _SAMPLE_IDS = [type(x).__name__ for x, _ in _SAMPLES]
 
 
 def _node_classes():
+    """Every concrete node class: each class below Term, Type and Prop."""
     out, stack = [], [T.Term, T.Type, T.Prop]
     while stack:
-        cls = stack.pop()
-        stack.extend(cls.__subclasses__())
-        if dataclasses.is_dataclass(cls):
-            out.append(cls)
+        subclasses = stack.pop().__subclasses__()
+        stack.extend(subclasses)
+        out.extend(subclasses)
     return out
 
 
@@ -221,8 +221,8 @@ class TestShapes:
     def test_every_class_with_parts_has_a_shape(self):
         holds_nodes = re.compile(r"\b(Term|Type|Prop)\b")
         with_parts = {cls for cls in _node_classes()
-                      if any(holds_nodes.search(str(f.type))
-                             for f in dataclasses.fields(cls))}
+                      if any(holds_nodes.search(str(cls.__annotations__[name]))
+                             for name in cls._fields)}
         assert with_parts == set(T._SHAPES)
         assert {type(x) for x, _ in _SAMPLES} == with_parts
 
@@ -242,3 +242,53 @@ class TestShapes:
         assert T.map_parts(node, lambda x: x) == node
         tagged = T.map_parts(node, lambda x: ("new", x))
         assert list(T.parts(tagged)) == [("new", x) for x in T.parts(node)]
+
+
+_LEAVES = [T.num_f(1.5), T.Str("a"), T.atom("a"), T.Bottom(mk_concept("b")),
+           T.Var("v"), T.TermAlias("t"), T.num_ty, T.str_ty, T.void_ty,
+           T.enum_ty(["a", "b"]), T.TyAlias("y"), T.TRUE, T.FALSE]
+
+
+class TestValues:
+    """The value base keeps what the frozen dataclasses gave: equality by
+    class and fields, the hash of the field tuple, the repr, immutability."""
+
+    @pytest.mark.parametrize("node", [x for x, _ in _SAMPLES] + _LEAVES,
+                             ids=_SAMPLE_IDS + [type(x).__name__ for x in _LEAVES])
+    def test_equality_hash_repr_and_immutability(self, node):
+        copy = type(node)(*[getattr(node, name) for name in node._fields])
+        assert copy is not node
+        assert copy == node and not copy != node
+        fields = tuple(getattr(node, name) for name in node._fields)
+        assert hash(node) == hash(copy) == hash(fields)
+        assert repr(node) == "{}({})".format(type(node).__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(node._fields, fields)))
+        for name in node._fields or ("anything",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert node == copy      # unchanged by the refused edits
+
+    def test_same_fields_of_another_class_differ(self):
+        assert T.Str("a") != T.TermAlias("a")
+        assert T.And(T.TRUE, T.FALSE) != T.Or(T.TRUE, T.FALSE)
+        assert T.num_ty != T.str_ty and T.TRUE != T.FALSE
+        assert T.Str("a") != ("a",) and T.Str("a").__eq__("a") is NotImplemented
+
+    def test_repr_text(self):
+        assert repr(T.num_f(2)) == "Num(value=2.0)"
+        assert repr(T.num_ty) == "NumTy()"
+        assert repr(T.Exists("x", T.TyAlias("p"), T.TRUE)) == (
+            "Exists(var='x', bound_type=TyAlias(name='p'), body=TrueProp())")
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_is_refused(self, value):
+        with pytest.raises(TermError):
+            T.Num(value)
+
+    def test_wrong_argument_count_is_refused(self):
+        with pytest.raises(TypeError):
+            T.Exists("x", T.num_ty)
+        with pytest.raises(TypeError):
+            T.Str()
