@@ -11,6 +11,13 @@ class's alias index (the containment graph, per member) and by per-class
 watermarks, so re-runs only consider tuples that involve at least one
 member added since the previous run.
 
+A tuple's member is the binding term with the tuple's values in place,
+coerced to the class type.  `_Binding` compiles the binding when the
+class is first judged; a member whose coercion is skipped takes its
+storage form, which names it, from a template of the binding's filled
+with the values', and its alias names from theirs, so the member term is
+neither rendered nor walked.
+
 A class's judgement (`judge`) is what applying its watermark record runs,
 live and on replay (see store.py), so derived members are never logged.
 """
@@ -27,6 +34,7 @@ from . import terms as T
 from .clause import DisjunctPlans, Plan, Step
 from .errors import EvalError, UnboundAliasError
 from .rules import coerce_term, deref, eval_term, member_name
+from .sexp import render_sexp, template
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
 
@@ -193,6 +201,11 @@ class _Binding:
     coercion stops at aliases.  A binding that selects a field is evaluated
     before it is typed, and keyed by the evaluated term's type, since a
     selection can reach a typeable part of a value that has no type.
+
+    Next to the memo, the binding is compiled into a builder of the
+    substituted term, a template of its storage form and its own alias
+    names (`storage`); a member that a coercion rewrote or a selection
+    reached is rendered and walked whole.
     """
 
     def __init__(self, store: Store, cls: KbClass):
@@ -201,19 +214,23 @@ class _Binding:
         self.vars = sorted(T.free_vars(self.term))
         self.selects = any(type(n) is T.FieldSelection
                            for n in T.nodes(self.term))
+        self.build = T.substituter(self.term)
+        self.render = template(self.term, self.vars)
+        self.aliases = T.alias_names(self.term)
         self.proofs: dict = {}   # shape -> (proof, unchanged) or None
 
-    def member(self, store: Store, subst: dict[str, T.Term]) -> T.Term | None:
-        """The coerced member term that a tuple yields, or None."""
+    def member(self, store: Store, subst: dict[str, T.Term]):
+        """The coerced member term that a tuple yields, with its storage
+        form and alias names, or None."""
         if self.selects:
-            mt = eval_term(T.substitute(subst, self.term), store.lookup, store.tax)
+            mt = eval_term(self.build(subst), store.lookup, store.tax)
             shape = (False, infer_static_type(mt, store.tax, store.type_of))
         else:
             try:
                 values = [subst[v] for v in self.vars]
             except KeyError:      # a variable that no literal bound
                 return None
-            mt = T.substitute(subst, self.term)
+            mt = self.build(subst)
             aliases = all(type(v) is T.TermAlias for v in values)
             shape = (aliases, *[store.type_of(v.name) if type(v) is T.TermAlias
                                 else infer_static_type(v, store.tax, store.type_of)
@@ -224,7 +241,23 @@ class _Binding:
         if hit is None:
             return None
         proof, unchanged = hit
-        return mt if unchanged else apply_coercion(proof, mt)
+        if unchanged and not self.selects:
+            return mt, *self.storage(subst)
+        mt = mt if unchanged else apply_coercion(proof, mt)
+        return mt, render_sexp(mt), T.alias_names(mt)
+
+    def storage(self, subst: dict[str, T.Term]) -> tuple[str, set[str]]:
+        """The storage form and the alias names of the substituted binding,
+        composed from the values': a member of a shape whose coercion is
+        skipped is the substituted binding itself."""
+        names = set(self.aliases)
+        for v in self.vars:
+            value = subst[v]
+            if type(value) is T.TermAlias:
+                names.add(value.name)
+            else:
+                names |= T.alias_names(value)
+        return self.render(subst), names
 
     def _prove(self, store: Store, mt: T.Term, aliases: bool):
         """The proof for mt's shape and whether its coercion leaves the
@@ -261,9 +294,10 @@ class _DisjunctRun:
                                          for c in plans.guards)
         self.waits = False   # a tuple failed on an alias not yet stored or typed
 
-    def solve(self) -> list[T.Term]:
-        """The coerced member terms of every tuple the plan finds."""
-        out: list[T.Term] = []
+    def solve(self) -> list[tuple[T.Term, str, set[str]]]:
+        """The coerced member term of every tuple the plan finds, with its
+        storage form and alias names."""
+        out: list[tuple[T.Term, str, set[str]]] = []
         if self._holds(self.plan.checks, {}):
             self._descend(0, {}, out)
         return out
@@ -324,12 +358,12 @@ class _DisjunctRun:
                 return
         self.stats.tuples += 1
         try:
-            mt = self.binding.member(self.store, subst)
+            member = self.binding.member(self.store, subst)
         except EvalError as exc:   # a failed selection, or an alias not yet typed
             self.waits |= isinstance(exc, UnboundAliasError)
             return
-        if mt is not None:
-            out.append(mt)
+        if member is not None:
+            out.append(member)
 
 
 # -- the judgement ---------------------------------------------------------------
@@ -372,7 +406,7 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
     binding = cls.binding = cls.binding or _Binding(store, cls)
     sizes = _sizes(store, cls)
     marks = {d: (cls.dep_marks or {}).get(d, 0) for d in sizes}
-    produced: list[T.Term] = []
+    produced: list[tuple[T.Term, str, set[str]]] = []
     held = False
 
     for plans in clause.plans:
@@ -397,9 +431,8 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
             produced.extend(run.solve())
             held |= run.waits
 
-    for t in produced:
-        if t not in cls.member_terms:   # naming renders and digests the term
-            store._put_member(cls.name, member_name(cls.name, t), t)
+    for t, text, names in produced:
+        if store._put_member(cls.name, member_name(cls.name, text), t, names):
             st.matched += 1
     if not held:
         # marks move only past final verdicts: a tuple that failed on an

@@ -14,6 +14,7 @@ from . import terms as T
 from .classifier import eval_ground_prop
 from .errors import EvalError, UnsupportedPropError
 from .rules import coerce_term, eval_term, member_name
+from .sexp import render_sexp
 from .store import Store, KbClass
 from .typecheck import apply_coercion, infer_static_type, prove_subtype_uncached
 
@@ -154,7 +155,7 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext
         coerced = apply_coercion(proof, mt)
         if coerced not in seen:
             seen.add(coerced)
-            out.append((member_name(cls.name, coerced), coerced))
+            out.append((member_name(cls.name, render_sexp(coerced)), coerced))
 
     def absorb(raw, binds, skval):
         """Split one-way match results into free bindings and skolem

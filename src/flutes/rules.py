@@ -10,12 +10,13 @@ abort a run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
+from hashlib import sha1
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (CoercionDomainError, EvalError, RuleFailure, StoreError,
                      TermError, UnboundAliasError)
+from .sexp import render_sexp
 from .taxonomy import Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
@@ -160,10 +161,10 @@ class RuleReport:
         return out
 
 
-def member_name(class_name: str, t: T.Term) -> str:
-    from .sexp import render_sexp
-    digest = hashlib.sha1(render_sexp(t).encode("utf-8")).hexdigest()[:12]
-    return f"{class_name}#{digest}"
+def member_name(class_name: str, text: str) -> str:
+    """The name of the class's member whose storage form is `text`: the
+    class name, `#` and the first 12 hex digits of the text's SHA-1."""
+    return f"{class_name}#{sha1(text.encode('utf-8')).hexdigest()[:12]}"
 
 
 def run_analytic(store: Store, analytic: Analytic) -> RuleReport:
@@ -186,7 +187,8 @@ def run_analytic(store: Store, analytic: Analytic) -> RuleReport:
             report.failures.append((mname, str(exc)))
             continue
         if store.add_member(analytic.output_class,
-                            member_name(analytic.output_class, coerced),
+                            member_name(analytic.output_class,
+                                        render_sexp(coerced)),
                             coerced):
             report.inserted += 1
     store.commit()

@@ -62,7 +62,28 @@ def _render(x) -> str:
 
 
 def _fields(fields) -> str:
-    return " ".join(f"({_label(c)} {_render(v)})" for c, v in fields)
+    return " ".join([f"({_label(c)} {_render(v)})" for c, v in fields])
+
+
+def template(x: T.Term, names: list[str]):
+    """`render_sexp` compiled for a term that binds no variable, as a
+    function from a substitution that binds each of `names` to the storage
+    form of x with the values in place of those variables.  x is rendered
+    once here, with an alias in place of each variable, and cut at those
+    aliases; the function renders only the values, between the pieces."""
+    # a mark longer than any alias name in x, so no alias of x renders as a slot
+    mark = "\0" * (1 + max(map(len, T.alias_names(x)), default=0))
+    slots = {n: T.TermAlias(f"{mark}{i}") for i, n in enumerate(names)}
+    cut = re.split(f'\\(alias "{mark}(\\d+)"\\)', _render(T.substitute(slots, x)))
+    first = cut[0]
+    rest = [(names[int(i)], piece) for i, piece in zip(cut[1::2], cut[2::2])]
+
+    def render(s) -> str:
+        out = first
+        for name, piece in rest:
+            out += _render(s[name]) + piece
+        return out
+    return render
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,8 @@ class Store:
             stack.extend(self.contains_map.get(cur, ()))
 
     def _add_adjacency(self, name: str, refs: set[str]):
-        self.contains_map[name] = set(refs)
+        """Record the alias names a term or member holds; keeps `refs`."""
+        self.contains_map[name] = refs
         for r in refs:
             self.contained_by_map.setdefault(r, set()).add(name)
 
@@ -363,18 +364,22 @@ class Store:
         self._log("member", class_name, member_name, t)
         return True
 
-    def _put_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
+    def _put_member(self, class_name: str, member_name: str, t: T.Term,
+                    refs: set[str] | None = None) -> bool:
+        """Insert a member unless a member holds its term; `refs`, when
+        given, are the term's alias names."""
         cls = self.kb_class(class_name)
-        if t in cls.member_terms:
+        size = len(cls.member_terms)
+        cls.member_terms.setdefault(t, member_name)   # one probe of the term
+        if len(cls.member_terms) == size:
             return False
-        refs = self.contains_map.get(member_name)
-        if refs is None:
-            refs = T.alias_names(t)
-            self._add_adjacency(member_name, refs)
+        known = self.contains_map.get(member_name)    # a static member's term
+        if known is None:
+            known = T.alias_names(t) if refs is None else refs
+            self._add_adjacency(member_name, known)
         idx = cls.by_name[member_name] = len(cls.members)
         cls.members.append((member_name, t))
-        cls.member_terms[t] = member_name
-        for ref in refs:
+        for ref in known:
             cls.by_alias.setdefault(ref, []).append(idx)
         return True
 

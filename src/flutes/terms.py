@@ -19,9 +19,9 @@ storage reader refuse one whose record repeats a label (`check_labels`).
 holds terms, types or propositions it names the parts and rebuilds the node
 from new parts.  Every single-input structural walker goes through it:
 `nodes`, `parts` and `map_parts` here, the folds `free_vars`,
-`alias_names`, `type_alias_names` and `check_labels`, the map `substitute`,
-and the generic cases of `unify`, `typecheck.resolve_type` and
-`rules.eval_term`.
+`alias_names`, `type_alias_names` and `check_labels`, the map `substitute`
+and its compiled form `substituter`, and the generic cases of `unify`,
+`typecheck.resolve_type` and `rules.eval_term`.
 """
 
 from __future__ import annotations
@@ -543,6 +543,22 @@ def substitute(s: Subst, node: Node) -> Node:
         return _substitute_exists(node, s)
     shape = _SHAPES.get(cls)
     return node if shape is None else shape[1](node, lambda x: substitute(s, x))
+
+
+def substituter(node: Node) -> Callable[[Subst], Node]:
+    """`substitute` compiled for a node that binds no variable, such as a
+    subset class's binding term: the function maps a substitution to the
+    node with its variables replaced, and rebuilds only the parts that
+    hold one."""
+    cls = type(node)
+    if cls is Var:
+        return lambda s: s.get(node.name, node)
+    shape = _SHAPES.get(cls)
+    if shape is None or not free_vars(node):
+        return lambda s: node
+    build = {id(p): substituter(p) for p in shape[0](node)}
+    rebuild = shape[1]
+    return lambda s: rebuild(node, lambda p: build[id(p)](s))
 
 
 def _substitute_exists(p: Exists, s: Subst) -> Exists:

@@ -7,7 +7,7 @@ from flutes.cli import Session, _member_handle, main, run_session
 from flutes.errors import FlutesError, RuleFailure
 from flutes.classifier import find_members
 from flutes.rules import member_name
-from flutes.sexp import parse_sexp, render_sexp
+from flutes.sexp import render_sexp
 from flutes.store import Store
 from flutes.taxonomy import Taxonomy
 
@@ -278,7 +278,7 @@ class TestLambdaRules:
         lines = out.splitlines()
         assert lines[lines.index("rule\tnames"):] == [
             "rule\tnames", "analytic\tnames", "processed\t2", "inserted\t2",
-            "failures\t0", *[f"member\t{member_name('names', parse_sexp(r))}"
+            "failures\t0", *[f"member\t{member_name('names', r)}"
                              f"\t{r}" for r in rendered], "count\t2"]
         # the rule is not stored; its members are, and a rerun adds none
         code, again = run_script(tmp_path, capsys, [

@@ -26,6 +26,7 @@ from flutes.benchgen import GenConfig, generate
 from flutes.classifier import find_members
 from flutes.cli import Session
 from flutes.rules import member_name
+from flutes.sexp import render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
@@ -98,8 +99,8 @@ def golden_session(path: str) -> str:
     s.commit()
     # an asserted member, which the judgement then derives as well: the log
     # holds a member record, and the state is that of the older sessions
-    s.add_member("sender", member_name("sender", T.term_name("a")),
-                 T.term_name("a"))
+    a = T.term_name("a")
+    s.add_member("sender", member_name("sender", render_sexp(a)), a)
     find_members(s)
     s.mk_kb_class("sink", every_type_and_prop_head(s.tax))
     s.commit()

@@ -102,8 +102,14 @@ def assert_matches_oracle(store):
 
 
 def write_log(path, data: bytes):
-    with open(os.path.join(path, LOG), "wb") as fh:
-        fh.write(data)
+    # overwrite in place, then cut to length: truncating a file to 0 first,
+    # as opening it with "wb" does, can block for tens of milliseconds
+    fd = os.open(os.path.join(path, LOG), os.O_WRONLY | os.O_CREAT, 0o644)
+    try:
+        os.pwrite(fd, data, 0)
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 @pytest.fixture(scope="module")

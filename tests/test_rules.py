@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from flutes.classifier import find_members
 from flutes.errors import EvalError, RuleFailure, StoreError, TermError
 from flutes.rules import (eval_term, lambda_rule, member_name, mk_analytic,
                           run_analytic)
+from flutes.sexp import render_sexp
 from flutes.store import Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept, positional
@@ -246,8 +249,11 @@ class TestAnalytics:
             mk_analytic(store, "a2", "person", "ghost", lambda t: t, reg)
 
     def test_member_names_are_content_addressed(self, store):
-        assert member_name("c", T.num_f(1)) == member_name("c", T.num_f(1))
-        assert member_name("c", T.num_f(1)) != member_name("c", T.num_f(2))
+        one, two = render_sexp(T.num_f(1)), render_sexp(T.num_f(2))
+        assert member_name("c", one) == member_name("c", one)
+        assert member_name("c", one) != member_name("c", two)
+        digest = hashlib.sha1(one.encode("utf-8")).hexdigest()[:12]
+        assert member_name("c", one) == f"c#{digest}"
 
     def test_report_lines_format(self, store):
         person_members(store)
