@@ -125,7 +125,7 @@ def match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
         if len(pat.fields) != len(t.fields):
             return False
         for (pl, pv), (tl, tv) in zip(pat.fields, t.fields):
-            if pl != tl or not match(pv, tv, s):
+            if pl is not tl or not match(pv, tv, s):
                 return False
         return True
     if cls is T.List:
@@ -136,7 +136,7 @@ def match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
                 return False
         return True
     if cls is T.FieldSelection:
-        return pat.label == t.label and match(pat.base, t.base, s)
+        return pat.label is t.label and match(pat.base, t.base, s)
     return pat == t
 
 

@@ -39,20 +39,13 @@ def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
     """
     if isinstance(t, T.FieldSelection):
         base = deref(eval_term(t.base, env, tax), env)
-        if t.label.is_positional:
-            inner = T.pred_app_parts(base)
-            if inner is not None:
-                head, args = inner
-                if t.label.position >= len(args):
-                    raise EvalError(
-                        f"{head.name!r} has no argument {t.label.position}")
-                return args[t.label.position]
         if not isinstance(base, T.Record):
             raise EvalError(f"selection from a non-record: {base!r}")
-        for label, value in base.fields:
-            if tax.label_match(label, t.label):
-                return value
-        raise EvalError(f"no field matching {t.label!r}")
+        value = T.select_field(base, t.label, tax)
+        if value is None:
+            raise EvalError(f"no argument {t.label.position}" if t.label.is_positional
+                            else f"no field matching {t.label!r}")
+        return value
     if isinstance(t, T.Var):
         raise EvalError(f"unbound variable {t.name!r}")
     return T.map_parts(t, lambda x: eval_term(x, env, tax))

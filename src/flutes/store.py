@@ -18,8 +18,9 @@ scans the typed ids from its old watermark up to N; a subset class solves
 its disjuncts over its dependency classes' members, and N and the M are its
 member count and marks after, which replay must reach.  Logs of versions 1
 and 2, which also logged derived members, still open; the first batch
-appended to one begins with (flutes-log 3).  A taxonomy edit rewinds every
-class's marks, live and on replay.
+appended to one begins with (flutes-log 3).  A taxonomy edit that changes a
+relation rewinds every class's marks, live and on replay; one that changes
+none is logged all the same.
 
 commit() appends the batch and its marker, where crc is zlib.crc32 of the
 batch's bytes, with one write and one fsync.  Replay applies a batch only
@@ -206,7 +207,8 @@ class Store:
         self._log("is-a", child.name, parent.name)
 
     def _put_edit(self, a: Concept, b: Concept, edit):
-        edit(self.tax, a, b)
+        if not edit(self.tax, a, b):
+            return   # the relations are as they were, and so is every verdict
         # field selections infer through label_match, so an edit may change
         # inferred types; the taxonomy has cleared its proof memo
         self._type_memo.clear()
@@ -571,7 +573,7 @@ def _damaged_marker(batch: list[tuple[int, bytes]], count: int,
 def _concept(x: str | Concept) -> Concept:
     # checked before the taxonomy changes: a positional label has no name
     # to log, and label_match ignores relations on positions anyway
-    c = x if isinstance(x, Concept) else mk_concept(x)
+    c = mk_concept(x)
     if c.is_positional:
         raise StoreError(f"taxonomy edits take named concepts, got {c!r}")
     return c

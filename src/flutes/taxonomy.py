@@ -5,48 +5,55 @@ relation (synonyms, e.g. ``dob`` ~ ``birth_date``) and an acyclic is-a
 lattice (hyponym -> hypernym).  Record subtyping pairs field labels through
 ``label_match``, which consults all three.
 
-Concepts are interned: ``mk_concept`` and ``positional`` hand out one shared
-``Concept`` per name or index, and each concept computes its hash once.  A
-taxonomy memoises ``label_match`` and holds the memo of subtype proofs
+Concepts are interned: there is one ``Concept`` per name or index, whether
+it comes from ``mk_concept``, ``positional`` or the constructor, so identity
+is equality and labels hash and compare in C.  A taxonomy memoises
+``label_match`` and holds the memo of subtype proofs
 (``typecheck.prove_subtype``) and the memo of record shapes
 (``terms.record``); its mutators, ``same_as`` and ``add_is_a``, clear all
-three, so every answer reflects the current edges.
+three when they change a relation, so every answer reflects the current
+edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import LatticeCycleError, TaxonomyError
 
 
-@dataclass(frozen=True, eq=False)
 class Concept:
     """An interned label: either a named concept or a positional one.
 
-    Named and positional concepts are disjoint.  Equality is by value, so a
-    concept built directly equals the interned one; interning makes the
-    common case an identity test and a stored hash.
+    The constructor is the intern table: ``Concept(name=...)`` and
+    ``Concept(position=...)`` return the one instance for that name or
+    index, so identity is equality and hashing is ``object``'s.  Named and
+    positional concepts are disjoint, and a concept refuses assignment.
     """
 
-    name: str | None = None
-    position: int | None = None
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("name", "position")
 
-    def __post_init__(self):
-        if (self.name is None) == (self.position is None):
+    def __new__(cls, name: str | None = None, position: int | None = None):
+        if (name is None) == (position is None):
             raise TaxonomyError("concept is either named or positional")
-        object.__setattr__(self, "_hash", hash((self.name, self.position)))
+        if position is None and (not isinstance(name, str) or not name):
+            raise TaxonomyError("concept name must be a nonempty string")
+        if position is not None and position < 0:
+            raise TaxonomyError("positional concept index must be >= 0")
+        table, key = (_NAMED, name) if position is None else (_POSITIONAL, position)
+        c = table.get(key)
+        if c is None:
+            c = table[key] = object.__new__(cls)
+            object.__setattr__(c, "name", name)
+            object.__setattr__(c, "position", position)
+        return c
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Concept):
-            return NotImplemented
-        return self.name == other.name and self.position == other.position
+    def __setattr__(self, *_):
+        raise AttributeError("a concept is immutable")
 
-    def __hash__(self):
-        return self._hash
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild a concept through the intern table too
+        return Concept, (self.name, self.position)
 
     @property
     def is_positional(self) -> bool:
@@ -71,22 +78,16 @@ _NAMED: dict[str, Concept] = {}
 _POSITIONAL: dict[int, Concept] = {}
 
 
-def mk_concept(name: str) -> Concept:
-    if not isinstance(name, str) or not name:
-        raise TaxonomyError("concept name must be a nonempty string")
-    c = _NAMED.get(name)
-    if c is None:
-        c = _NAMED[name] = Concept(name=name)
-    return c
+def mk_concept(name: str | Concept) -> Concept:
+    """The concept named ``name``; a concept is returned as it is."""
+    if isinstance(name, Concept):
+        return name
+    c = _NAMED.get(name) if isinstance(name, str) else None
+    return c or Concept(name=name)
 
 
 def positional(index: int) -> Concept:
-    if index < 0:
-        raise TaxonomyError("positional concept index must be >= 0")
-    c = _POSITIONAL.get(index)
-    if c is None:
-        c = _POSITIONAL[index] = Concept(position=index)
-    return c
+    return _POSITIONAL.get(index) or Concept(position=index)
 
 
 def compare(a: Concept, b: Concept) -> int:
@@ -100,10 +101,10 @@ class Taxonomy:
 
     Mutations (``same_as``, ``add_is_a``) are expected to be serialized by
     the caller; the query methods only read the relations.  The mutators are
-    the taxonomy epoch: each clears the ``label_match`` memo, the proof memo
-    and the shape memo, which therefore grow with the distinct label pairs,
-    (subtype, supertype) pairs and record label tuples met since the last
-    edit.
+    the taxonomy epoch: each that changes a relation clears the
+    ``label_match`` memo, the proof memo and the shape memo, which
+    therefore grow with the distinct label pairs, (subtype, supertype)
+    pairs and record label tuples met since the last such edit.
     """
 
     def __init__(self):
@@ -134,26 +135,33 @@ class Taxonomy:
         return root
 
     def equiv(self, a: Concept, b: Concept) -> bool:
-        return self.find(a) == self.find(b)
+        return self.find(a) is self.find(b)
 
-    def same_as(self, a: Concept, b: Concept) -> None:
+    def same_as(self, a: Concept, b: Concept) -> bool:
+        """Make a and b synonyms; False when they already were."""
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
+        if ra is rb:
+            return False
         if compare(rb, ra) < 0:
             ra, rb = rb, ra
         self._parent[rb] = ra
         group = self._members.setdefault(ra, {ra})
         group.update(self._members.pop(rb, {rb}))
         self._forget()
+        return True
 
     # -- is-a lattice --
 
-    def add_is_a(self, child: Concept, parent: Concept) -> None:
+    def add_is_a(self, child: Concept, parent: Concept) -> bool:
+        """Add the edge child -> parent; False when ``label_leq`` already
+        implied it, which leaves the relations as they were."""
         if self.label_leq(parent, child):
             raise LatticeCycleError(f"is-a edge {child!r} -> {parent!r} closes a cycle")
+        if self.label_leq(child, parent):
+            return False
         self._isa.setdefault(child, set()).add(parent)
         self._forget()
+        return True
 
     def _forget(self) -> None:
         # every memoised answer may depend on the edge just added
@@ -169,7 +177,7 @@ class Taxonomy:
         queue = [self.find(sub)]
         while queue:
             rep = queue.pop()
-            if rep == target:
+            if rep is target:
                 return True
             for c in self._members.get(rep, {rep}):
                 for parent in self._isa.get(c, ()):
@@ -190,7 +198,7 @@ class Taxonomy:
         key = (sub_label, sup_label)
         hit = self._match.get(key)
         if hit is None:
-            if sub_label == sup_label:
+            if sub_label is sup_label:
                 hit = True
             elif sub_label.is_positional or sup_label.is_positional:
                 hit = False

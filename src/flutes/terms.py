@@ -309,10 +309,6 @@ def term_name(name: str) -> TermAlias:
     return TermAlias(name)
 
 
-def _as_concept(label: str | Concept) -> Concept:
-    return label if isinstance(label, Concept) else mk_concept(label)
-
-
 def sort_fields(fields: Iterable[tuple[Concept, Node]]) -> tuple:
     return tuple(sorted(fields, key=lambda f: f[0].sort_key()))
 
@@ -327,7 +323,7 @@ def _sorted_fields(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Node]],
     labels = tuple([label for label, _ in fields])
     shape = tax.shapes.get(labels)
     if shape is None:
-        concepts = [_as_concept(label) for label in labels]
+        concepts = [mk_concept(label) for label in labels]
         # mutual label_match (synonymy or identity) makes subtype field
         # pairing ambiguous, so such label pairs are rejected outright
         pair = tax.mutual_pair(concepts)
@@ -369,7 +365,7 @@ def record_ty(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Type]]) -> Re
 
 
 def enum_ty(names: Iterable[str | Concept]) -> EnumTy:
-    concepts = tuple(_as_concept(n) for n in names)
+    concepts = tuple(map(mk_concept, names))
     if not concepts:
         raise TermError("enum type needs at least one concept")
     return EnumTy(concepts)
@@ -584,16 +580,35 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}__{i}"
 
 
-def pred_app_parts(t: Term) -> tuple[Concept, tuple[Term, ...]] | None:
-    """Decompose a predicate-application record into (name, args), if it is one."""
-    if not (isinstance(t, Record) and len(t.fields) == 1):
+def pred_app_parts(t: Node) -> tuple[Concept, tuple[Node, ...]] | None:
+    """Decompose a predicate-application record, or record type, into
+    (name, args), if it is one."""
+    if not (isinstance(t, (Record, RecordTy)) and len(t.fields) == 1):
         return None
     head, inner = t.fields[0]
-    if head.is_positional or not isinstance(inner, Record):
+    if head.is_positional or type(inner) is not type(t):
         return None
     args = []
     for i, (label, value) in enumerate(inner.fields):
-        if label != positional(i):
+        if label is not positional(i):
             return None
         args.append(value)
     return head, tuple(args)
+
+
+def select_field(base: Node, label: Concept, tax: Taxonomy) -> Node | None:
+    """What selecting `label` from a record, or a record type, yields: the
+    part of its first field that `label_match` accepts, or None when base
+    is neither or no field matches.  A positional label selects through a
+    predicate application's one named field, from its arguments."""
+    if label.is_positional:
+        parts = pred_app_parts(base)
+        if parts is not None:
+            args = parts[1]
+            return args[label.position] if label.position < len(args) else None
+    if not isinstance(base, (Record, RecordTy)):
+        return None
+    for flabel, part in base.fields:
+        if tax.label_match(flabel, label):
+            return part
+    return None

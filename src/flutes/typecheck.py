@@ -72,29 +72,9 @@ def infer_static_type(t: T.Term, tax: Taxonomy,
 
 def select_field_type(base: T.Type, label: Concept,
                       tax: Taxonomy) -> T.Type | None:
-    """The type a field selection would produce on a term of type `base`.
-
-    A positional selection on a predicate-application record type looks
-    through the single named wrapper field into the argument record.
-    """
-    if label.is_positional and _pred_inner_ty(base) is not None:
-        base = _pred_inner_ty(base)
-    if not isinstance(base, T.RecordTy):
-        return None
-    for flabel, fty in base.fields:
-        if tax.label_match(flabel, label):
-            return fty
-    return None
-
-
-def _pred_inner_ty(ty: T.Type) -> T.RecordTy | None:
-    if (isinstance(ty, T.RecordTy) and len(ty.fields) == 1
-            and not ty.fields[0][0].is_positional
-            and isinstance(ty.fields[0][1], T.RecordTy)):
-        inner = ty.fields[0][1]
-        if all(l == T.positional(i) for i, (l, _) in enumerate(inner.fields)):
-            return inner
-    return None
+    """The type a field selection would produce on a term of type `base`,
+    by the rule that selects its value (`terms.select_field`)."""
+    return T.select_field(base, label, tax)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +184,7 @@ def is_identity_shaped(proof: Proof) -> bool:
     """
     if isinstance(proof, RecordNode):
         return (not proof.dropped
-                and all(sup == sub and is_identity_shaped(child)
+                and all(sup is sub and is_identity_shaped(child)
                         for sup, sub, child in proof.pairs))
     if isinstance(proof, ListNode):
         return is_identity_shaped(proof.child)
@@ -238,7 +218,7 @@ def _coerce(proof: Proof, t: T.Term) -> T.Term:
             value = by_label[sub_label]
             new = _coerce(child, value)
             # unchanged: the field keeps its label, its place and its value
-            same = (same and sup_label == sub_label == fields[i][0]
+            same = (same and sup_label is sub_label is fields[i][0]
                     and new is value)
             out.append((sup_label, new))
         return t if same else T.Record(T.sort_fields(out))

@@ -59,7 +59,7 @@ def _unify(a: T.Term, b: T.Term, bindings: dict[str, T.Term]) -> bool:
         return all(_unify(ia, ib, bindings)
                    for ia, ib in zip(a.items, b.items))
     if isinstance(a, T.FieldSelection):
-        return a.label == b.label and _unify(a.base, b.base, bindings)
+        return a.label is b.label and _unify(a.base, b.base, bindings)
     return False
 
 

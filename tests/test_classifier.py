@@ -570,6 +570,37 @@ class TestIncrementality:
         with Store(path) as s:
             assert s.dump_state() == state
 
+    @pytest.mark.parametrize("edit, a, b", [
+        ("same_as", "dob", "dob"),
+        ("same_as", "dob", "birth_date"),          # synonyms already
+        ("add_is_a", "check", "instrument"),       # through payment already
+    ])
+    def test_an_edit_that_changes_no_relation_judges_nothing_again(
+            self, tmp_path, edit, a, b):
+        path = str(tmp_path / "kb")
+        s = Store(path)
+        s.same_as("dob", "birth_date")
+        s.add_is_a("check", "payment")
+        s.add_is_a("payment", "instrument")
+        insert_text(s, generate(GenConfig(persons=40, transactions=30, seed=3)))
+        define_schema(s, "p0")
+        assert find_members(s).per_class["person"].scanned > 0
+        getattr(s, edit)(a, b)
+        report = find_members(s)
+        assert all(st.scanned == 0 and st.candidates == 0 and st.tuples == 0
+                   for st in report.per_class.values())
+        oracle = oracle_extensions(s)
+        for name, cls in s.classes.items():
+            assert cls.member_terms.keys() == oracle[name]
+        state = s.dump_state()
+        s.close()
+        with open(os.path.join(path, LOG), encoding="utf-8") as fh:
+            head = {"same_as": "same-as", "add_is_a": "is-a"}[edit]
+            assert f'({head} "{a}" "{b}")' in fh.read()   # logged all the same
+        with Store(path) as s:
+            assert s.dump_state() == state
+            assert find_members(s).per_class["person"].scanned == 0
+
     def test_a_disjunct_with_no_literal_is_solved_again_when_its_guard_fills(
             self, store):
         marker = T.record(store.tax, [("name", T.string("m")),

@@ -1,7 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flutes.errors import LatticeCycleError, MalformedRecordError, TaxonomyError
+from flutes.sexp import parse_sexp
+from flutes.store import Store
+from flutes.syntax import parse_program
 from flutes.taxonomy import Concept, Taxonomy, compare, mk_concept, positional
 from flutes import terms as T
 
@@ -52,6 +58,45 @@ class TestConcept:
                 cxy, cyx = compare(x, y), compare(y, x)
                 assert cxy == -cyx
                 assert (cxy == 0) == (x == y)
+
+
+class TestIdentity:
+    """Identity is the only equality of labels: each path that builds a
+    concept returns the one interned instance.  Every path below meets its
+    label first, so it is the one that interns it."""
+
+    def test_no_value_equality(self):
+        assert Concept.__eq__ is object.__eq__
+        assert Concept.__hash__ is object.__hash__
+
+    def test_constructors_return_the_interned_concept(self):
+        built = Concept(name="ident_direct")
+        assert mk_concept("ident_direct") is built is Concept(name="ident_direct")
+        assert mk_concept(built) is built
+        assert mk_concept("ident_mk") is Concept(name="ident_mk")
+        assert Concept(position=901) is positional(901) is Concept(position=901)
+        assert positional(902) is Concept(position=902)
+        record = T.pred_app("ident_copy", [T.num_f(1)])
+        for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert copied == record
+            (head, inner), = copied.fields
+            assert head is mk_concept("ident_copy")
+            assert inner.fields[0][0] is positional(0)
+
+    def test_readers_return_the_interned_concept(self, tmp_path):
+        (label, _), = parse_sexp('(record ((ident_sexp (str "x"))))').fields
+        assert label is mk_concept("ident_sexp")
+        (decl,) = parse_program('x := {"ident_parse" = 1.0};')
+        (label, _), = decl.body.fields
+        assert label is mk_concept("ident_parse")
+        path = str(tmp_path / "kb")
+        with Store(path) as store:
+            store.same_as("ident_a", "ident_b")
+            store.abox_insert("t", T.record(store.tax, [("ident_store", T.num_f(1))]))
+        with Store(path) as store:
+            (label, _), = store.untyped["t"].fields
+            assert label is mk_concept("ident_store")
+            assert store.tax.find(mk_concept("ident_b")) is mk_concept("ident_a")
 
 
 class TestEquivalence:

@@ -73,6 +73,7 @@ class TestInference:
         first, second = (T.FieldSelection(o1, positional(i)) for i in (0, 1))
         assert infer_static_type(first, tax) == T.str_ty
         assert infer_static_type(second, tax) == T.num_ty
+        assert infer_static_type(T.FieldSelection(o1, positional(2)), tax) is None
 
     def test_selection_through_synonym(self, tax):
         sel = T.FieldSelection(joe(tax), mk_concept("dob"))  # stored as birth_date
