@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -45,15 +44,27 @@ if TYPE_CHECKING:   # the store imports this module to apply watermark records
 # -- term promotion ------------------------------------------------------------
 
 def promote_untyped(store: Store) -> int:
-    """Promote every untyped term that now infers a static type; repeated
-    passes let chains of references resolve.  Returns the number promoted."""
+    """Promote every untyped term that now infers a static type, and log the
+    promotion as one (promote N) record, N the typed terms after it.
+    Returns the number promoted."""
+    promoted = promote_pass(store)
+    if promoted:
+        store._log("promote", len(store.typed_list))
+    return promoted
+
+
+def promote_pass(store: Store) -> int:
+    """The promotion a (promote N) record stands for, live and on replay:
+    untyped terms in insertion order, each typed once and handed to the
+    store with its type; repeated passes let chains of references
+    resolve.  Returns the number promoted."""
     promoted = 0
     while True:
         gained = 0
         for name in list(store.untyped):
-            t = store.untyped[name]
-            if infer_static_type(t, store.tax, store.type_of) is not None:
-                store.promote(name)
+            ty = infer_static_type(store.untyped[name], store.tax, store.type_of)
+            if ty is not None:
+                store._promote(name, ty)
                 gained += 1
         if gained == 0:
             return promoted
@@ -154,20 +165,32 @@ def _pruned(store: Store, kcls: KbClass, names, lo: int, hi: int):
 
 # -- reports -------------------------------------------------------------------
 
-@dataclass
 class ClassStats:
-    scanned: int = 0      # typed terms examined (static classes)
-    candidates: int = 0   # candidate members examined (subset classes)
-    tuples: int = 0       # complete assignments reaching the final check
-    matched: int = 0      # members inserted
-    elapsed: float = 0.0
+    """One class's figures from one `find_members`: the typed terms examined
+    (static classes), the candidate members examined and the complete
+    assignments reaching the final check (subset classes), and the members
+    inserted."""
+
+    __slots__ = ("scanned", "candidates", "tuples", "matched", "elapsed")
+
+    def __init__(self, scanned: int = 0, candidates: int = 0, tuples: int = 0,
+                 matched: int = 0, elapsed: float = 0.0):
+        self.scanned = scanned
+        self.candidates = candidates
+        self.tuples = tuples
+        self.matched = matched
+        self.elapsed = elapsed
 
 
-@dataclass
 class FindReport:
-    promoted: int = 0
-    per_class: dict[str, ClassStats] = field(default_factory=dict)
-    elapsed: float = 0.0
+    __slots__ = ("promoted", "per_class", "elapsed")
+
+    def __init__(self, promoted: int = 0,
+                 per_class: dict[str, ClassStats] | None = None,
+                 elapsed: float = 0.0):
+        self.promoted = promoted
+        self.per_class = {} if per_class is None else per_class
+        self.elapsed = elapsed
 
     def lines(self, timings: bool = True) -> list[str]:
         out = [f"promoted\t{self.promoted}"]

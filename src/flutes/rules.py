@@ -10,7 +10,6 @@ abort a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from hashlib import sha1
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -137,12 +136,15 @@ def lambda_rule(store: Store, name: str, param: str, input_class: str,
                        registry)
 
 
-@dataclass
 class RuleReport:
-    name: str
-    processed: int = 0
-    inserted: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("name", "processed", "inserted", "failures")
+
+    def __init__(self, name: str, processed: int = 0, inserted: int = 0,
+                 failures: list | None = None):
+        self.name = name
+        self.processed = processed
+        self.inserted = inserted
+        self.failures = [] if failures is None else failures   # (member, message)
 
     def lines(self) -> list[str]:
         out = [f"analytic\t{self.name}",

@@ -3,22 +3,26 @@
 A store directory holds one append-only S-expression log, `log.fsx`, one
 record per line, in the order the changes were made:
 
-  (flutes-log 3)                      format version, first record of the log
+  (flutes-log 4)                      format version, first record of the log
   (class "name" <type>) | (same-as "a" "b") | (is-a "a" "b")
   (term "name" <term>)                an untyped term
-  (promote "name")                    typed ids follow promotion order
+  (promote N)                         a promotion; N terms are typed after it
   (member "class" "mname" <term>)     a member an analytic asserted
   (watermark "class" N (("dep" M) ...))   a judgement of the class
   (commit N crc)                      ends a batch of N records
 
 Each record kind has one method that applies it (`_RECORDS`), live and on
-replay.  For a watermark record that is the class's judgement
-(`classifier.judge`), so derived members are never logged: a static class
-scans the typed ids from its old watermark up to N; a subset class solves
-its disjuncts over its dependency classes' members, and N and the M are its
-member count and marks after, which replay must reach.  Logs of versions 1
-and 2, which also logged derived members, still open; the first batch
-appended to one begins with (flutes-log 3).  A taxonomy edit that changes a
+replay.  For a promote record that is the promotion pass
+(`classifier.promote_pass`): it types the untyped terms in insertion order,
+so typed ids keep their order, and it must reach N typed terms.  For a
+watermark record it is the class's judgement (`classifier.judge`), so
+derived members are never logged: a static class scans the typed ids from
+its old watermark up to N; a subset class solves its disjuncts over its
+dependency classes' members, and N and the M are its member count and marks
+after, which replay must reach.  Logs of versions 1 to 3 still open: their
+promote records each name one term, which replay moves to the typed ones,
+and versions 1 and 2 also logged derived members.  The first batch appended
+to such a log begins with (flutes-log 4).  A taxonomy edit that changes a
 relation rewinds every class's marks, live and on replay; one that changes
 none is logged all the same.
 
@@ -40,11 +44,10 @@ import os
 import re
 import zlib
 from collections import ChainMap
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Container
 
-from .classifier import ClassStats, judge
+from .classifier import ClassStats, judge, promote_pass
 from .clause import SkolemClause, skolemize
 from .errors import (AliasCycleError, DuplicateNameError, StoreCorruptionError,
                      StoreError)
@@ -57,25 +60,37 @@ _CLASS_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 LOG = "log.fsx"
 LOCK = "lock"
-_VERSION = "(flutes-log 3)\n"   # this version also reads versions 1 and 2
+_VERSION = "(flutes-log 4)\n"   # this version also reads versions 1 to 3
 _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
-@dataclass
 class KbClass:
-    name: str
-    definition: T.Type
-    clause: SkolemClause | None = None   # compiled definition of a subset class
-    members: list[tuple[str, T.Term]] = field(default_factory=list)
-    by_name: dict[str, int] = field(default_factory=dict)  # name -> member index
-    # alias -> ascending indices of the members whose adjacency holds it
-    by_alias: dict[str, list[int]] = field(default_factory=dict)
-    # term -> name of its first member; members hold distinct terms
-    member_terms: dict[T.Term, str] = field(default_factory=dict)
-    watermark: int = 0   # static: the typed ids judged; subset: 0
-    # subset: members per dependency class judged; None while unsolved
-    dep_marks: dict[str, int] | None = None
-    binding: object = None   # the classifier's, with its proof memo
+    __slots__ = ("name", "definition", "clause", "members", "by_name",
+                 "by_alias", "member_terms", "watermark", "dep_marks",
+                 "binding")
+
+    def __init__(self, name: str, definition: T.Type,
+                 clause: SkolemClause | None = None,
+                 members: list[tuple[str, T.Term]] | None = None,
+                 by_name: dict[str, int] | None = None,
+                 by_alias: dict[str, list[int]] | None = None,
+                 member_terms: dict[T.Term, str] | None = None,
+                 watermark: int = 0, dep_marks: dict[str, int] | None = None,
+                 binding: object = None):
+        self.name = name
+        self.definition = definition
+        self.clause = clause   # compiled definition of a subset class
+        self.members = [] if members is None else members
+        # name -> member index
+        self.by_name = {} if by_name is None else by_name
+        # alias -> ascending indices of the members whose adjacency holds it
+        self.by_alias = {} if by_alias is None else by_alias
+        # term -> name of its first member; members hold distinct terms
+        self.member_terms = {} if member_terms is None else member_terms
+        self.watermark = watermark   # static: the typed ids judged; subset: 0
+        # subset: members per dependency class judged; None while unsolved
+        self.dep_marks = dep_marks
+        self.binding = binding   # the classifier's, with its proof memo
 
     @property
     def is_subset(self) -> bool:
@@ -99,7 +114,7 @@ class Store:
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
         self._header = [_VERSION]  # begins the next batch of a new or older log
-        self._version = 3          # of the log records being replayed
+        self._version = 4          # of the log records being replayed
         self._lock_fd: int | None = None
         self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
@@ -292,15 +307,30 @@ class Store:
         for r in refs:
             self.contained_by_map.setdefault(r, set()).add(name)
 
-    def promote(self, name: str):
-        """Move an untyped term into the typed collection."""
-        self._promote(name)
-        self._log("promote", name)
-
-    def _promote(self, name: str):
+    def _promote(self, name: str, ty: T.Type | None = None):
+        """Move an untyped term into the typed collection; `ty`, when given,
+        is its inferred type, which `type_of` then returns interned."""
         t = self.untyped.pop(name)
         self.typed[name] = t
         self.typed_list.append((name, t))
+        if ty is not None:
+            self._type_memo[name] = self._intern(ty)
+
+    def _put_promotion(self, arg: int | str):
+        """Replay a promote record: since version 4 a promotion pass, which
+        must reach `arg` typed terms; before, one term's name."""
+        if self._version < 4:
+            if not isinstance(arg, str):
+                raise ValueError(f"a version-{self._version} promote record "
+                                 f"names a term")
+            self._promote(arg)
+            return
+        if not isinstance(arg, int):
+            raise ValueError("a promote record counts typed terms")
+        promote_pass(self)
+        if len(self.typed_list) != arg:
+            raise ValueError(f"promoting again types {len(self.typed_list)} "
+                             f"terms, not {arg}")
 
     def term_names(self) -> Container[str]:
         """Every stored term name, typed or untyped, as a live view."""
@@ -312,13 +342,17 @@ class Store:
 
     def type_of(self, name: str) -> T.Type | None:
         """Inferred type of a typed term, interned; None for unknown or
-        untyped names."""
-        if name not in self.typed:
+        untyped names.  A term promoted since the last taxonomy edit has
+        the type its promotion inferred; others are inferred once here."""
+        memo = self._type_memo
+        if name in memo:        # only typed names are memoised
+            return memo[name]
+        t = self.typed.get(name)
+        if t is None:
             return None
-        if name not in self._type_memo:
-            ty = infer_static_type(self.typed[name], self.tax, self.type_of)
-            self._type_memo[name] = None if ty is None else self._intern(ty)
-        return self._type_memo[name]
+        ty = infer_static_type(t, self.tax, self.type_of)
+        ty = memo[name] = None if ty is None else self._intern(ty)
+        return ty
 
     # -- classes --
 
@@ -512,10 +546,10 @@ class Store:
                 f"match the batch before it")
 
     def _put_version(self, version: int):
-        if version not in (1, 2, 3):
+        if version not in (1, 2, 3, 4):
             raise ValueError(f"unknown log version {version}")
         self._version = version
-        self._header = [_VERSION] if version < 3 else []
+        self._header = [_VERSION] if version < 4 else []
 
     def dump_state(self) -> str:
         """Canonical rendering of all in-memory state, for equality checks."""
@@ -579,6 +613,12 @@ def _concept(x: str | Concept) -> Concept:
     return c
 
 
+def _promotion(x) -> int | str:
+    """A promote record's field: a count of typed terms (a number, since
+    version 4) or the name of a term (a string, before)."""
+    return int(x) if isinstance(x, float) else str(x)
+
+
 # head -> (the method that applies it, live and on replay; its field readers)
 _RECORDS = {
     "flutes-log": (Store._put_version, (int,)),
@@ -586,7 +626,7 @@ _RECORDS = {
     "is-a": (partial(Store._put_edit, edit=Taxonomy.add_is_a), (_concept,) * 2),
     "class": (Store._put_class, (str, partial(build_value, want=T.Type))),
     "term": (Store._put_term, (str, partial(build_value, want=T.Term))),
-    "promote": (Store._promote, (str,)),
+    "promote": (Store._put_promotion, (_promotion,)),
     "member": (Store._put_member, (str, str, partial(build_value, want=T.Term))),
     "watermark": (Store._put_watermark,
                   (str, int, lambda marks: {str(d): int(m) for d, m in marks})),

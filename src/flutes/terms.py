@@ -6,6 +6,8 @@ the condition language of subset types.  All three are immutable values
 on one base, `Value`: each node class declares its fields as annotations,
 and the base gives it a positional constructor, equality and hash by class
 and field tuple, a `Name(field=value, ...)` repr, and refuses assignment.
+The types without parts, `NumTy`, `StrTy` and `VoidTy`, have one instance
+each (`num_ty`, `str_ty`, `void_ty`), which compares and hashes by identity.
 
 The constructors below intern the labels they take by name.  Two of them
 enforce the record invariants: `record` and `record_ty` sort fields under
@@ -27,7 +29,6 @@ and its compiled form `substituter`, and the generic cases of `unify`,
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Union
@@ -46,27 +47,38 @@ class Value:
     are equal when they have the same class and equal field tuples, hash as
     their field tuple and print as `Name(field=value, ...)`, as frozen
     dataclasses do, without compiling code per class.  A subclass declared
-    with `cache_hash=True` computes its hash once, on first use."""
+    with `cache_hash=True` computes its hash once, on first use; one
+    declared with `unique=True` has no fields and one instance, which its
+    constructor, copy and pickle return, so equality and hash are
+    `object`'s."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, cache_hash: bool = False, **kwargs):
+    def __init_subclass__(cls, cache_hash: bool = False, unique: bool = False,
+                          **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
         init, cls.__eq__, field_hash = _field_methods(cls._fields)
         cls.__hash__ = _cached(field_hash) if cache_hash else field_hash
         if "__init__" not in cls.__dict__:
             cls.__init__ = init
+        if unique:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+            instance = object.__new__(cls)
+            cls.__new__ = staticmethod(lambda cls: instance)
+            cls.__reduce__ = lambda self: (cls, ())
 
     def __repr__(self):
         args = [f"{name}={getattr(self, name)!r}" for name in self._fields]
         return f"{self.__class__.__qualname__}({', '.join(args)})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -186,11 +198,11 @@ class Type(Value):
     __slots__ = ()
 
 
-class NumTy(Type):
+class NumTy(Type, unique=True):
     pass
 
 
-class StrTy(Type):
+class StrTy(Type, unique=True):
     pass
 
 
@@ -211,7 +223,7 @@ class EnumTy(Type, cache_hash=True):
     concepts: tuple[Concept, ...]
 
 
-class VoidTy(Type):
+class VoidTy(Type, unique=True):
     pass
 
 

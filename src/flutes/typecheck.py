@@ -33,23 +33,31 @@ def infer_static_type(t: T.Term, tax: Taxonomy,
     """The static type of a term, or None when it has no type.
 
     `resolve` maps alias names to the types of the terms they refer to; an
-    alias it cannot resolve makes the whole term untypeable.
+    alias it cannot resolve makes the whole term untypeable.  A record's
+    string and number fields are typed in place, with no call per field.
     """
-    if isinstance(t, T.Num):
+    cls = type(t)
+    if cls is T.Num:
         return T.num_ty
-    if isinstance(t, T.Str):
+    if cls is T.Str:
         return T.str_ty
-    if isinstance(t, T.Atom):
+    if cls is T.Atom:
         return T.EnumTy((t.concept,))
-    if isinstance(t, T.Record):
+    if cls is T.Record:
         fields = []
         for label, value in t.fields:
-            fty = infer_static_type(value, tax, resolve)
-            if fty is None:
-                return None
+            vcls = type(value)
+            if vcls is T.Str:
+                fty = T.str_ty
+            elif vcls is T.Num:
+                fty = T.num_ty
+            else:
+                fty = infer_static_type(value, tax, resolve)
+                if fty is None:
+                    return None
             fields.append((label, fty))
         return T.RecordTy(tuple(fields))
-    if isinstance(t, T.List):
+    if cls is T.List:
         if not t.items:
             return None  # no element type to infer from
         elem = infer_static_type(t.items[0], tax, resolve)
@@ -59,22 +67,16 @@ def infer_static_type(t: T.Term, tax: Taxonomy,
             if infer_static_type(item, tax, resolve) != elem:
                 return None  # heterogeneous list
         return T.ListTy(elem)
-    if isinstance(t, T.TermAlias):
+    if cls is T.TermAlias:
         return resolve(t.name) if resolve is not None else None
-    if isinstance(t, T.FieldSelection):
+    if cls is T.FieldSelection:
         base = infer_static_type(t.base, tax, resolve)
         if base is None:
             return None
-        return select_field_type(base, t.label, tax)
+        # the type of what selecting the label from a term of that type gives
+        return T.select_field(base, t.label, tax)
     # Bottom carries no type of its own; Var is never typeable
     return None
-
-
-def select_field_type(base: T.Type, label: Concept,
-                      tax: Taxonomy) -> T.Type | None:
-    """The type a field selection would produce on a term of type `base`,
-    by the rule that selects its value (`terms.select_field`)."""
-    return T.select_field(base, label, tax)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ the storage grammar (the `sink` class record holds all of them at once),
 a positional label, a quoted label, escaped strings, and the `same-as`,
 `is-a`, `term`, `promote`, `class`, `member` and `watermark` records over
 three commits.  The session must write exactly the committed golden log
-of the current format (version 3, which logs only asserted members), and
-that log, the session's own and the golden logs of versions 1 and 2
-(which also logged derived members, and are kept byte for byte) must
-reopen to the session's state.  A generated corpus loaded through the
-command loop must build a store and write a log with pinned digests.  Run
-this file as a script to rewrite the
-version-3 golden log after a deliberate change of the storage format.
+of the current format (version 4, which logs only asserted members and one
+`promote` record per promotion), and that log, the session's own and the
+golden logs of versions 1 to 3 (which promote by name, the first two also
+logged derived members; they are kept byte for byte) must reopen to the
+session's state.  A generated corpus loaded through the command loop must
+build a store and write a log with pinned digests.  Run this file as a
+script to rewrite the version-4 golden log after a deliberate change of the
+storage format.
 """
 
 import hashlib
@@ -32,7 +33,8 @@ from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-GOLDEN = os.path.join(DATA, "golden_log_v3.fsx")
+GOLDEN = os.path.join(DATA, "golden_log_v4.fsx")
+GOLDEN_V3 = os.path.join(DATA, "golden_log_v3.fsx")
 GOLDEN_V2 = os.path.join(DATA, "golden_log_v2.fsx")
 GOLDEN_V1 = os.path.join(DATA, "golden_log.fsx")
 
@@ -136,6 +138,11 @@ def test_golden_log_reopens_to_the_session_state(tmp_path):
     assert_reopens_to_the_session_state(tmp_path, GOLDEN)
 
 
+def test_version_3_golden_log_reopens_to_the_session_state(tmp_path):
+    # its promote records name one term each
+    assert_reopens_to_the_session_state(tmp_path, GOLDEN_V3)
+
+
 def test_version_2_golden_log_reopens_to_the_session_state(tmp_path):
     # its subset member record replays, and its subset watermark only sets
     # the marks
@@ -148,8 +155,9 @@ def test_version_1_golden_log_reopens_to_the_session_state(tmp_path):
 
 
 def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
-    # an older reader stops at (flutes-log 3) instead of opening classes
-    # with no members behind their watermarks
+    # an older reader stops at (flutes-log 4) instead of opening classes
+    # with no members behind their watermarks, or reading a promote record
+    # that counts
     path = str(tmp_path / "kb")
     os.makedirs(path)
     shutil.copyfile(GOLDEN_V1, os.path.join(path, LOG))
@@ -163,7 +171,7 @@ def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
     data = read(os.path.join(path, LOG))
     old = read(GOLDEN_V1)
     assert data.startswith(old)
-    assert data[len(old):].startswith(b"(flutes-log 3)\n(term \"c\" ")
+    assert data[len(old):].startswith(b"(flutes-log 4)\n(term \"c\" ")
     assert data.count(b"(flutes-log ") == 2
     assert b'(member "person" "c"' not in data
     with Store(path) as s:
@@ -171,13 +179,40 @@ def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
         assert "c" in s.kb_class("person").by_name
 
 
+def test_a_version_3_log_takes_promote_counts_after_its_upgrade(tmp_path):
+    # a version-3 log promotes by name; the batch appended to it counts, and
+    # the reopen applies both kinds in their order
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    shutil.copyfile(GOLDEN_V3, os.path.join(path, LOG))
+    with Store(path) as s:
+        for d in parse_program('c := {"name"="C", "dob"="2001-01-01"};'
+                               'l2 := link(c, a);', s.tax, known=s.term_names()):
+            s.abox_insert(d.name, d.body)
+        find_members(s)
+        state = s.dump_state()
+    data = read(os.path.join(path, LOG))
+    old = read(GOLDEN_V3)
+    assert data.startswith(old)
+    new = data[len(old):].decode("utf-8").splitlines()
+    assert new[0] == "(flutes-log 4)"
+    assert [line for line in new if line.startswith("(promote ")] == [
+        "(promote 6)"]
+    with Store(path) as s:
+        assert s.dump_state() == state
+        assert [n for n, _ in s.typed_list][-2:] == ["c", "l2"]
+
+
 def test_golden_log_covers_the_records_and_heads():
     data = read(GOLDEN).decode("utf-8")
-    assert data.startswith("(flutes-log 3)\n")
+    assert data.startswith("(flutes-log 4)\n")
     for record in ("flutes-log", "same-as", "is-a", "term", "promote",
                    "class", "member", "watermark"):
         assert f"\n({record} " in "\n" + data, record
     assert data.count("\n(commit ") == 3
+    # one record for the promotion of a, b, t1 and l1, none per term
+    assert [line for line in data.splitlines()
+            if line.startswith("(promote ")] == ["(promote 4)"]
     # only the asserted member is logged; the judgements derive the others
     assert [line.split()[1] for line in data.splitlines()
             if line.startswith("(member ")] == ['"sender"']
@@ -193,10 +228,13 @@ def test_golden_log_covers_the_records_and_heads():
 # Taken with the loader that parsed through per-token peek/next calls and
 # sorted every record's labels afresh, before the list-returning scanner,
 # the index-based parser and the record-shape memo: the loader must build
-# the same store and write the same log, byte for byte.
+# the same store and write the same log, byte for byte.  The log digests
+# are those of format 4: only the version record and the first batch's
+# checksum differ from format 3's (91,639 bytes, SHA-1 04ee7c85...), since
+# `load` promotes nothing.
 CORPUS_DUMP_SHA1 = "fb741e2498ddb5b203ac9208e9fa77dc80e08965"
-CORPUS_LOG_BYTES = 91639
-CORPUS_LOG_SHA1 = "04ee7c8598451b7150d07227db18bf2e4cd79aa2"
+CORPUS_LOG_BYTES = 91638
+CORPUS_LOG_SHA1 = "6925e0f1a3d7bf3640d259e361ad23d27090e473"
 
 
 def test_the_loader_reproduces_a_pinned_corpus_store(tmp_path):
@@ -221,7 +259,7 @@ def test_the_loader_reproduces_a_pinned_corpus_store(tmp_path):
 
 
 if __name__ == "__main__":
-    # rewrite the version-3 golden log from the session; the older ones stay
+    # rewrite the version-4 golden log from the session; the older ones stay
     # as committed
     with tempfile.TemporaryDirectory() as tmp:
         golden_session(os.path.join(tmp, "kb"))

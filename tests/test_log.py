@@ -121,7 +121,7 @@ def test_session_has_several_batches(session):
     states, data = session
     assert len(states) >= 6
     assert data.count(b"\n(commit ") == len(states) - 1
-    assert data.startswith(b"(flutes-log 3)\n")
+    assert data.startswith(b"(flutes-log 4)\n")
     assert data.count(b"(flutes-log ") == 1
 
 
@@ -274,6 +274,39 @@ def test_a_subset_record_that_judging_again_does_not_reach_is_corruption(
     with pytest.raises(StoreCorruptionError,
                        match=rf"{LOG}:{line}: judging class 'sender' again "
                              r"reaches \(1, \{'link': 1\}\), not \(2, "):
+        Store(path)
+
+
+def test_a_promote_record_that_promoting_again_does_not_reach_is_corruption(
+        tmp_path):
+    path = str(tmp_path / "kb")
+    s = small_store(path)
+    find_members(s)
+    s.close()
+    with open(os.path.join(path, LOG), "rb") as fh:
+        data = fh.read()
+    record = b"(promote 3)\n"     # a, b and l1
+    assert data.count(b"(promote ") == 1
+    line = data[:data.index(record)].count(b"\n") + 1
+    write_log(path, replace_record(data, record, b"(promote 4)\n"))
+    with pytest.raises(StoreCorruptionError,
+                       match=rf"{LOG}:{line}: promoting again types 3 terms, "
+                             r"not 4"):
+        Store(path)
+
+
+@pytest.mark.parametrize("version, record, want", [
+    (4, '(promote "a")', "a promote record counts typed terms"),
+    (3, "(promote 1)", "a version-3 promote record names a term"),
+], ids=["name-in-version-4", "count-in-version-3"])
+def test_a_promote_record_of_the_other_format_is_corruption(tmp_path, version,
+                                                           record, want):
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = (f'(flutes-log {version})\n(term "a" (num 1.0))\n{record}\n'
+               ).encode()
+    write_log(path, records + b"(commit 3 %d)\n" % zlib.crc32(records))
+    with pytest.raises(StoreCorruptionError, match=rf"{LOG}:3: {want}"):
         Store(path)
 
 

@@ -171,8 +171,7 @@ def test_store_interns_inferred_and_class_types():
     s = Store()
     s.abox_insert("a", T.record(s.tax, [("name", T.string("A"))]))
     s.abox_insert("b", T.record(s.tax, [("name", T.string("B"))]))
-    s.promote("a")
-    s.promote("b")
+    classifier.promote_untyped(s)
     s.mk_kb_class("named", T.record_ty(s.tax, [("name", T.str_ty)]))
     assert s.type_of("a") is s.type_of("b")
     assert s.resolve_class_type("named") is s.type_of("a")

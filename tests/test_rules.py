@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from flutes.classifier import find_members
+from flutes.classifier import find_members, promote_untyped
 from flutes.errors import EvalError, RuleFailure, StoreError, TermError
 from flutes.rules import (eval_term, lambda_rule, member_name, mk_analytic,
                           run_analytic)
@@ -29,8 +29,7 @@ def store():
     s.same_as("dob", "birth_date")
     for d in parse_program(CORPUS, s.tax):
         s.abox_insert(d.name, d.body)
-    for name in ["joe", "sue", "t1", "o1", "r1"]:
-        s.promote(name)
+    assert promote_untyped(s) == 5
     s.mk_kb_class("person", T.record_ty(s.tax, [("name", T.str_ty),
                                                 ("dob", T.str_ty)]))
     return s

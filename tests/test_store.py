@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from flutes import store as store_module
-from flutes.classifier import find_members
+from flutes.classifier import find_members, promote_untyped
 from flutes.errors import (AliasCycleError, DuplicateNameError,
                            MalformedRecordError, StoreCorruptionError,
                            StoreError, TermError)
@@ -27,9 +27,18 @@ r1 := recv-of(sue, t1);
 """
 
 
-def load_corpus(store):
-    for d in parse_program(CORPUS, store.tax):
-        store.abox_insert(d.name, d.body)
+def load_corpus(store, promoted=()):
+    """Insert the corpus; the `promoted` terms go first and are promoted
+    before the others arrive."""
+    decls = parse_program(CORPUS, store.tax)
+    for d in decls:
+        if d.name in promoted:
+            store.abox_insert(d.name, d.body)
+    if promoted:
+        promote_untyped(store)
+    for d in decls:
+        if d.name not in promoted:
+            store.abox_insert(d.name, d.body)
 
 
 def person_ty(store):
@@ -48,7 +57,7 @@ class TestInsert:
         s.abox_insert("joe", T.num_f(1))
         with pytest.raises(DuplicateNameError):
             s.abox_insert("joe", T.num_f(2))
-        s.promote("joe")
+        promote_untyped(s)
         with pytest.raises(DuplicateNameError):
             s.abox_insert("joe", T.num_f(3))
 
@@ -223,9 +232,7 @@ class TestPersistence:
         s = Store(path)
         s.same_as("dob", "birth_date")
         s.add_is_a("check", "payment")
-        load_corpus(s)
-        s.promote("joe")
-        s.promote("t1")
+        load_corpus(s, promoted=("joe", "t1"))
         s.mk_kb_class("person", person_ty(s))
         s.add_member("person", "joe",
                      T.record(s.tax, [("dob", T.string("1984-06-27")),
@@ -507,8 +514,7 @@ class TestInMemory:
         s = Store()
         names = s.term_names()
         assert "joe" not in names
-        load_corpus(s)
-        s.promote("joe")
+        load_corpus(s, promoted=("joe",))
         assert "joe" in names and "sue" in names and "ghost" not in names
 
 
@@ -518,8 +524,7 @@ class TestStats:
 
     def test_counts(self):
         s = Store()
-        load_corpus(s)
-        s.promote("joe")
+        load_corpus(s, promoted=("joe",))
         s.mk_kb_class("person", person_ty(s))
         st = s.stats()
         assert st["untyped"] == 4 and st["typed"] == 1

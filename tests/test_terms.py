@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import re
 
 import pytest
@@ -247,20 +249,26 @@ class TestShapes:
 _LEAVES = [T.num_f(1.5), T.Str("a"), T.atom("a"), T.Bottom(mk_concept("b")),
            T.Var("v"), T.TermAlias("t"), T.num_ty, T.str_ty, T.void_ty,
            T.enum_ty(["a", "b"]), T.TyAlias("y"), T.TRUE, T.FALSE]
+_ATOMIC_TYPES = (T.NumTy, T.StrTy, T.VoidTy)
 
 
 class TestValues:
     """The value base keeps what the frozen dataclasses gave: equality by
-    class and fields, the hash of the field tuple, the repr, immutability."""
+    class and fields, the hash of the field tuple, the repr, immutability;
+    the types without parts are one instance each instead."""
 
     @pytest.mark.parametrize("node", [x for x, _ in _SAMPLES] + _LEAVES,
                              ids=_SAMPLE_IDS + [type(x).__name__ for x in _LEAVES])
     def test_equality_hash_repr_and_immutability(self, node):
         copy = type(node)(*[getattr(node, name) for name in node._fields])
-        assert copy is not node
         assert copy == node and not copy != node
         fields = tuple(getattr(node, name) for name in node._fields)
-        assert hash(node) == hash(copy) == hash(fields)
+        if type(node) in _ATOMIC_TYPES:      # one instance, hashed by identity
+            assert copy is node
+            assert hash(node) == object.__hash__(node)
+        else:
+            assert copy is not node
+            assert hash(node) == hash(copy) == hash(fields)
         assert repr(node) == "{}({})".format(type(node).__name__, ", ".join(
             f"{name}={value!r}" for name, value in zip(node._fields, fields)))
         for name in node._fields or ("anything",):
@@ -269,6 +277,16 @@ class TestValues:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(node, name)
         assert node == copy      # unchanged by the refused edits
+
+    @pytest.mark.parametrize("node", [T.num_ty, T.str_ty, T.void_ty],
+                             ids=["NumTy", "StrTy", "VoidTy"])
+    def test_atomic_types_are_unique_and_compare_by_identity(self, node):
+        cls = type(node)
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        with pytest.raises(TypeError):
+            cls(None)
 
     def test_same_fields_of_another_class_differ(self):
         assert T.Str("a") != T.TermAlias("a")

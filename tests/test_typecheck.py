@@ -9,7 +9,6 @@ from flutes import terms as T
 from flutes.typecheck import (
     Leaf, ListNode, RecordNode, apply_coercion,
     infer_static_type, is_identity_shaped, prove_subtype, resolve_type,
-    select_field_type,
 )
 
 import termgen
@@ -78,15 +77,15 @@ class TestInference:
     def test_selection_through_synonym(self, tax):
         sel = T.FieldSelection(joe(tax), mk_concept("dob"))  # stored as birth_date
         assert infer_static_type(sel, tax) == T.str_ty
-        tyd = select_field_type(person_ty(tax), mk_concept("birth_date"), tax)
+        tyd = T.select_field(person_ty(tax), mk_concept("birth_date"), tax)
         assert tyd == T.str_ty  # synonym matches both ways
 
     def test_selection_respects_hyponym_direction(self, tax):
         tax.add_is_a(mk_concept("check"), mk_concept("payment"))
         rec_ty = T.record_ty(tax, [("check", T.num_ty)])
-        assert select_field_type(rec_ty, mk_concept("payment"), tax) == T.num_ty
+        assert T.select_field(rec_ty, mk_concept("payment"), tax) == T.num_ty
         general = T.record_ty(tax, [("payment", T.num_ty)])
-        assert select_field_type(general, mk_concept("check"), tax) is None
+        assert T.select_field(general, mk_concept("check"), tax) is None
 
 
 class TestProve:
