@@ -19,12 +19,13 @@ watermark record it is the class's judgement (`classifier.judge`), so
 derived members are never logged: a static class scans the typed ids from
 its old watermark up to N; a subset class solves its disjuncts over its
 dependency classes' members, and N and the M are its member count and marks
-after, which replay must reach.  Logs of versions 1 to 3 still open: their
-promote records each name one term, which replay moves to the typed ones,
-and versions 1 and 2 also logged derived members.  The first batch appended
-to such a log begins with (flutes-log 4).  A taxonomy edit that changes a
-relation rewinds every class's marks, live and on replay; one that changes
-none is logged all the same.
+after, which replay must reach.  A count that is not a non-negative
+integer (N, M or the version) is corruption.  Logs of versions 1 to 3
+still open: their promote records each name one term, which replay moves
+to the typed ones, and versions 1 and 2 also logged derived members.  The
+first batch appended to such a log begins with (flutes-log 4).  A taxonomy
+edit that changes a relation rewinds every class's marks, live and on
+replay; one that changes none is logged all the same.
 
 commit() appends the batch and its marker, where crc is zlib.crc32 of the
 batch's bytes, with one write and one fsync.  Replay applies a batch only
@@ -108,8 +109,7 @@ class Store:
         self.contains_map: dict[str, set[str]] = {}
         self.contained_by_map: dict[str, set[str]] = {}
         self._type_memo: dict[str, T.Type | None] = {}
-        self._types: dict[T.Type, T.Type] = {}   # one instance per static type
-        self._class_types: dict[str, T.Type] = {}  # resolved, interned
+        self._class_types: dict[str, T.Type] = {}  # resolved
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
@@ -227,19 +227,12 @@ class Store:
         # field selections infer through label_match, so an edit may change
         # inferred types; the taxonomy has cleared its proof memo
         self._type_memo.clear()
-        self._types.clear()
-        self._class_types.clear()
         # every verdict may change, so every class judges everything again;
         # members stay, and a static scan skips those it already holds
         for cls in self.classes.values():
             cls.watermark, cls.binding = 0, None
             if cls.is_subset:
                 cls.dep_marks = None
-
-    def _intern(self, ty: T.Type) -> T.Type:
-        """The shared instance equal to ty, so that proof-memo keys built
-        from it hit by identity."""
-        return self._types.setdefault(ty, ty)
 
     # -- term collections --
 
@@ -309,12 +302,12 @@ class Store:
 
     def _promote(self, name: str, ty: T.Type | None = None):
         """Move an untyped term into the typed collection; `ty`, when given,
-        is its inferred type, which `type_of` then returns interned."""
+        is its inferred type, which `type_of` then returns."""
         t = self.untyped.pop(name)
         self.typed[name] = t
         self.typed_list.append((name, t))
         if ty is not None:
-            self._type_memo[name] = self._intern(ty)
+            self._type_memo[name] = ty
 
     def _put_promotion(self, arg: int | str):
         """Replay a promote record: since version 4 a promotion pass, which
@@ -341,17 +334,16 @@ class Store:
         return self.untyped.get(name) if t is None else t
 
     def type_of(self, name: str) -> T.Type | None:
-        """Inferred type of a typed term, interned; None for unknown or
-        untyped names.  A term promoted since the last taxonomy edit has
-        the type its promotion inferred; others are inferred once here."""
+        """Inferred type of a typed term; None for unknown or untyped names.
+        A term promoted since the last taxonomy edit has the type its
+        promotion inferred; others are inferred once here."""
         memo = self._type_memo
         if name in memo:        # only typed names are memoised
             return memo[name]
         t = self.typed.get(name)
         if t is None:
             return None
-        ty = infer_static_type(t, self.tax, self.type_of)
-        ty = memo[name] = None if ty is None else self._intern(ty)
+        ty = memo[name] = infer_static_type(t, self.tax, self.type_of)
         return ty
 
     # -- classes --
@@ -382,11 +374,11 @@ class Store:
         return cls
 
     def resolve_class_type(self, name: str) -> T.Type:
-        """The class's fully alias-expanded static member type, interned."""
+        """The class's fully alias-expanded static member type."""
         ty = self._class_types.get(name)
         if ty is None:
-            ty = self._class_types[name] = self._intern(resolve_type(
-                self.kb_class(name).definition, self._class_lookup))
+            ty = self._class_types[name] = resolve_type(
+                self.kb_class(name).definition, self._class_lookup)
         return ty
 
     def _class_lookup(self, name: str) -> T.Type | None:
@@ -613,15 +605,23 @@ def _concept(x: str | Concept) -> Concept:
     return c
 
 
+def _count(x) -> int:
+    """A count field of a record: a non-negative integer, which the reader
+    gives as a float."""
+    if type(x) is not float or not x.is_integer() or x < 0:
+        raise ValueError(f"{x!r} is not a count")
+    return int(x)
+
+
 def _promotion(x) -> int | str:
     """A promote record's field: a count of typed terms (a number, since
     version 4) or the name of a term (a string, before)."""
-    return int(x) if isinstance(x, float) else str(x)
+    return _count(x) if isinstance(x, float) else str(x)
 
 
 # head -> (the method that applies it, live and on replay; its field readers)
 _RECORDS = {
-    "flutes-log": (Store._put_version, (int,)),
+    "flutes-log": (Store._put_version, (_count,)),
     "same-as": (partial(Store._put_edit, edit=Taxonomy.same_as), (_concept,) * 2),
     "is-a": (partial(Store._put_edit, edit=Taxonomy.add_is_a), (_concept,) * 2),
     "class": (Store._put_class, (str, partial(build_value, want=T.Type))),
@@ -629,7 +629,8 @@ _RECORDS = {
     "promote": (Store._put_promotion, (_promotion,)),
     "member": (Store._put_member, (str, str, partial(build_value, want=T.Term))),
     "watermark": (Store._put_watermark,
-                  (str, int, lambda marks: {str(d): int(m) for d, m in marks})),
+                  (str, _count,
+                   lambda marks: {str(d): _count(m) for d, m in marks})),
 }
 
 

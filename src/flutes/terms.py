@@ -6,8 +6,12 @@ the condition language of subset types.  All three are immutable values
 on one base, `Value`: each node class declares its fields as annotations,
 and the base gives it a positional constructor, equality and hash by class
 and field tuple, a `Name(field=value, ...)` repr, and refuses assignment.
-The types without parts, `NumTy`, `StrTy` and `VoidTy`, have one instance
-each (`num_ty`, `str_ty`, `void_ty`), which compares and hashes by identity.
+The static types (`NumTy`, `StrTy`, `VoidTy`, `ListTy`, `RecordTy` and
+`EnumTy`) are hash-consed instead: each constructor is its class's intern
+table, so equal static types are one object and compare and hash by
+identity, and a type without parts has one instance (`num_ty`, `str_ty`,
+`void_ty`).  `TyAlias` and `SubsetTy` hold names, terms and propositions
+and keep field equality.
 
 The constructors below intern the labels they take by name.  Two of them
 enforce the record invariants: `record` and `record_ty` sort fields under
@@ -47,27 +51,23 @@ class Value:
     are equal when they have the same class and equal field tuples, hash as
     their field tuple and print as `Name(field=value, ...)`, as frozen
     dataclasses do, without compiling code per class.  A subclass declared
-    with `cache_hash=True` computes its hash once, on first use; one
-    declared with `unique=True` has no fields and one instance, which its
-    constructor, copy and pickle return, so equality and hash are
-    `object`'s."""
+    with `interned=True` is hash-consed: its constructor returns the one
+    instance per field tuple, and so do copy and pickle, so equality and
+    hash are `object`'s; its fields must hold values that are equal only
+    when interchangeable, such as interned values and concepts.  The table
+    only grows, by one entry per distinct value built."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, cache_hash: bool = False, unique: bool = False,
-                          **kwargs):
+    def __init_subclass__(cls, interned: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
-        init, cls.__eq__, field_hash = _field_methods(cls._fields)
-        cls.__hash__ = _cached(field_hash) if cache_hash else field_hash
+        init, cls.__eq__, cls.__hash__ = _field_methods(cls._fields)
         if "__init__" not in cls.__dict__:
             cls.__init__ = init
-        if unique:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-            instance = object.__new__(cls)
-            cls.__new__ = staticmethod(lambda cls: instance)
-            cls.__reduce__ = lambda self: (cls, ())
+        if interned:
+            _intern_instances(cls)
 
     def __repr__(self):
         args = [f"{name}={getattr(self, name)!r}" for name in self._fields]
@@ -80,6 +80,26 @@ class Value:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _intern_instances(cls: type) -> None:
+    """Make cls's constructor its intern table, keyed by the arguments."""
+    table: dict[tuple, Value] = {}
+    init, names = cls.__init__, cls._fields
+
+    def __new__(cls, *args):
+        node = table.get(args)
+        if node is None:
+            node = object.__new__(cls)
+            init(node, *args)
+            table[args] = node
+        return node
+
+    cls.__new__ = __new__
+    cls.__init__ = object.__init__   # __new__ has set the fields
+    cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+    # copy, deepcopy and pickle rebuild through the table too
+    cls.__reduce__ = lambda self: (cls, tuple([getattr(self, n) for n in names]))
 
 
 def _field_methods(names: tuple[str, ...]) -> tuple[Callable, ...]:
@@ -131,17 +151,6 @@ def _field_methods(names: tuple[str, ...]) -> tuple[Callable, ...]:
         return hash(values(self))
 
     return __init__, __eq__, __hash__
-
-
-def _cached(field_hash: Callable[[Value], int]) -> Callable[[Value], int]:
-    """The hash kept in the instance dict after its first use (it is not a
-    field, so equality and repr ignore it)."""
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = field_hash(self)
-        return h
-    return __hash__
 
 
 class Term(Value):
@@ -198,32 +207,27 @@ class Type(Value):
     __slots__ = ()
 
 
-class NumTy(Type, unique=True):
+class NumTy(Type, interned=True):
     pass
 
 
-class StrTy(Type, unique=True):
+class StrTy(Type, interned=True):
     pass
 
 
-# The composite types cache their hash: they key the proof memo and the
-# store's intern table, and hashing a wide record type field by field on
-# every lookup would cost what the memo saves.  A type that is never hashed
-# (most that inference builds and drops) costs nothing extra.
-
-class ListTy(Type, cache_hash=True):
+class ListTy(Type, interned=True):
     elem: "Type"
 
 
-class RecordTy(Type, cache_hash=True):
+class RecordTy(Type, interned=True):
     fields: tuple[tuple[Concept, "Type"], ...]
 
 
-class EnumTy(Type, cache_hash=True):
+class EnumTy(Type, interned=True):
     concepts: tuple[Concept, ...]
 
 
-class VoidTy(Type, unique=True):
+class VoidTy(Type, interned=True):
     pass
 
 

@@ -1,15 +1,18 @@
 """Static type inference, structural subtyping proofs, and coercions.
 
-Inference produces only static types (never subset types).  Subtype proofs
-are deterministic: supertype record fields are processed in label order and
-each takes the first unconsumed subtype field that label-matches and proves
-recursively.  A proof depends only on the two types and the taxonomy, so
-``prove_subtype`` memoises its answers (failures included) in the
-taxonomy's proof memo, which every taxonomy edit clears;
-``prove_subtype_uncached`` is the recursive search behind it.  A coercion
-replays a proof over a term: matched fields are renamed to the supertype's
-labels, unmatched subtype fields are dropped, and a record or list in which
-nothing changes is returned as the same object.
+Inference produces only static types (never subset types), which are
+interned, so equal types are one object.  Subtype proofs are complete and
+deterministic: a record proof pairs every supertype field with its own
+subtype field that label-matches and proves recursively whenever such a
+pairing exists, and takes the first one with supertype fields in label
+order, each trying subtype fields in index order (`_pairing`).  A proof
+depends only on the two types and the taxonomy, so ``prove_subtype``
+memoises its answers (failures included) in the taxonomy's proof memo,
+which every taxonomy edit clears; ``prove_subtype_uncached`` is the
+recursive search behind it.  A coercion replays a proof over a term:
+matched fields are renamed to the supertype's labels, unmatched subtype
+fields are dropped, and a record or list in which nothing changes is
+returned as the same object.
 """
 
 from __future__ import annotations
@@ -127,9 +130,9 @@ _MISS = object()
 def prove_subtype(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
     """A proof that sub <= sup, or None.  Both types must be static.
 
-    Answers come from the taxonomy's proof memo; with interned types (as
-    ``Store.type_of`` and ``Store.resolve_class_type`` return them) a hit
-    is an identity test.
+    Answers come from the taxonomy's proof memo, keyed by the two types;
+    static types are interned, so a lookup hashes and compares them by
+    identity.
     """
     key = (sub, sup)
     proof = tax.proofs.get(key, _MISS)
@@ -158,25 +161,53 @@ def prove_subtype_uncached(sub: T.Type, sup: T.Type,
         child = prove_subtype_uncached(sub.elem, sup.elem, tax)
         return ListNode(child) if child is not None else None
     if isinstance(sub, T.RecordTy) and isinstance(sup, T.RecordTy):
-        pairs = []
-        consumed: set[int] = set()
-        for sup_label, sup_fty in sup.fields:
-            hit = None
-            for i, (sub_label, sub_fty) in enumerate(sub.fields):
-                if i in consumed or not tax.label_match(sub_label, sup_label):
-                    continue
-                child = prove_subtype_uncached(sub_fty, sup_fty, tax)
-                if child is not None:
-                    hit = (sup_label, sub_label, child)
-                    consumed.add(i)
-                    break
-            if hit is None:
-                return None
-            pairs.append(hit)
+        picks = _pairing(sub.fields, sup.fields, tax)
+        if picks is None:
+            return None
+        pairs = tuple((sup_label, sub.fields[i][0], child)
+                      for (sup_label, _), (i, child) in zip(sup.fields, picks))
+        taken = {i for i, _ in picks}
         dropped = tuple(l for i, (l, _) in enumerate(sub.fields)
-                        if i not in consumed)
-        return RecordNode(tuple(pairs), dropped)
+                        if i not in taken)
+        return RecordNode(pairs, dropped)
     return None
+
+
+def _pairing(sub_fields: tuple, sup_fields: tuple,
+             tax: Taxonomy) -> list[tuple[int, Proof]] | None:
+    """The canonical pairing of record fields: per supertype field, the
+    index of the subtype field it takes and the child proof; None when no
+    injective pairing proves every supertype field.  Supertype fields go in
+    label order, each trying the subtype fields it may take in index
+    order, and a field that finds none sends the search back to the field
+    before it; so the answer is the first complete pairing in that order,
+    which is first-fit's own whenever first-fit succeeds."""
+    children: dict[tuple[int, int], Proof | None] = {}  # (sup index, sub index)
+    picks: list[tuple[int, Proof]] = []
+    taken: set[int] = set()
+
+    def extend(j: int) -> bool:
+        if j == len(sup_fields):
+            return True
+        sup_label, sup_fty = sup_fields[j]
+        for i, (sub_label, sub_fty) in enumerate(sub_fields):
+            if i in taken:
+                continue
+            child = children.get((j, i), _MISS)
+            if child is _MISS:
+                child = children[j, i] = (
+                    prove_subtype_uncached(sub_fty, sup_fty, tax)
+                    if tax.label_match(sub_label, sup_label) else None)
+            if child is not None:
+                taken.add(i)
+                picks.append((i, child))
+                if extend(j + 1):
+                    return True
+                taken.discard(i)
+                picks.pop()
+        return False
+
+    return picks if extend(0) else None
 
 
 def is_identity_shaped(proof: Proof) -> bool:

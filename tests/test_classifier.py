@@ -628,11 +628,25 @@ class TestIncrementality:
             assert s.dump_state() == state
             assert find_members(s).per_class["person"].scanned == 0
 
+    def test_a_field_pairing_that_first_fit_misses_is_found(self):
+        # a takes b first, and then b finds no field; the complete pairing
+        # a <- c, b <- b exists, so x is a member (edit case (a))
+        s = Store()
+        s.add_is_a("c", "a")
+        s.add_is_a("b", "a")
+        insert_program(s, 'x := {"b"="1", "c"="2"};')
+        s.mk_kb_class("k", T.record_ty(s.tax, [("a", T.str_ty), ("b", T.str_ty)]))
+        find_members(s)
+        engine = s.kb_class("k").member_terms.keys()
+        assert engine == oracle_extensions(s)["k"]
+        assert [render_sexp(t) for t in engine] == [
+            '(record ((a (str "2")) (b (str "1"))))']
+
     @pytest.mark.xfail(strict=True, reason="edit case (c): an edit keeps a "
                        "member whose coercion it redirects")
     def test_an_edit_that_redirects_a_coercion_derives_the_member_again(self):
         # with is-a c a alone, {a: str} takes x's c field; is-a b a makes
-        # first-fit pairing take b, as a store given both edges first does
+        # the canonical pairing take b, as a store given both edges first does
         def build(edges, edit=()):
             s = Store()
             for child, parent in edges:

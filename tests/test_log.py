@@ -298,7 +298,10 @@ def test_a_promote_record_that_promoting_again_does_not_reach_is_corruption(
 @pytest.mark.parametrize("version, record, want", [
     (4, '(promote "a")', "a promote record counts typed terms"),
     (3, "(promote 1)", "a version-3 promote record names a term"),
-], ids=["name-in-version-4", "count-in-version-3"])
+    (4, "(promote 1.7)", "1.7 is not a count"),
+    (4, "(promote -1)", "-1.0 is not a count"),
+], ids=["name-in-version-4", "count-in-version-3", "fractional-count",
+        "negative-count"])
 def test_a_promote_record_of_the_other_format_is_corruption(tmp_path, version,
                                                            record, want):
     path = str(tmp_path / "kb")
@@ -307,6 +310,30 @@ def test_a_promote_record_of_the_other_format_is_corruption(tmp_path, version,
                ).encode()
     write_log(path, records + b"(commit 3 %d)\n" % zlib.crc32(records))
     with pytest.raises(StoreCorruptionError, match=rf"{LOG}:3: {want}"):
+        Store(path)
+
+
+@pytest.mark.parametrize("records, line, want", [
+    ("(flutes-log 4.5)", 1, "4.5 is not a count"),
+    ('(flutes-log "4")', 1, "'4' is not a count"),
+    ('(flutes-log 4)\n(term "a" (str "x"))\n(promote 1)\n(class "c" (strty))\n'
+     '(watermark "c" 1.9 ())', 5, "1.9 is not a count"),
+    ('(flutes-log 4)\n(term "a" (str "x"))\n(promote 1)\n(class "c" (strty))\n'
+     '(watermark "c" -1 ())', 5, "-1.0 is not a count"),
+    ('(flutes-log 4)\n(term "a" (str "x"))\n(class "d" (strty))\n'
+     '(class "c" (subsetty (var x) (tyalias d) (exists y (tyalias d) '
+     '(pred eq (var x) (var y)))))\n(promote 1)\n(watermark "d" 1 ())\n'
+     '(watermark "c" 1 (("d" 1.5)))', 7, "1.5 is not a count"),
+], ids=["fractional-version", "quoted-version", "fractional-watermark",
+        "negative-watermark", "fractional-dependency-mark"])
+def test_a_count_that_is_not_a_non_negative_integer_is_corruption(
+        tmp_path, records, line, want):
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = (records + "\n").encode()
+    write_log(path, records + b"(commit %d %d)\n" % (records.count(b"\n"),
+                                                   zlib.crc32(records)))
+    with pytest.raises(StoreCorruptionError, match=rf"{LOG}:{line}: {want}"):
         Store(path)
 
 

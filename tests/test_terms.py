@@ -7,8 +7,11 @@ import re
 import pytest
 
 from flutes.errors import ArityError, MalformedRecordError, TermError
+from flutes.sexp import parse_sexp, render_sexp
+from flutes.store import Store
 from flutes.taxonomy import Taxonomy, mk_concept, positional
-from flutes import terms as T
+from flutes.typecheck import infer_static_type, resolve_type
+from flutes import classifier, terms as T
 
 
 @pytest.fixture
@@ -249,13 +252,13 @@ class TestShapes:
 _LEAVES = [T.num_f(1.5), T.Str("a"), T.atom("a"), T.Bottom(mk_concept("b")),
            T.Var("v"), T.TermAlias("t"), T.num_ty, T.str_ty, T.void_ty,
            T.enum_ty(["a", "b"]), T.TyAlias("y"), T.TRUE, T.FALSE]
-_ATOMIC_TYPES = (T.NumTy, T.StrTy, T.VoidTy)
+_STATIC_TYPES = (T.NumTy, T.StrTy, T.VoidTy, T.ListTy, T.RecordTy, T.EnumTy)
 
 
 class TestValues:
     """The value base keeps what the frozen dataclasses gave: equality by
     class and fields, the hash of the field tuple, the repr, immutability;
-    the types without parts are one instance each instead."""
+    the static types are one instance per field tuple instead."""
 
     @pytest.mark.parametrize("node", [x for x, _ in _SAMPLES] + _LEAVES,
                              ids=_SAMPLE_IDS + [type(x).__name__ for x in _LEAVES])
@@ -263,7 +266,7 @@ class TestValues:
         copy = type(node)(*[getattr(node, name) for name in node._fields])
         assert copy == node and not copy != node
         fields = tuple(getattr(node, name) for name in node._fields)
-        if type(node) in _ATOMIC_TYPES:      # one instance, hashed by identity
+        if type(node) in _STATIC_TYPES:      # one instance, hashed by identity
             assert copy is node
             assert hash(node) == object.__hash__(node)
         else:
@@ -310,3 +313,78 @@ class TestValues:
             T.Exists("x", T.num_ty)
         with pytest.raises(TypeError):
             T.Str()
+        with pytest.raises(TypeError):
+            T.RecordTy()
+        with pytest.raises(TypeError):
+            T.ListTy(T.num_ty, T.num_ty)
+
+
+class TestIdentity:
+    """Identity is the only equality of static types: each path that builds
+    one returns the one interned instance.  The types that hold names,
+    terms or propositions (`TyAlias`, `SubsetTy`) keep field equality."""
+
+    def test_no_value_equality(self):
+        for cls in _STATIC_TYPES:
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+        for cls in (T.TyAlias, T.SubsetTy):
+            assert cls.__eq__ is not object.__eq__
+        alias = T.TyAlias("ident_alias")
+        assert T.TyAlias("ident_alias") == alias
+        assert T.TyAlias("ident_alias") is not alias
+
+    def test_constructors_return_the_interned_type(self, tax):
+        enum = T.EnumTy((mk_concept("ident_a"), mk_concept("ident_b")))
+        assert T.enum_ty(["ident_a", "ident_b"]) is enum
+        person = T.RecordTy(((mk_concept("ident_name"), T.StrTy()),
+                             (mk_concept("ident_tags"), T.ListTy(enum))))
+        assert T.record_ty(tax, [("ident_tags", T.ListTy(T.enum_ty(
+            ["ident_a", "ident_b"]))), ("ident_name", T.str_ty)]) is person
+        inner = T.RecordTy(((positional(0), T.num_ty), (positional(1), person)))
+        assert T.pred_ty("ident_p", [T.NumTy(), person]) is T.RecordTy(
+            ((mk_concept("ident_p"), inner),))
+        assert T.triple_ty("ident_p", T.num_ty, person) is T.pred_ty(
+            "ident_p", [T.num_ty, person])
+        assert T.map_parts(person, lambda x: x) is person
+        assert T.map_parts(T.ListTy(person), lambda x: x) is T.ListTy(person)
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                     lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_return_the_interned_type(self, tax, how):
+        ty = T.record_ty(tax, [("ident_copy", T.ListTy(T.enum_ty(["ident_c"]))),
+                               ("ident_void", T.void_ty)])
+        assert how(ty) is ty
+        # an alias inside is rebuilt equal, and the record type around it
+        # is the same instance again
+        holder = T.record_ty(tax, [("ident_ref", T.TyAlias("ident_target"))])
+        assert how(holder) is holder
+        subset = T.SubsetTy(T.Var("x"), ty, T.TRUE)
+        assert how(subset) == subset and how(subset).binding_type is ty
+
+    def test_readers_return_the_interned_type(self, tax):
+        ty = T.record_ty(tax, [("ident_read", T.ListTy(T.enum_ty(["ident_r"]))),
+                               ("ident_num", T.num_ty)])
+        assert parse_sexp(render_sexp(ty)) is ty
+        assert parse_sexp("(recordty ((ident_num (numty)) (ident_read "
+                          "(listty (enumty (ident_r))))))") is ty
+        aliased = T.record_ty(tax, [("ident_read", T.TyAlias("ident_list")),
+                                    ("ident_num", T.num_ty)])
+        targets = {"ident_list": T.SubsetTy(T.Var("l"), T.ListTy(T.enum_ty(
+            ["ident_r"])), T.TRUE)}
+        assert resolve_type(aliased, targets.get) is ty
+        term = T.record(tax, [("ident_read", T.List((T.atom("ident_r"),))),
+                              ("ident_num", T.num_f(1))])
+        assert infer_static_type(term, tax) is ty
+
+    def test_stores_share_the_instance(self):
+        stores = [Store(), Store()]
+        for s in stores:
+            s.abox_insert("a", T.record(s.tax, [("ident_store", T.string("A"))]))
+            classifier.promote_untyped(s)
+            s.mk_kb_class("c", T.record_ty(s.tax, [("ident_store", T.str_ty)]))
+        first, second = stores
+        assert first.type_of("a") is second.type_of("a")
+        assert first.resolve_class_type("c") is second.resolve_class_type("c")
+        assert first.type_of("a") is first.resolve_class_type("c")

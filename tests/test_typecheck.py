@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from flutes.errors import AliasCycleError, CoercionDomainError, TypeCheckError
+from flutes.errors import (AliasCycleError, CoercionDomainError,
+                           MalformedRecordError, TypeCheckError)
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 from flutes import terms as T
 from flutes.typecheck import (
     Leaf, ListNode, RecordNode, apply_coercion,
-    infer_static_type, is_identity_shaped, prove_subtype, resolve_type,
+    infer_static_type, is_identity_shaped, prove_subtype,
+    prove_subtype_uncached, resolve_type,
 )
 
 import termgen
@@ -164,6 +167,76 @@ class TestProve:
                 checked += 1
                 assert prove_subtype(a, c, tax2) is not None
         assert checked > 50
+
+
+# field pairing against an exhaustive enumeration of injective pairings
+_PAIR_LABELS = ["a", "b", "c", "d", "e", "f"]
+
+
+def _pair_fields(labels, min_size=0):
+    return st.dictionaries(
+        st.sampled_from(labels),
+        st.sampled_from([T.str_ty, T.str_ty, T.str_ty, T.num_ty, T.void_ty]),
+        min_size=min_size, max_size=4)
+
+
+# each possible is-a edge from a label of the second half to one of the
+# first, drawn as a coin, and a few synonyms: a record of the lower labels
+# then often has two ways into a record of the upper ones, only one of
+# which first-fit tries
+_pair_edges = st.tuples(
+    st.lists(st.booleans(), min_size=9, max_size=9).map(lambda coins: [
+        ("add_is_a", x, y) for (x, y), coin in zip(
+            itertools.product(_PAIR_LABELS[3:], _PAIR_LABELS[:3]), coins)
+        if coin]),
+    st.lists(st.tuples(st.just("same_as"), st.sampled_from(_PAIR_LABELS),
+                       st.sampled_from(_PAIR_LABELS)), max_size=2),
+).map(lambda drawn: drawn[0] + drawn[1])
+
+
+# a subtype and a supertype over any labels, or the subtype over the lower
+# labels and the supertype over the upper ones, so that every pair of
+# fields is paired through the drawn edges
+_pair_records = st.one_of(
+    st.tuples(_pair_fields(_PAIR_LABELS), _pair_fields(_PAIR_LABELS)),
+    st.tuples(_pair_fields(_PAIR_LABELS[3:], 2),
+              _pair_fields(_PAIR_LABELS[:3], 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_edges, _pair_records)
+@example([("add_is_a", "c", "a"), ("add_is_a", "b", "a")],   # edit case (a)
+         ({"b": T.str_ty, "c": T.str_ty}, {"a": T.str_ty, "b": T.str_ty}))
+def test_pairing_is_the_first_complete_injective_pairing(edges, records):
+    sub, sup = records
+    tax = Taxonomy()
+    for edit, a, b in edges:        # the is-a edges all point upward
+        getattr(tax, edit)(mk_concept(a), mk_concept(b))
+    try:
+        sub_ty = T.record_ty(tax, sub.items())
+        sup_ty = T.record_ty(tax, sup.items())
+    except MalformedRecordError:       # two labels the edges made mutual
+        assume(False)
+
+    def fits(i, j):     # the atomic field types prove when equal or void
+        sub_label, sub_fty = sub_ty.fields[i]
+        sup_label, sup_fty = sup_ty.fields[j]
+        return (tax.label_match(sub_label, sup_label)
+                and sub_fty in (sup_fty, T.void_ty))
+
+    # permutations come in lexicographic order: supertype fields in label
+    # order, each taking the lowest-indexed subtype field it can
+    first = next((p for p in itertools.permutations(range(len(sub_ty.fields)),
+                                                     len(sup_ty.fields))
+                  if all(fits(i, j) for j, i in enumerate(p))), None)
+    proof = prove_subtype_uncached(sub_ty, sup_ty, tax)
+    if first is None:
+        assert proof is None
+        return
+    assert [(s, b) for s, b, _ in proof.pairs] == [
+        (sup_ty.fields[j][0], sub_ty.fields[i][0]) for j, i in enumerate(first)]
+    assert proof.dropped == tuple(l for i, (l, _) in enumerate(sub_ty.fields)
+                                  if i not in first)
 
 
 class TestCoercion:
