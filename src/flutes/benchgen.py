@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import terms as T
 from .classifier import find_members
-from .oracle import oracle_extensions
+from .oracle import oracle_members
 from .store import Store
 from .syntax import insert_text
 
@@ -161,11 +161,11 @@ def _phase(store: Store, phase: str, emit, prune: bool) -> bool:
     start = time.perf_counter()
     report = find_members(store, prune=prune)
     elapsed = time.perf_counter() - start
-    expected = oracle_extensions(store)
+    expected = oracle_members(store)
     all_agree = True
     for name, st in report.per_class.items():
         cls = store.kb_class(name)
-        agree = cls.member_terms.keys() == expected[name]
+        agree = dict(cls.members) == expected[name]
         all_agree = all_agree and agree
         emit(f"{phase}.{name}.members\t{len(cls.members)}")
         emit(f"{phase}.{name}.scanned\t{st.scanned}")

@@ -375,9 +375,17 @@ class _DisjunctRun:
         if not self.live:
             return
         for var, kcls in self.members:
+            # a bound value is a member when it names one by alias, or holds
+            # a member's term: a subset member is named by its content, and
+            # a static member by its term's name, so its term is compared
             value = subst[var]
-            if not (type(value) is T.TermAlias and value.name in kcls.by_name
-                    or value in kcls.member_terms):
+            if type(value) is T.TermAlias and value.name in kcls.by_name:
+                continue
+            if kcls.is_subset:
+                named = member_name(kcls.name, render_sexp(value))
+                if named not in kcls.by_name:
+                    return
+            elif not any(value == t for _, t in kcls.members):
                 return
         self.stats.tuples += 1
         try:

@@ -108,9 +108,10 @@ class Session:
             raise CommandError("nearest radius must be >= 0")
         self.store.kb_class(near_cls)
         store = self.store
+        handles = _Handles()
 
         def proximity_filter(t: T.Term) -> T.Term:
-            start = _member_handle(store, in_cls, t)
+            start = _member_handle(store, in_cls, t, handles)
             if not store.nearest(k, start, near_cls):
                 raise RuleFailure(
                     f"no {near_cls} member within {k} steps of {start}")
@@ -178,11 +179,29 @@ class Session:
         self.emit(HELP)
 
 
-def _member_handle(store: Store, class_name: str, t: T.Term) -> str:
-    """The stored name of a class member term, for graph traversal."""
+class _Handles:
+    """The names of a class's first `covered` members by the identity of
+    their terms.  One term object may be held under two names (an identity
+    coercion returns its input); the first member holding it names it."""
+    __slots__ = ("covered", "names")
+
+    def __init__(self):
+        self.covered = 0
+        self.names: dict[int, str] = {}
+
+
+def _member_handle(store: Store, class_name: str, t: T.Term,
+                   handles: _Handles) -> str:
+    """The name of the class member whose term is t itself, for graph
+    traversal.  `handles` is extended by the members added since its last
+    call; a class's members are only ever appended."""
     if isinstance(t, T.TermAlias):
         return t.name
-    mname = store.kb_class(class_name).member_terms.get(t)
+    members = store.kb_class(class_name).members
+    for name, term in members[handles.covered:]:
+        handles.names.setdefault(id(term), name)
+    handles.covered = len(members)
+    mname = handles.names.get(id(t))
     if mname is None:
         raise RuleFailure(f"term is not a stored member of {class_name!r}")
     return mname

@@ -3,11 +3,15 @@
 Computes every class extension from scratch by exhaustive search: no
 watermarks, no containment pruning, no unification.  Equality literals
 are solved by one-way structural matching against candidate members,
-enumerated in full.  Shares only the type-theoretic core (inference,
-subsumption, coercion) and ground proposition evaluation with the
-production path, so the two can meaningfully disagree.  Subsumption goes
-through ``prove_subtype_uncached``, never the taxonomy's proof memo, so a
-stale memo cannot fool the engine and the oracle alike.
+enumerated in full.  Members are named nodes: a static member takes its
+term's name, a subset member its content name (``member_name``), and
+equal terms under two names are two members.  A skolem's value is a
+member when it names one by alias or equals one's term.  Shares only the
+type-theoretic core (inference, subsumption, coercion) and ground
+proposition evaluation with the production path, so the two can
+meaningfully disagree.  Subsumption goes through
+``prove_subtype_uncached``, never the taxonomy's proof memo, so a stale
+memo cannot fool the engine and the oracle alike.
 """
 
 from . import terms as T
@@ -18,11 +22,11 @@ from .sexp import render_sexp
 from .store import Store, KbClass
 from .typecheck import apply_coercion, infer_static_type, prove_subtype_uncached
 
-Ext = dict[str, list[tuple[str, T.Term]]]
+Ext = dict[str, dict[str, T.Term]]
 
 
-def oracle_extensions(store: Store) -> dict[str, set[T.Term]]:
-    """Member term sets per class, computed by brute force.  Assumes
+def oracle_members(store: Store) -> Ext:
+    """Members per class, name -> term, computed by brute force.  Assumes
     untyped terms have already been promoted (run after find_members or
     promote_untyped)."""
     ext: Ext = {}
@@ -31,13 +35,18 @@ def oracle_extensions(store: Store) -> dict[str, set[T.Term]]:
             ext[name] = _subset_ext(store, cls, ext)
         else:
             ext[name] = _static_ext(store, cls)
-    return {name: {t for _, t in pairs} for name, pairs in ext.items()}
+    return ext
 
 
-def _static_ext(store: Store, cls: KbClass) -> list[tuple[str, T.Term]]:
+def oracle_extensions(store: Store) -> dict[str, set[T.Term]]:
+    """Member term sets per class, from `oracle_members`."""
+    return {name: set(members.values())
+            for name, members in oracle_members(store).items()}
+
+
+def _static_ext(store: Store, cls: KbClass) -> dict[str, T.Term]:
     target = store.resolve_class_type(cls.name)
-    out = []
-    seen = set()
+    out = {}
     for name, term in store.typed_list:
         ty = store.type_of(name)
         if ty is None:
@@ -46,9 +55,8 @@ def _static_ext(store: Store, cls: KbClass) -> list[tuple[str, T.Term]]:
         if proof is None:
             continue
         coerced = coerce_term(store, proof, term)
-        if coerced is not None and coerced not in seen:
-            seen.add(coerced)
-            out.append((name, coerced))
+        if coerced is not None:
+            out[name] = coerced
     return out
 
 
@@ -111,24 +119,19 @@ def _match(pat: T.Term, t: T.Term, binds: dict) -> dict | None:
     return binds if pat == t else None
 
 
-def _denotes(value: T.Term, pairs: list[tuple[str, T.Term]]) -> bool:
+def _denotes(value: T.Term, members: dict[str, T.Term]) -> bool:
     """Whether the value names or equals some member of the extension."""
-    for name, term in pairs:
-        if value == term:
-            return True
-        if isinstance(value, T.TermAlias) and value.name == name:
-            return True
-    return False
+    if isinstance(value, T.TermAlias) and value.name in members:
+        return True
+    return any(value == term for term in members.values())
 
 
-def _subset_ext(store: Store, cls: KbClass, ext: Ext
-                ) -> list[tuple[str, T.Term]]:
+def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
     skolems, matrix = _strip_exists(cls.definition.prop)
     sk_class = dict(skolems)
     binding = cls.definition.binding_term
     bind_ty = store.resolve_class_type(cls.name)
-    out: list[tuple[str, T.Term]] = []
-    seen: set[T.Term] = set()
+    out: dict[str, T.Term] = {}
 
     def produce(binds, skval):
         full = dict(binds)
@@ -153,9 +156,7 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext
         if proof is None:
             return
         coerced = apply_coercion(proof, mt)
-        if coerced not in seen:
-            seen.add(coerced)
-            out.append((member_name(cls.name, render_sexp(coerced)), coerced))
+        out.setdefault(member_name(cls.name, render_sexp(coerced)), coerced)
 
     def absorb(raw, binds, skval):
         """Split one-way match results into free bindings and skolem
@@ -192,10 +193,10 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext
             return
         pattern, sk = eqs[idx]
         if sk in skval:
-            candidates = [(None, skval[sk])]
+            candidates = [skval[sk]]
         else:
-            candidates = ext[sk_class[sk]]
-        for _, m in candidates:
+            candidates = ext[sk_class[sk]].values()
+        for m in candidates:
             raw = _match(T.substitute(binds, pattern), m, {})
             if raw is None:
                 continue

@@ -3,7 +3,7 @@
 A store directory holds one append-only S-expression log, `log.fsx`, one
 record per line, in the order the changes were made:
 
-  (flutes-log 4)                      format version, first record of the log
+  (flutes-log 5)                      format version, first record of the log
   (class "name" <type>) | (same-as "a" "b") | (is-a "a" "b")
   (term "name" <term>)                an untyped term
   (promote N)                         a promotion; N terms are typed after it
@@ -20,10 +20,13 @@ derived members are never logged: a static class scans the typed ids from
 its old watermark up to N; a subset class solves its disjuncts over its
 dependency classes' members, and N and the M are its member count and marks
 after, which replay must reach.  A count that is not a non-negative
-integer (N, M or the version) is corruption.  Logs of versions 1 to 3
-still open: their promote records each name one term, which replay moves
-to the typed ones, and versions 1 and 2 also logged derived members.  The
-first batch appended to such a log begins with (flutes-log 4).  A taxonomy
+integer (N, M or the version) is corruption.  Logs of versions 1 to 4
+still open.  Up to version 3 a promote record names one term, which
+replay moves to the typed ones, and versions 1 and 2 also logged derived
+members.  Up to version 4 a static class kept one member per distinct
+term, so a subset class's figures counted members that equal terms had
+merged: replay takes what its judgement reaches instead.  The first
+batch appended to such a log begins with (flutes-log 5).  A taxonomy
 edit that changes a relation rewinds every class's marks, live and on
 replay; one that changes none is logged all the same.
 
@@ -61,37 +64,29 @@ _CLASS_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 LOG = "log.fsx"
 LOCK = "lock"
-_VERSION = "(flutes-log 4)\n"   # this version also reads versions 1 to 3
+_VERSION = "(flutes-log 5)\n"   # this version also reads versions 1 to 4
 _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
 class KbClass:
     __slots__ = ("name", "definition", "clause", "members", "by_name",
-                 "by_alias", "member_terms", "watermark", "dep_marks",
-                 "binding")
+                 "by_alias", "watermark", "dep_marks", "binding")
 
     def __init__(self, name: str, definition: T.Type,
-                 clause: SkolemClause | None = None,
-                 members: list[tuple[str, T.Term]] | None = None,
-                 by_name: dict[str, int] | None = None,
-                 by_alias: dict[str, list[int]] | None = None,
-                 member_terms: dict[T.Term, str] | None = None,
-                 watermark: int = 0, dep_marks: dict[str, int] | None = None,
-                 binding: object = None):
+                 clause: SkolemClause | None = None):
         self.name = name
         self.definition = definition
         self.clause = clause   # compiled definition of a subset class
-        self.members = [] if members is None else members
-        # name -> member index
-        self.by_name = {} if by_name is None else by_name
+        # (name, term) in insertion order; a member is a named node, so two
+        # members may hold equal terms
+        self.members: list[tuple[str, T.Term]] = []
+        self.by_name: dict[str, int] = {}   # name -> member index
         # alias -> ascending indices of the members whose adjacency holds it
-        self.by_alias = {} if by_alias is None else by_alias
-        # term -> name of its first member; members hold distinct terms
-        self.member_terms = {} if member_terms is None else member_terms
-        self.watermark = watermark   # static: the typed ids judged; subset: 0
+        self.by_alias: dict[str, list[int]] = {}
+        self.watermark = 0   # static: the typed ids judged; subset: 0
         # subset: members per dependency class judged; None while unsolved
-        self.dep_marks = dep_marks
-        self.binding = binding   # the classifier's, with its proof memo
+        self.dep_marks: dict[str, int] | None = None
+        self.binding = None   # the classifier's, with its proof memo
 
     @property
     def is_subset(self) -> bool:
@@ -114,7 +109,7 @@ class Store:
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
         self._header = [_VERSION]  # begins the next batch of a new or older log
-        self._version = 4          # of the log records being replayed
+        self._version = 5          # of the log records being replayed
         self._lock_fd: int | None = None
         self.torn_tail: tuple[int, int] | None = None  # (bytes, records) dropped
         if path is not None:
@@ -386,7 +381,8 @@ class Store:
         return cls.definition if cls else None
 
     def add_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
-        """Insert and log a coerced member; returns False when present."""
+        """Insert and log a coerced member; returns False when the class
+        holds its name."""
         if not self._put_member(class_name, member_name, t):
             return False
         self._log("member", class_name, member_name, t)
@@ -394,12 +390,10 @@ class Store:
 
     def _put_member(self, class_name: str, member_name: str, t: T.Term,
                     refs: set[str] | None = None) -> bool:
-        """Insert a member unless a member holds its term; `refs`, when
+        """Insert a member unless the class holds its name; `refs`, when
         given, are the term's alias names."""
         cls = self.kb_class(class_name)
-        size = len(cls.member_terms)
-        cls.member_terms.setdefault(t, member_name)   # one probe of the term
-        if len(cls.member_terms) == size:
+        if member_name in cls.by_name:
             return False
         known = self.contains_map.get(member_name)    # a static member's term
         if known is None:
@@ -425,12 +419,15 @@ class Store:
     def _put_watermark(self, class_name: str, first: int,
                        dep_marks: dict[str, int]):
         """Replay a watermark record by running its judgement, which must
-        reach the record's figures."""
+        reach the record's figures (a subset class's only since version
+        5)."""
         cls = self.kb_class(class_name)
         if cls.is_subset and self._version < 3:
             cls.dep_marks = dep_marks   # the members have member records
             return
         reached = judge(self, cls, first)
+        if cls.is_subset and self._version < 5:
+            return   # counted while equal static terms made one member
         if reached != (first, dep_marks):
             raise ValueError(f"judging class {class_name!r} again reaches "
                              f"{reached}, not {(first, dep_marks)}")
@@ -538,10 +535,10 @@ class Store:
                 f"match the batch before it")
 
     def _put_version(self, version: int):
-        if version not in (1, 2, 3, 4):
+        if version not in (1, 2, 3, 4, 5):
             raise ValueError(f"unknown log version {version}")
         self._version = version
-        self._header = [_VERSION] if version < 4 else []
+        self._header = [_VERSION] if version < 5 else []
 
     def dump_state(self) -> str:
         """Canonical rendering of all in-memory state, for equality checks."""

@@ -300,3 +300,8 @@ def build_worked_store(path=None):
         store.abox_insert(d.name, d.body)
     define_tx_classes(store)
     return store
+
+
+def member_set(cls) -> set[T.Term]:
+    """The terms a class's members hold, as a set."""
+    return {t for _, t in cls.members}

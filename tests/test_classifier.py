@@ -12,14 +12,14 @@ from flutes.classifier import find_members, promote_untyped
 from flutes.clause import MAX_DISJUNCTS, CheckLit, EqLit, skolemize
 from flutes.cli import run_session
 from flutes.errors import StoreCorruptionError, UnsupportedPropError
-from flutes.oracle import oracle_extensions
+from flutes.oracle import oracle_members
 from flutes.sexp import parse_sexp, render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
 
 from termgen import (WORKED_CORPUS, build_worked_store, define_target_class,
-                     define_tx_classes, related_prop)
+                     define_tx_classes, member_set, related_prop)
 
 
 def insert_program(store, text):
@@ -267,15 +267,15 @@ class TestWorkedExample:
                              ("name", T.string("Joe"))])
         sue = T.record(tax, [("dob", T.string("1941-12-07")),
                              ("name", T.string("Sue"))])
-        assert store.kb_class("person").member_terms.keys() == {joe, sue}
-        assert store.kb_class("trans").member_terms.keys() == {
+        assert member_set(store.kb_class("person")) == {joe, sue}
+        assert member_set(store.kb_class("trans")) == {
             T.record(tax, [("amount", T.num_f(500.0)),
                            ("type", T.atom("check"))])}
-        assert store.kb_class("orig_of").member_terms.keys() == {
+        assert member_set(store.kb_class("orig_of")) == {
             T.triple("orig-of", T.term_name("joe"), T.term_name("t1"))}
-        assert store.kb_class("recv_of").member_terms.keys() == {
+        assert member_set(store.kb_class("recv_of")) == {
             T.triple("recv-of", T.term_name("sue"), T.term_name("t1"))}
-        assert store.kb_class("fi_related").member_terms.keys() == {
+        assert member_set(store.kb_class("fi_related")) == {
             T.triple("fi-related", T.term_name("joe"), T.term_name("sue"))}
 
     def test_static_members_keep_term_names(self, store):
@@ -310,18 +310,80 @@ class TestWorkedExample:
     def test_target_class(self, store):
         define_target_class(store, "joe")
         find_members(store)
-        assert store.kb_class("m_target").member_terms.keys() == {T.term_name("sue")}
+        assert member_set(store.kb_class("m_target")) == {T.term_name("sue")}
 
     def test_target_other_direction(self, store):
         define_target_class(store, "sue")
         find_members(store)
-        assert store.kb_class("m_target").member_terms.keys() == {T.term_name("joe")}
+        assert member_set(store.kb_class("m_target")) == {T.term_name("joe")}
 
     def test_unrelated_target_is_empty(self, store):
         insert_program(store, 'amy := {"name"="Amy", "dob"="1990-01-01"};')
         define_target_class(store, "amy")
         find_members(store)
-        assert store.kb_class("m_target").member_terms.keys() == set()
+        assert member_set(store.kb_class("m_target")) == set()
+
+
+class TestEqualTerms:
+    def test_equal_transactions_are_two_members_and_keep_their_links(
+            self, tmp_path):
+        # FOUND 11: t2 equals t1, and its links relate a to c
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            insert_program(s, """
+            a := {"name"="A", "dob"="1"};
+            b := {"name"="B", "dob"="2"};
+            c := {"name"="C", "dob"="3"};
+            t1 := {"amount"=10.0, "type"=cc()};
+            t2 := {"amount"=10.0, "type"=cc()};
+            o1 := orig-of(a, t1);
+            r1 := recv-of(b, t1);
+            o2 := orig-of(a, t2);
+            r2 := recv-of(c, t2);
+            """)
+            define_tx_classes(s)
+            find_members(s)
+            trans = s.kb_class("trans").members
+            assert [name for name, _ in trans] == ["t1", "t2"]
+            assert trans[0][1] == trans[1][1]
+            a, b, c = map(T.term_name, "abc")
+            assert member_set(s.kb_class("fi_related")) == {
+                T.triple("fi-related", a, b), T.triple("fi-related", a, c)}
+            oracle = oracle_members(s)
+            for name, cls in s.classes.items():
+                assert dict(cls.members) == oracle[name], name
+            state = s.dump_state()
+        with Store(path) as s:
+            assert s.dump_state() == state
+
+    def test_an_inline_value_is_judged_alike_by_every_plan(self):
+        # the first literal enumerates t1 and the second matches o1's
+        # inline copy of it; a drive by orig_of binds t to the copy, a
+        # member of the static class trans because it equals t1's term
+        def build(split):
+            s = Store()
+            define_tx_classes(s)
+            x, t = T.var("x"), T.var("t")
+            rec = T.record(s.tax, [("amount", T.num_f(10)),
+                                   ("type", T.atom("cc"))])
+            s.mk_kb_class("k", T.subset_ty(x, T.type_name("person"), T.exists(
+                "t", T.type_name("trans"), T.exists(
+                    "o", T.type_name("orig_of"), T.conj(
+                        T.equals(rec, t),
+                        T.equals(T.triple("orig-of", x, t), T.var("o")))))))
+            insert_program(s, 'a := {"name"="A", "dob"="1"};'
+                              't1 := {"amount"=10.0, "type"=cc()};')
+            if split:
+                find_members(s)
+            insert_program(s, 'o1 := orig-of(a, {"amount"=10.0, "type"=cc()});')
+            find_members(s)
+            return s
+
+        incremental, fresh = build(True), build(False)
+        assert (dict(incremental.kb_class("k").members)
+                == dict(fresh.kb_class("k").members)
+                == oracle_members(incremental)["k"])
+        assert member_set(fresh.kb_class("k")) == {T.term_name("a")}
 
 
 class TestIncrementality:
@@ -345,7 +407,7 @@ class TestIncrementality:
         assert report.promoted == 4
         assert T.triple("fi-related", T.term_name("amy"),
                         T.term_name("joe")) in \
-            store.kb_class("fi_related").member_terms.keys()
+            member_set(store.kb_class("fi_related"))
         # incremental pass scans only the new typed terms
         assert report.per_class["person"].scanned == 4
         assert len(store.kb_class("fi_related").members) == 2
@@ -368,12 +430,12 @@ class TestIncrementality:
         insert_program(fresh, extra)
         find_members(fresh)
         for name in store.classes:
-            assert (store.kb_class(name).member_terms.keys()
-                    == fresh.kb_class(name).member_terms.keys())
+            assert (member_set(store.kb_class(name))
+                    == member_set(fresh.kb_class(name)))
 
     def test_membership_is_monotone_across_runs(self, store):
         find_members(store)
-        snapshots = {n: set(c.member_terms) for n, c in store.classes.items()}
+        snapshots = {n: member_set(c) for n, c in store.classes.items()}
         insert_program(store, """
         t4 := {"amount"=1.0, "type"=cc()};
         o4 := orig-of(sue, t4);
@@ -381,7 +443,7 @@ class TestIncrementality:
         """)
         find_members(store)
         for name, old in snapshots.items():
-            assert old <= store.kb_class(name).member_terms.keys()
+            assert old <= member_set(store.kb_class(name))
 
     def test_forward_reference_resolved_by_later_insert(self, store):
         # o5 mentions t5 before t5 exists; it must stay untyped, then
@@ -396,7 +458,7 @@ class TestIncrementality:
         assert len(store.kb_class("orig_of").members) == 2
         assert T.triple("fi-related", T.term_name("joe"),
                         T.term_name("sue")) in \
-            store.kb_class("fi_related").member_terms.keys()
+            member_set(store.kb_class("fi_related"))
 
     def test_guard_existential_rechecked_when_its_class_fills(self, store):
         # z is bound by no literal: it only asks that `flagged` be non-empty
@@ -411,9 +473,9 @@ class TestIncrementality:
         assert not store.kb_class("originator").members
         insert_program(store, 'f1 := {"flag"="yes"};')
         find_members(store)
-        engine = store.kb_class("originator").member_terms.keys()
-        assert engine == oracle_extensions(store)["originator"]
-        assert engine == {T.term_name("joe")}
+        engine = dict(store.kb_class("originator").members)
+        assert engine == oracle_members(store)["originator"]
+        assert set(engine.values()) == {T.term_name("joe")}
         # once the guard's mark has moved, later runs stay incremental
         report = find_members(store)
         assert report.per_class["originator"].candidates == 0
@@ -445,13 +507,13 @@ class TestIncrementality:
             x, T.type_name("trans"), T.exists("y", T.type_name("trans"), T.conj(
                 T.equals(x, T.var("y")), check))))
         find_members(store)
-        engine = store.kb_class("big").member_terms.keys()
-        assert engine == oracle_extensions(store)["big"]
+        engine = dict(store.kb_class("big").members)
+        assert engine == oracle_members(store)["big"]
         assert len(engine) == before
         insert_program(store, 'lim := {"amount"=1.0, "type"=cc()};')
         find_members(store)
-        engine = store.kb_class("big").member_terms.keys()
-        assert engine == oracle_extensions(store)["big"]
+        engine = dict(store.kb_class("big").members)
+        assert engine == oracle_members(store)["big"]
         assert len(engine) == 2
 
     def test_a_comparison_reads_the_number_an_alias_names(self, store):
@@ -468,8 +530,9 @@ class TestIncrementality:
         assert store.kb_class("big").dep_marks is None
         insert_program(store, "lim := 100.0;")
         find_members(store)
-        engine = store.kb_class("big").member_terms.keys()
-        assert engine == oracle_extensions(store)["big"] == {
+        engine = dict(store.kb_class("big").members)
+        assert engine == oracle_members(store)["big"]
+        assert set(engine.values()) == {
             t for n, t in store.kb_class("trans").members if n == "t1"}
 
     @pytest.mark.parametrize("negated", [False, True], ids=["eq", "not-eq"])
@@ -487,8 +550,8 @@ class TestIncrementality:
         for text, size in (("", 0), ('lim := {"amount"=50.0, "type"=cc()};', 1)):
             insert_program(store, text)
             find_members(store)
-            engine = store.kb_class("eq").member_terms.keys()
-            assert engine == oracle_extensions(store)["eq"]
+            engine = dict(store.kb_class("eq").members)
+            assert engine == oracle_members(store)["eq"]
             assert len(engine) == size
 
     @pytest.mark.parametrize("case, before", [
@@ -516,8 +579,8 @@ class TestIncrementality:
         for text, size in (("", before), ('w := {"name"="W", "dob"="2"};', 4)):
             insert_program(store, text)
             find_members(store)
-            engine = store.kb_class("tagged").member_terms.keys()
-            assert engine == oracle_extensions(store)["tagged"]
+            engine = dict(store.kb_class("tagged").members)
+            assert engine == oracle_members(store)["tagged"]
             assert len(engine) == size
 
     def test_a_check_through_a_stored_alias_waits_for_the_one_it_names(
@@ -535,11 +598,11 @@ class TestIncrementality:
         for _ in range(2):
             find_members(store)
             assert not store.kb_class("konst").members
-            assert not oracle_extensions(store)["konst"]
+            assert not oracle_members(store)["konst"]
         insert_program(store, 'z := {"amount"=1.0, "type"=cc()};')
         find_members(store)
-        engine = store.kb_class("konst").member_terms.keys()
-        assert engine == oracle_extensions(store)["konst"]
+        engine = dict(store.kb_class("konst").members)
+        assert engine == oracle_members(store)["konst"]
         assert len(engine) == 1
 
     def test_a_disjunct_with_no_literal_is_solved_once(self, tmp_path):
@@ -551,8 +614,8 @@ class TestIncrementality:
         tuples = []
         for _ in range(3):
             tuples.append(find_members(s).per_class["konst"].tuples)
-            engine = s.kb_class("konst").member_terms.keys()
-            assert engine == oracle_extensions(s)["konst"]
+            engine = dict(s.kb_class("konst").members)
+            assert engine == oracle_members(s)["konst"]
             assert len(engine) == 1
         assert tuples == [1, 0, 0]
         state = s.dump_state()
@@ -573,8 +636,8 @@ class TestIncrementality:
         assert not s.kb_class("konst").members
         s.same_as("dob", "birth_date")
         find_members(s)
-        engine = s.kb_class("konst").member_terms.keys()
-        assert engine == oracle_extensions(s)["konst"]
+        engine = dict(s.kb_class("konst").members)
+        assert engine == oracle_members(s)["konst"]
         assert len(engine) == 1
 
     def test_a_taxonomy_edit_judges_a_static_class_again(self, tmp_path):
@@ -589,8 +652,8 @@ class TestIncrementality:
         assert len(s.kb_class("person").members) == 1
         s.same_as("dob", "birth_date")
         find_members(s)
-        engine = s.kb_class("person").member_terms.keys()
-        assert engine == oracle_extensions(s)["person"]
+        engine = dict(s.kb_class("person").members)
+        assert engine == oracle_members(s)["person"]
         assert len(engine) == 2
         state = s.dump_state()
         s.close()
@@ -616,9 +679,9 @@ class TestIncrementality:
         report = find_members(s)
         assert all(st.scanned == 0 and st.candidates == 0 and st.tuples == 0
                    for st in report.per_class.values())
-        oracle = oracle_extensions(s)
+        oracle = oracle_members(s)
         for name, cls in s.classes.items():
-            assert cls.member_terms.keys() == oracle[name]
+            assert dict(cls.members) == oracle[name]
         state = s.dump_state()
         s.close()
         with open(os.path.join(path, LOG), encoding="utf-8") as fh:
@@ -637,9 +700,9 @@ class TestIncrementality:
         insert_program(s, 'x := {"b"="1", "c"="2"};')
         s.mk_kb_class("k", T.record_ty(s.tax, [("a", T.str_ty), ("b", T.str_ty)]))
         find_members(s)
-        engine = s.kb_class("k").member_terms.keys()
-        assert engine == oracle_extensions(s)["k"]
-        assert [render_sexp(t) for t in engine] == [
+        engine = dict(s.kb_class("k").members)
+        assert engine == oracle_members(s)["k"]
+        assert [render_sexp(t) for t in engine.values()] == [
             '(record ((a (str "2")) (b (str "1"))))']
 
     @pytest.mark.xfail(strict=True, reason="edit case (c): an edit keeps a "
@@ -675,9 +738,9 @@ class TestIncrementality:
         for text in ("", 'w1 := {"wired"=1.0};', 'w2 := {"wired"=2.0};', ""):
             insert_program(store, text)
             tuples.append(find_members(store).per_class["probe"].tuples)
-            engine = store.kb_class("probe").member_terms.keys()
-            assert engine == oracle_extensions(store)["probe"]
-        assert engine == {marker}
+            engine = dict(store.kb_class("probe").members)
+            assert engine == oracle_members(store)["probe"]
+        assert set(engine.values()) == {marker}
         assert tuples == [0, 1, 0, 0]
 
 
@@ -704,15 +767,15 @@ class TestChecksAndFilters:
         s = self.build(self.over_100())
         big = T.record(s.tax, [("amount", T.num_f(500.0)),
                                ("type", T.atom("check"))])
-        assert s.kb_class("flt0").member_terms.keys() == {big}
+        assert member_set(s.kb_class("flt0")) == {big}
 
     def test_negated_filter_complements(self):
         s = self.build(self.over_100(), T.Not(self.over_100()))
-        both = s.kb_class("trans").member_terms.keys()
-        assert (s.kb_class("flt0").member_terms.keys()
-                | s.kb_class("flt1").member_terms.keys()) == both
-        assert not (s.kb_class("flt0").member_terms.keys()
-                    & s.kb_class("flt1").member_terms.keys())
+        both = member_set(s.kb_class("trans"))
+        assert (member_set(s.kb_class("flt0"))
+                | member_set(s.kb_class("flt1"))) == both
+        assert not (member_set(s.kb_class("flt0"))
+                    & member_set(s.kb_class("flt1")))
 
     @pytest.mark.parametrize("negated", [False, True], ids=["plain", "negated"])
     @pytest.mark.parametrize("op", [T.PredOp.LT, T.PredOp.LE, T.PredOp.GT,
@@ -737,8 +800,7 @@ class TestChecksAndFilters:
                 T.equals(T.var("x"), T.var("y")),
                 T.Not(check) if negated else check))))
         find_members(s)
-        assert (s.kb_class("flt").member_terms.keys()
-                == oracle_extensions(s)["flt"])
+        assert dict(s.kb_class("flt").members) == oracle_members(s)["flt"]
 
     def test_in_sequence_check(self):
         s = self.build(T.InSequence(
@@ -746,7 +808,7 @@ class TestChecksAndFilters:
             (T.atom("cc"), T.atom("wire"))))
         small = T.record(s.tax, [("amount", T.num_f(10.0)),
                                  ("type", T.atom("cc"))])
-        assert s.kb_class("flt0").member_terms.keys() == {small}
+        assert member_set(s.kb_class("flt0")) == {small}
 
     def test_string_comparison_check(self):
         s = build_worked_store()
@@ -758,14 +820,14 @@ class TestChecksAndFilters:
                     T.FieldSelection(T.var("y"), mk_concept("birth_date")),
                     T.string("1960-01-01")))))))
         find_members(s)
-        assert s.kb_class("older").member_terms.keys() == {
+        assert member_set(s.kb_class("older")) == {
             T.record(s.tax, [("dob", T.string("1941-12-07")),
                              ("name", T.string("Sue"))])}
 
     def test_check_on_mismatched_kinds_fails_disjunct(self):
         s = self.build(
             T.BuiltinPred(T.PredOp.LT, (self.amount(), T.string("big"))))
-        assert s.kb_class("flt0").member_terms.keys() == set()
+        assert member_set(s.kb_class("flt0")) == set()
 
     def test_check_that_never_grounds_fails_disjunct(self):
         # the proposition mentions the binding var, which no equality
@@ -777,7 +839,7 @@ class TestChecksAndFilters:
                 T.FieldSelection(T.var("x"), mk_concept("amount")),
                 T.num_f(1)))))
         find_members(s)
-        assert s.kb_class("never").member_terms.keys() == set()
+        assert member_set(s.kb_class("never")) == set()
 
     def test_constant_class_with_true_body(self):
         s = build_worked_store()
@@ -786,7 +848,7 @@ class TestChecksAndFilters:
         s.mk_kb_class("konst", T.subset_ty(ball, T.type_name("person"),
                                            T.TRUE))
         find_members(s)
-        assert s.kb_class("konst").member_terms.keys() == {ball}
+        assert member_set(s.kb_class("konst")) == {ball}
 
     def test_unbound_existential_requires_nonempty_class(self):
         marker = T.record(Store().tax, [("name", T.string("m")),
@@ -799,10 +861,10 @@ class TestChecksAndFilters:
             marker, T.type_name("person"),
             T.exists("w", T.type_name("wires"), T.TRUE)))
         find_members(s2)
-        assert s2.kb_class("probe").member_terms.keys() == set()
+        assert member_set(s2.kb_class("probe")) == set()
         insert_program(s2, 'w1 := {"wired"=1.0};')
         find_members(s2)
-        assert s2.kb_class("probe").member_terms.keys() == {marker}
+        assert member_set(s2.kb_class("probe")) == {marker}
 
 
 class TestSelectionInBinding:
@@ -814,8 +876,8 @@ class TestSelectionInBinding:
         s = build_worked_store(str(tmp_path / "kb"))
         s.mk_kb_class("amt", parse_sexp(self.AMT, T.Type))
         find_members(s)
-        assert s.kb_class("amt").member_terms.keys() == {T.Num(500.0)}
-        assert oracle_extensions(s)["amt"] == {T.Num(500.0)}
+        assert member_set(s.kb_class("amt")) == {T.Num(500.0)}
+        assert dict(s.kb_class("amt").members) == oracle_members(s)["amt"]
         state = s.dump_state()
         s.close()
         with Store(str(tmp_path / "kb")) as again:
@@ -853,8 +915,8 @@ class TestPruning:
             ra = find_members(a, prune=True)
             rb = find_members(b, prune=False)
             for name in a.classes:
-                assert (a.kb_class(name).member_terms.keys()
-                        == b.kb_class(name).member_terms.keys())
+                assert (member_set(a.kb_class(name))
+                        == member_set(b.kb_class(name)))
             assert (sum(st.candidates for st in ra.per_class.values())
                     <= sum(st.candidates for st in rb.per_class.values()))
 
@@ -915,9 +977,9 @@ class TestSeededCounts:
         insert_text(s, generate_increment(SEEDED))
         assert self.counts(find_members(s)) == self.INCREMENT
         assert set(self.counts(find_members(s)).values()) == {(0, 0, 0, 0)}
-        expected = oracle_extensions(s)
+        expected = oracle_members(s)
         for name, cls in s.classes.items():
-            assert cls.member_terms.keys() == expected[name]
+            assert dict(cls.members) == expected[name]
 
 
 def index_from_graph(store):

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from flutes import terms as T
-from flutes.cli import Session, _member_handle, main, run_session
+from flutes.cli import Session, _Handles, _member_handle, main, run_session
 from flutes.errors import FlutesError, RuleFailure
 from flutes.classifier import find_members
 from flutes.rules import member_name
@@ -245,12 +245,45 @@ class TestAnalytics:
     def test_member_handle_names_members_only(self):
         store = build_worked_store()
         find_members(store)
+        handles = _Handles()
         for mname, term in store.kb_class("person").members:
-            assert _member_handle(store, "person", term) == mname
+            assert _member_handle(store, "person", term, handles) == mname
         stranger = T.record(store.tax, [("dob", T.string("2000-01-01")),
                                         ("name", T.string("Nobody"))])
         with pytest.raises(RuleFailure, match="not a stored member"):
-            _member_handle(store, "person", stranger)
+            _member_handle(store, "person", stranger, handles)
+
+    def test_member_handle_is_the_member_holding_that_very_term(self):
+        # equal terms are different members; an equal copy is none of them
+        store = Store()
+        store.mk_kb_class("amt", T.record_ty(store.tax, [("amount", T.num_ty)]))
+        fields = [("amount", T.num_f(10))]
+        store.abox_insert("m1", T.record(store.tax, fields))
+        find_members(store)
+        members, handles = store.kb_class("amt").members, _Handles()
+        assert _member_handle(store, "amt", members[0][1], handles) == "m1"
+        store.abox_insert("m2", T.record(store.tax, fields))
+        find_members(store)   # the class grew: the handles are extended
+        assert [name for name, _ in members] == ["m1", "m2"]
+        for mname, term in members:
+            assert _member_handle(store, "amt", term, handles) == mname
+        with pytest.raises(RuleFailure, match="not a stored member"):
+            _member_handle(store, "amt", T.record(store.tax, fields), handles)
+
+    def test_member_handle_of_one_term_under_two_names_is_the_first(self):
+        # an identity coercion stores the very object under a second name;
+        # the first member names it, and the handles cover both members
+        store = Store()
+        store.mk_kb_class("amt", T.record_ty(store.tax, [("amount", T.num_ty)]))
+        store.abox_insert("m1", T.record(store.tax, [("amount", T.num_f(10))]))
+        find_members(store)
+        members, handles = store.kb_class("amt").members, _Handles()
+        term = members[0][1]
+        store.add_member("amt", member_name("amt", render_sexp(term)), term)
+        assert members[1][1] is term
+        for _ in range(2):
+            assert _member_handle(store, "amt", term, handles) == "m1"
+            assert handles.covered == 2 and len(handles.names) == 1
 
     def test_run_unknown_analytic_fails(self, tmp_path, capsys):
         code, out = run_script(tmp_path, capsys, ["run-analytic ghost"])

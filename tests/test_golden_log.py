@@ -5,13 +5,14 @@ the storage grammar (the `sink` class record holds all of them at once),
 a positional label, a quoted label, escaped strings, and the `same-as`,
 `is-a`, `term`, `promote`, `class`, `member` and `watermark` records over
 three commits.  The session must write exactly the committed golden log
-of the current format (version 4, which logs only asserted members and one
+of the current format (version 5, which logs only asserted members and one
 `promote` record per promotion), and that log, the session's own and the
-golden logs of versions 1 to 3 (which promote by name, the first two also
-logged derived members; they are kept byte for byte) must reopen to the
-session's state.  A generated corpus loaded through the command loop must
+golden logs of versions 1 to 4 (the first three promote by name, the first
+two also logged derived members, and version 4 differs from 5 only in the
+version record; they are kept byte for byte) must reopen to the session's
+state.  A generated corpus loaded through the command loop must
 build a store and write a log with pinned digests.  Run this file as a
-script to rewrite the version-4 golden log after a deliberate change of the
+script to rewrite the version-5 golden log after a deliberate change of the
 storage format.
 """
 
@@ -21,22 +22,44 @@ import os
 import shutil
 import sys
 import tempfile
+import zlib
+
+import pytest
 
 from flutes import terms as T
 from flutes.benchgen import GenConfig, generate
 from flutes.classifier import find_members
 from flutes.cli import Session
+from flutes.errors import StoreCorruptionError
+from flutes.oracle import oracle_members
 from flutes.rules import member_name
 from flutes.sexp import render_sexp
 from flutes.store import LOG, Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
 
+from termgen import define_tx_classes, member_set
+
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-GOLDEN = os.path.join(DATA, "golden_log_v4.fsx")
+GOLDEN = os.path.join(DATA, "golden_log_v5.fsx")
+GOLDEN_V4 = os.path.join(DATA, "golden_log_v4.fsx")
 GOLDEN_V3 = os.path.join(DATA, "golden_log_v3.fsx")
 GOLDEN_V2 = os.path.join(DATA, "golden_log_v2.fsx")
 GOLDEN_V1 = os.path.join(DATA, "golden_log.fsx")
+# written by version 4 from EQUAL_TERMS, which made t1 and t2 one `trans`
+# member: fi_related's watermark record counts one
+EQUAL_TERMS_V4 = os.path.join(DATA, "equal_terms_v4.fsx")
+EQUAL_TERMS = """
+a := {"name"="A", "dob"="1"};
+b := {"name"="B", "dob"="2"};
+c := {"name"="C", "dob"="3"};
+t1 := {"amount"=10.0, "type"=cc()};
+t2 := {"amount"=10.0, "type"=cc()};
+o1 := orig-of(a, t1);
+r1 := recv-of(b, t1);
+o2 := orig-of(a, t2);
+r2 := recv-of(c, t2);
+"""
 
 PEOPLE = """
 a := {"name"="A", "dob"="1984-06-27"};
@@ -138,6 +161,11 @@ def test_golden_log_reopens_to_the_session_state(tmp_path):
     assert_reopens_to_the_session_state(tmp_path, GOLDEN)
 
 
+def test_version_4_golden_log_reopens_to_the_session_state(tmp_path):
+    # its subset watermark records replay by the judgement alone
+    assert_reopens_to_the_session_state(tmp_path, GOLDEN_V4)
+
+
 def test_version_3_golden_log_reopens_to_the_session_state(tmp_path):
     # its promote records name one term each
     assert_reopens_to_the_session_state(tmp_path, GOLDEN_V3)
@@ -154,8 +182,44 @@ def test_version_1_golden_log_reopens_to_the_session_state(tmp_path):
     assert_reopens_to_the_session_state(tmp_path, GOLDEN_V1)
 
 
+def test_a_version_4_log_of_equal_static_terms_reopens_with_both(tmp_path):
+    # replay judges t1 and t2 as two members and takes fi_related's
+    # judgement over its version-4 figures: both links, as a fresh store
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    shutil.copyfile(EQUAL_TERMS_V4, os.path.join(path, LOG))
+    fresh = Store()
+    define_tx_classes(fresh)
+    for d in parse_program(EQUAL_TERMS, fresh.tax):
+        fresh.abox_insert(d.name, d.body)
+    find_members(fresh)
+    with Store(path) as s:
+        assert s.dump_state() == fresh.dump_state()
+        assert [name for name, _ in s.kb_class("trans").members] == [
+            "t1", "t2"]
+        a, b, c = map(T.term_name, "abc")
+        assert member_set(s.kb_class("fi_related")) == {
+            T.triple("fi-related", a, b), T.triple("fi-related", a, c)}
+        oracle = oracle_members(s)
+        for name, cls in s.classes.items():
+            assert dict(cls.members) == oracle[name], name
+        report = find_members(s)
+        assert not any(st.matched for st in report.per_class.values())
+    # the same records in format 5 are corruption: there the figures must
+    # be reached
+    batch = read(EQUAL_TERMS_V4).splitlines(keepends=True)[:-1]
+    batch[0] = b"(flutes-log 5)\n"
+    records = b"".join(batch)
+    with open(os.path.join(path, LOG), "wb") as fh:
+        fh.write(records + b"(commit %d %d)\n" % (len(batch),
+                                                 zlib.crc32(records)))
+    with pytest.raises(StoreCorruptionError,
+                       match="judging class 'fi_related' again reaches"):
+        Store(path)
+
+
 def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
-    # an older reader stops at (flutes-log 4) instead of opening classes
+    # an older reader stops at (flutes-log 5) instead of opening classes
     # with no members behind their watermarks, or reading a promote record
     # that counts
     path = str(tmp_path / "kb")
@@ -171,7 +235,7 @@ def test_a_version_1_log_is_upgraded_by_its_next_batch(tmp_path):
     data = read(os.path.join(path, LOG))
     old = read(GOLDEN_V1)
     assert data.startswith(old)
-    assert data[len(old):].startswith(b"(flutes-log 4)\n(term \"c\" ")
+    assert data[len(old):].startswith(b"(flutes-log 5)\n(term \"c\" ")
     assert data.count(b"(flutes-log ") == 2
     assert b'(member "person" "c"' not in data
     with Store(path) as s:
@@ -195,7 +259,7 @@ def test_a_version_3_log_takes_promote_counts_after_its_upgrade(tmp_path):
     old = read(GOLDEN_V3)
     assert data.startswith(old)
     new = data[len(old):].decode("utf-8").splitlines()
-    assert new[0] == "(flutes-log 4)"
+    assert new[0] == "(flutes-log 5)"
     assert [line for line in new if line.startswith("(promote ")] == [
         "(promote 6)"]
     with Store(path) as s:
@@ -205,7 +269,7 @@ def test_a_version_3_log_takes_promote_counts_after_its_upgrade(tmp_path):
 
 def test_golden_log_covers_the_records_and_heads():
     data = read(GOLDEN).decode("utf-8")
-    assert data.startswith("(flutes-log 4)\n")
+    assert data.startswith("(flutes-log 5)\n")
     for record in ("flutes-log", "same-as", "is-a", "term", "promote",
                    "class", "member", "watermark"):
         assert f"\n({record} " in "\n" + data, record
@@ -229,12 +293,13 @@ def test_golden_log_covers_the_records_and_heads():
 # sorted every record's labels afresh, before the list-returning scanner,
 # the index-based parser and the record-shape memo: the loader must build
 # the same store and write the same log, byte for byte.  The log digests
-# are those of format 4: only the version record and the first batch's
-# checksum differ from format 3's (91,639 bytes, SHA-1 04ee7c85...), since
-# `load` promotes nothing.
+# are those of format 5: only the version record and the first batch's
+# checksum differ from format 3's (91,639 bytes, SHA-1 04ee7c85...) and
+# format 4's (91,638 bytes, SHA-1 6925e0f1...), since `load` promotes
+# nothing.
 CORPUS_DUMP_SHA1 = "fb741e2498ddb5b203ac9208e9fa77dc80e08965"
-CORPUS_LOG_BYTES = 91638
-CORPUS_LOG_SHA1 = "6925e0f1a3d7bf3640d259e361ad23d27090e473"
+CORPUS_LOG_BYTES = 91639
+CORPUS_LOG_SHA1 = "28eb49d50a9afad900a0faa73438872db06cf0be"
 
 
 def test_the_loader_reproduces_a_pinned_corpus_store(tmp_path):
@@ -259,7 +324,7 @@ def test_the_loader_reproduces_a_pinned_corpus_store(tmp_path):
 
 
 if __name__ == "__main__":
-    # rewrite the version-4 golden log from the session; the older ones stay
+    # rewrite the version-5 golden log from the session; the older ones stay
     # as committed
     with tempfile.TemporaryDirectory() as tmp:
         golden_session(os.path.join(tmp, "kb"))

@@ -4,20 +4,19 @@ import pytest
 
 from flutes import terms as T
 from flutes.classifier import find_members
-from flutes.oracle import oracle_extensions
+from flutes.oracle import oracle_extensions, oracle_members
 from flutes.store import Store
 from flutes.syntax import parse_program
 from flutes.taxonomy import mk_concept
 
-from termgen import build_worked_store, define_target_class
+from termgen import build_worked_store, define_target_class, member_set
 from test_classifier import _random_corpus, insert_program
 
 
 def assert_agreement(store):
-    ext = oracle_extensions(store)
-    for name in store.classes:
-        engine = set(store.kb_class(name).member_terms)
-        assert ext[name] == engine, name
+    ext = oracle_members(store)
+    for name, cls in store.classes.items():
+        assert dict(cls.members) == ext[name], name
 
 
 def test_worked_example_agreement():
@@ -64,10 +63,9 @@ def test_oracle_is_independent_of_stored_members():
     find_members(s)
     ext = oracle_extensions(s)
     cls = s.kb_class("fi_related")
-    assert ext["fi_related"] == set(cls.member_terms)
-    expected = set(cls.member_terms)
+    assert ext["fi_related"] == member_set(cls)
+    expected = member_set(cls)
     cls.members.clear()
-    cls.member_terms.clear()
     cls.by_name.clear()
     assert oracle_extensions(s)["fi_related"] == expected
 
@@ -114,9 +112,9 @@ def test_typed_term_holding_a_selection_is_coerced_as_its_value():
     s.mk_kb_class("amt", T.record_ty(s.tax, [("amount", T.num_ty)]))
     s.mk_kb_class("nums", T.ListTy(T.num_ty))
     find_members(s)
-    assert s.kb_class("amt").member_terms.keys() == {
+    assert member_set(s.kb_class("amt")) == {
         T.record(s.tax, [("amount", T.num_f(5))])}
-    assert [name for name, _ in s.kb_class("amt").members] == ["t1"]
-    assert s.kb_class("nums").member_terms.keys() == {
+    assert [name for name, _ in s.kb_class("amt").members] == ["t1", "x"]
+    assert member_set(s.kb_class("nums")) == {
         T.List((T.num_f(5), T.num_f(7)))}
     assert_agreement(s)

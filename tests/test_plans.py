@@ -9,11 +9,11 @@ from flutes import classifier, terms as T
 from flutes.benchgen import GenConfig, define_schema, generate, insert_text
 from flutes.classifier import find_members
 from flutes.clause import skolemize
-from flutes.oracle import oracle_extensions
+from flutes.oracle import oracle_members
 from flutes.store import Store
 from flutes.taxonomy import mk_concept
 
-from termgen import build_worked_store
+from termgen import build_worked_store, member_set
 from test_classifier import insert_program
 
 P, Q, T_, X = T.var("p"), T.var("q"), T.var("t"), T.var("x")
@@ -139,7 +139,7 @@ def planned_store(cfg):
 
 
 def members(store):
-    return {name: set(cls.member_terms) for name, cls in store.classes.items()}
+    return {name: dict(cls.members) for name, cls in store.classes.items()}
 
 
 def increment(cfg, step):
@@ -170,7 +170,7 @@ def test_engine_oracle_and_unpruned_agree(cfg):
         a = find_members(pruned, prune=True)
         b = find_members(unpruned, prune=False)
         assert members(pruned) == members(unpruned)
-        assert members(pruned) == oracle_extensions(pruned)
+        assert members(pruned) == oracle_members(pruned)
         for name in pruned.classes:
             assert a.per_class[name].tuples == b.per_class[name].tuples
             assert (a.per_class[name].candidates
@@ -186,7 +186,7 @@ def test_every_planned_class_gains_members():
     for name in ("fi_large", "fi_apart", "fi_large_or_self", "fi_ground",
                  "fi_named", "selfish", "fi_cheque"):
         assert s.kb_class(name).members, name
-    assert members(s) == oracle_extensions(s)
+    assert members(s) == oracle_members(s)
 
 
 class TestCheckEvaluation:
@@ -230,7 +230,7 @@ class TestCheckEvaluation:
         assert ops.count(T.PredOp.GT) == 3 + 2
         assert ops.count(T.PredOp.EQ) == 1
         assert len(ops) == 6
-        assert s.kb_class("big").member_terms.keys() == {
+        assert member_set(s.kb_class("big")) == {
             T.triple("big", T.term_name("joe"), T.term_name("sue"))}
         calls.clear()
         find_members(s)       # nothing new: no drive window, no evaluation
@@ -248,8 +248,8 @@ class TestPersistedBinding:
         assert not s.kb_class("marked").members
         insert_program(s, 'c := {"name"="Cee", "dob"="2001-01-01"};')
         find_members(s)
-        assert s.kb_class("marked").member_terms.keys() == {marked}
-        assert oracle_extensions(s)["marked"] == {marked}
+        assert member_set(s.kb_class("marked")) == {marked}
+        assert dict(s.kb_class("marked").members) == oracle_members(s)["marked"]
 
     def test_tuples_rejected_before_the_alias_is_promoted_are_revisited(self):
         # while c is unknown no tuple's binding has a type; a run then must
@@ -263,8 +263,8 @@ class TestPersistedBinding:
         assert not s.kb_class("tagged").members
         insert_program(s, 'c := {"name"="Cee", "dob"="2001-01-01"};')
         find_members(s)
-        engine = s.kb_class("tagged").member_terms.keys()
-        assert engine == oracle_extensions(s)["tagged"]
+        engine = dict(s.kb_class("tagged").members)
+        assert engine == oracle_members(s)["tagged"]
         assert len(engine) == 3
 
     def test_a_selecting_binding_waits_for_its_alias(self):
@@ -281,8 +281,8 @@ class TestPersistedBinding:
         assert not s.kb_class("tagged").members
         insert_program(s, 'lim := {"amount"=1.0, "type"=cc()};')
         find_members(s)
-        engine = s.kb_class("tagged").member_terms.keys()
-        assert engine == oracle_extensions(s)["tagged"]
+        engine = dict(s.kb_class("tagged").members)
+        assert engine == oracle_members(s)["tagged"]
         assert len(engine) == 2
 
     def test_same_as_clears_the_proof_memo(self):
@@ -305,7 +305,8 @@ class TestPersistedBinding:
         find_members(s)
         # a2 has a1's shape; a stale memo would have refused it, and the
         # edit rewound the marks, so a1 is judged again
-        assert cls.member_terms.keys() == oracle_extensions(s)["dated"] == {
+        assert dict(cls.members) == oracle_members(s)["dated"]
+        assert member_set(cls) == {
             T.record(s.tax, [("name", T.string(n)), ("dob", T.string(d))])
             for n, d in (("A", "1990-01-01"), ("B", "1991-01-01"))}
 

@@ -13,6 +13,8 @@ from flutes.taxonomy import mk_concept, positional
 from flutes.typecheck import infer_static_type
 from flutes import terms as T
 
+from termgen import member_set
+
 
 CORPUS = """
 joe := {"name"="Joe", "birth_date"="1984-06-27"};
@@ -100,7 +102,7 @@ class TestLambdaRules:
         report = run_analytic(store, rule)
         assert (report.processed, report.inserted) == (2, 2)
         assert not report.failures
-        assert store.kb_class("names").member_terms.keys() == {
+        assert member_set(store.kb_class("names")) == {
             T.record(store.tax, [("name", T.string(n))]) for n in ("Joe", "Sue")}
 
     def test_identity_rule(self, store):
@@ -108,8 +110,8 @@ class TestLambdaRules:
         store.mk_kb_class("people", T.type_name("person"))
         rule = lambda_rule(store, "idp", "p", "person", "people", T.Var("p"))
         assert run_analytic(store, rule).inserted == 2
-        assert (store.kb_class("people").member_terms.keys()
-                == store.kb_class("person").member_terms.keys())
+        assert (member_set(store.kb_class("people"))
+                == member_set(store.kb_class("person")))
 
     def test_unbound_body_vars_rejected(self, store):
         with pytest.raises(TermError):
@@ -146,7 +148,7 @@ class TestLambdaRules:
         report = run_analytic(store, rule)
         assert (report.processed, report.inserted) == (2, 1)
         assert [m for m, _ in report.failures] == ["t1"]
-        assert store.kb_class("strs").member_terms.keys() == {T.string("Joe")}
+        assert member_set(store.kb_class("strs")) == {T.string("Joe")}
 
 
 class TestAnalytics:
@@ -155,8 +157,17 @@ class TestAnalytics:
         a = mk_analytic(store, "idp", "person", "person", lambda t: t)
         report = run_analytic(store, a)
         assert report.processed == 2
-        assert report.inserted == 0  # identical members already present
-        assert len(store.kb_class("person").members) == 2
+        # content-named members beside the derived ones, which hold equal
+        # terms under the terms' names
+        assert report.inserted == 2
+        members = store.kb_class("person").members
+        assert [name for name, _ in members[:2]] == ["joe", "sue"]
+        assert [t for _, t in members[2:]] == [t for _, t in members[:2]]
+        assert all(name.startswith("person#") for name, _ in members[2:])
+        report = run_analytic(store, a)   # the content names are held now
+        assert report.processed == 4
+        assert report.inserted == 0
+        assert len(members) == 4
 
     def test_projection_analytic_inserts(self, store):
         person_members(store)
@@ -207,7 +218,7 @@ class TestAnalytics:
         report = run_analytic(store, mk_analytic(store, "amt", "txns",
                                                  "amounts", amount))
         assert (report.processed, report.inserted, report.failures) == (2, 2, [])
-        assert store.kb_class("amounts").member_terms.keys() == {
+        assert member_set(store.kb_class("amounts")) == {
             T.Num(500.0), T.Num(1.0)}
 
     def test_an_analytic_result_joins_a_class_as_a_stored_term_does(self):
@@ -221,11 +232,11 @@ class TestAnalytics:
         s.mk_kb_class("out", T.subset_ty(T.var("x"), ty, T.FALSE))
         find_members(s)
         want = T.record(s.tax, [("n", T.string("A"))])
-        assert s.kb_class("named").member_terms.keys() == {want}
+        assert member_set(s.kb_class("named")) == {want}
         report = run_analytic(s, mk_analytic(s, "same", "named", "out",
                                              lambda m: s.lookup("w")))
         assert report.failures == []
-        assert s.kb_class("out").member_terms.keys() == {want}
+        assert member_set(s.kb_class("out")) == {want}
 
     def test_raising_fn_reported_not_fatal(self, store):
         person_members(store)
