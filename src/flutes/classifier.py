@@ -2,14 +2,15 @@
 
 Static classes (plain structural types) collect every stored typed term
 whose inferred type is subsumed by the class type.  Subset classes (types
-with a binding term and a proposition) walk the join plans the store
-compiled with the class (see clause.py): per run order, whether each step
-enumerates its skolem's class or matches a bound value, and which checks
-become ground there.  A match literal's pattern is matched one way
-against candidate members.  Candidate scans are restricted by each
-class's alias index (the containment graph, per member) and by per-class
-watermarks, so re-runs only consider tuples that involve at least one
-member added since the previous run.
+with a binding term and a proposition) run the join plans the store
+compiled with the class, which `KbClass.clause` owns (see clause.py): per
+run order, whether each step enumerates its skolem's class or matches a
+bound value, the step's matcher, fixed to its pattern's shape and to the
+variables bound there, and the check tests that become ground there.  A
+run calls them per candidate on one substitution.  Candidate scans are
+restricted by each class's alias index (the containment graph, per
+member) and by per-class watermarks, so re-runs only consider tuples
+that involve at least one member added since the previous run.
 
 A tuple's member is the binding term with the tuple's values in place,
 coerced to the class type.  `_Binding` compiles the binding when the
@@ -24,15 +25,14 @@ live and on replay (see store.py), so derived members are never logged.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 from . import terms as T
-from .clause import DisjunctPlans, Plan, Step
+from .clause import DisjunctPlans, Plan, Step, check_test
 from .errors import EvalError, UnboundAliasError
-from .rules import coerce_term, deref, eval_term, member_name
+from .rules import coerce_term, eval_term, member_name
 from .sexp import render_sexp, template
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
@@ -73,82 +73,13 @@ def promote_pass(store: Store) -> int:
 
 # -- ground proposition evaluation -------------------------------------------
 
-_COMPARE = {T.PredOp.LT: operator.lt, T.PredOp.LE: operator.le,
-            T.PredOp.GT: operator.gt, T.PredOp.GE: operator.ge}
-
-
 def eval_ground_prop(p: T.Prop, store: Store) -> bool:
-    """Truth of a variable-free proposition.  Operands are compared as the
-    terms that aliases name, and comparison operands must be two numbers or
-    two strings.  An alias that is not stored raises UnboundAliasError,
-    unless a sequence item already matches."""
-    if isinstance(p, T.TrueProp):
-        return True
-    if isinstance(p, T.FalseProp):
-        return False
-
-    def value(x):
-        return deref(eval_term(x, store.lookup, store.tax), store.lookup)
-    if isinstance(p, T.BuiltinPred):
-        a, b = value(p.args[0]), value(p.args[1])
-        if p.op is T.PredOp.EQ:
-            return a == b
-        if type(a) is not type(b) or type(a) not in (T.Num, T.Str):
-            raise EvalError("comparison needs two numbers or two strings")
-        return _COMPARE[p.op](a.value, b.value)
-    if isinstance(p, T.InSequence):
-        item, missing = value(p.item), None
-        for i in p.items:
-            try:
-                if item == value(i):
-                    return True
-            except UnboundAliasError as exc:
-                missing = exc
-        if missing is not None:
-            raise missing
-        return False
-    raise EvalError(f"cannot evaluate proposition {type(p).__name__}")
-
-
-# -- one-way matching ----------------------------------------------------------
-
-def match(pat: T.Term, t: T.Term, s: dict[str, T.Term]) -> bool:
-    """Extend the ground substitution s, in place, so that it maps the
-    pattern onto the ground term t; False when none does (s may then hold
-    some of the pattern's variables).
-
-    Agrees with ``unify(pat, t, s)`` when t and the values of s hold no
-    variable, as members and the bindings made from them never do (``Var``
-    is untypeable, and a term with free variables never becomes a member):
-    only the pattern's variables bind, so there is no occurs check and
-    nothing to expand.
-    """
-    cls = type(pat)
-    if cls is T.Var:
-        bound = s.get(pat.name)
-        if bound is None:
-            s[pat.name] = t
-            return True
-        return bound is t or bound == t
-    if cls is not type(t):
-        return False
-    if cls is T.Record:
-        if len(pat.fields) != len(t.fields):
-            return False
-        for (pl, pv), (tl, tv) in zip(pat.fields, t.fields):
-            if pl is not tl or not match(pv, tv, s):
-                return False
-        return True
-    if cls is T.List:
-        if len(pat.items) != len(t.items):
-            return False
-        for pi, ti in zip(pat.items, t.items):
-            if not match(pi, ti, s):
-                return False
-        return True
-    if cls is T.FieldSelection:
-        return pat.label is t.label and match(pat.base, t.base, s)
-    return pat == t
+    """Truth of a variable-free proposition: its compiled check test
+    (`clause.check_test`) under the empty substitution.  Operands are
+    compared as the terms that aliases name, and comparison operands must
+    be two numbers or two strings.  An alias that is not stored raises
+    UnboundAliasError, unless a sequence item already matches."""
+    return check_test(p)({}, store)
 
 
 # -- candidate pruning --------------------------------------------------------
@@ -319,16 +250,20 @@ class _DisjunctRun:
 
     def solve(self) -> list[tuple[T.Term, str, set[str]]]:
         """The coerced member term of every tuple the plan finds, with its
-        storage form and alias names."""
+        storage form and alias names.  One substitution serves the whole
+        run: a step's matcher binds the variables its step binds over the
+        values an earlier candidate left, and reads only those earlier
+        steps bound, so no candidate copies it."""
         out: list[tuple[T.Term, str, set[str]]] = []
-        if self._holds(self.plan.checks, {}):
-            self._descend(0, {}, out)
+        subst: dict[str, T.Term] = {}
+        if self._holds(self.plan.checks, subst):
+            self._descend(0, subst, out)
         return out
 
     def _holds(self, checks, subst) -> bool:
         for c in checks:
             try:
-                holds = eval_ground_prop(T.substitute(subst, c.prop), self.store)
+                holds = c.test(subst, self.store)
             except EvalError as exc:
                 self.waits |= isinstance(exc, UnboundAliasError)
                 return False
@@ -352,24 +287,17 @@ class _DisjunctRun:
             self._finish(subst, out)
             return
         step = self.steps[k]
-        pattern, skolem, checks = step.pattern, step.skolem, step.checks
+        match, checks = step.match, step.checks
         if not step.enumerates:
             # an earlier step bound the skolem; match its value
-            s = dict(subst)
-            if match(pattern, subst[skolem], s) and self._holds(checks, s):
-                self._descend(k + 1, s, out)
+            if match(subst[step.skolem], subst) and self._holds(checks, subst):
+                self._descend(k + 1, subst, out)
             return
-        for _, mterm in self._candidates(step, subst):
-            self.stats.candidates += 1
-            s = dict(subst)
-            if not match(pattern, mterm, s):
-                continue
-            cur = s.setdefault(skolem, mterm)   # the pattern may name it
-            if cur is not mterm and cur != mterm:
-                continue
-            if checks and not self._holds(checks, s):
-                continue
-            self._descend(k + 1, s, out)
+        candidates = self._candidates(step, subst)
+        self.stats.candidates += len(candidates)
+        for _, mterm in candidates:
+            if match(mterm, subst) and (not checks or self._holds(checks, subst)):
+                self._descend(k + 1, subst, out)
 
     def _finish(self, subst, out):
         if not self.live:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .errors import (CoercionDomainError, EvalError, RuleFailure, StoreError,
                      TermError, UnboundAliasError)
 from .sexp import render_sexp
-from .taxonomy import Taxonomy
+from .taxonomy import Concept, Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
 
@@ -37,17 +37,23 @@ def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
     only when a selection needs to look inside one.
     """
     if isinstance(t, T.FieldSelection):
-        base = deref(eval_term(t.base, env, tax), env)
-        if not isinstance(base, T.Record):
-            raise EvalError(f"selection from a non-record: {base!r}")
-        value = T.select_field(base, t.label, tax)
-        if value is None:
-            raise EvalError(f"no argument {t.label.position}" if t.label.is_positional
-                            else f"no field matching {t.label!r}")
-        return value
+        return select(eval_term(t.base, env, tax), t.label, env, tax)
     if isinstance(t, T.Var):
         raise EvalError(f"unbound variable {t.name!r}")
     return T.map_parts(t, lambda x: eval_term(x, env, tax))
+
+
+def select(base: T.Term, label: Concept, env: Env, tax: Taxonomy) -> T.Term:
+    """The part that `label` selects from the evaluated base, a record or
+    an alias naming one."""
+    base = deref(base, env)
+    if not isinstance(base, T.Record):
+        raise EvalError(f"selection from a non-record: {base!r}")
+    value = T.select_field(base, label, tax)
+    if value is None:
+        raise EvalError(f"no argument {label.position}" if label.is_positional
+                        else f"no field matching {label!r}")
+    return value
 
 
 def deref(t: T.Term, env: Env) -> T.Term:

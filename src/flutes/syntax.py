@@ -70,7 +70,7 @@ class _Parser:
         self.text = text
         self.tokens = tokens
         self.tax = tax
-        self.declared = declared_names(tokens)
+        self.declared: set[str] | None = None   # built on first use
         self.known = known
 
     def error(self, message: str, i: int) -> ParseError:
@@ -113,7 +113,7 @@ class _Parser:
             next_kind, next_value, _ = tokens[i + 1]
             if next_value == "(" and next_kind == "PUNCT":
                 return self.application(value, i + 2)
-            if in_args or value in self.declared or value in self.known:
+            if in_args or self.declares(value) or value in self.known:
                 return T.TermAlias(value), i + 1
             return T.atom(value), i + 1
         if kind == "NUMBER":
@@ -124,6 +124,14 @@ class _Parser:
         if value == "{" and kind == "PUNCT":
             return self.record(i + 1)
         raise self.expected("a term", i)
+
+    def declares(self, name: str) -> bool:
+        """Whether the program declares `name`, anywhere in it.  Only a bare
+        identifier outside an argument list asks, so the names are
+        collected then, in one pass over the tokens."""
+        if self.declared is None:
+            self.declared = declared_names(self.tokens)
+        return name in self.declared
 
     def application(self, head: str, i: int) -> tuple[T.Term, int]:
         """`head(...)` from the token after its "("."""

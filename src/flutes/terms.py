@@ -442,8 +442,9 @@ _value = itemgetter(1)
 
 # node class: (its parts in order, the node rebuilt with f(part) in place of
 # each part); a class without an entry is a leaf.  Each mapper builds its
-# node directly, not from a list of new parts, because substitution runs per
-# candidate in the subset-class solver.
+# node directly, not from a list of new parts, because evaluation and
+# substitution rebuild terms in inner loops (a check's record-valued
+# operands, the oracle's tuples).
 _SHAPES = {
     Record: (lambda x: map(_value, x.fields),
              lambda x, f: Record(tuple([(l, f(v)) for l, v in x.fields]))),
@@ -561,13 +562,23 @@ def substituter(node: Node) -> Callable[[Subst], Node]:
     """`substitute` compiled for a node that binds no variable, such as a
     subset class's binding term: the function maps a substitution to the
     node with its variables replaced, and rebuilds only the parts that
-    hold one."""
+    hold one.  A record of one or two fields, the shape of a predicate
+    application and of its arguments, is built directly."""
     cls = type(node)
     if cls is Var:
-        return lambda s: s.get(node.name, node)
+        name = node.name
+        return lambda s: s.get(name, node)
     shape = _SHAPES.get(cls)
     if shape is None or not free_vars(node):
         return lambda s: node
+    if cls is Record and len(node.fields) == 1:
+        ((l0, v0),) = node.fields
+        b0 = substituter(v0)
+        return lambda s: Record(((l0, b0(s)),))
+    if cls is Record and len(node.fields) == 2:
+        (l0, v0), (l1, v1) = node.fields
+        b0, b1 = substituter(v0), substituter(v1)
+        return lambda s: Record(((l0, b0(s)), (l1, b1(s))))
     build = {id(p): substituter(p) for p in shape[0](node)}
     rebuild = shape[1]
     return lambda s: rebuild(node, lambda p: build[id(p)](s))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from flutes import classifier, terms as T
+from flutes import clause, terms as T
 from flutes.benchgen import GenConfig, define_schema, generate, insert_text
 from flutes.classifier import find_members
 from flutes.clause import skolemize
@@ -118,6 +118,18 @@ class TestCompiledPlans:
         assert [(s.skolem, s.enumerates, s.bound) for s in drive_b.steps] == [
             ("b", True, ()), ("a", True, ("b", "x"))]
 
+    def test_a_pattern_naming_its_own_skolem_is_compared_with_the_member(self):
+        # orig-of(x, s) = s asks for a link whose transaction is the link
+        # itself, which no ground term is; binding s to the pattern's part
+        # and then to the member would let every link through
+        s = build_worked_store()
+        s.mk_kb_class("loop", T.subset_ty(X, PERSON, T.exists(
+            "s", T.type_name("orig_of"),
+            T.equals(T.triple("orig-of", X, T.var("s")), T.var("s")))))
+        find_members(s)
+        assert s.kb_class("loop").members == []
+        assert oracle_members(s)["loop"] == {}
+
     def test_a_skolem_no_literal_names_is_a_guard(self):
         ty = T.subset_ty(X, PERSON, T.exists("w", T.type_name("trans"),
                                              T.exists("y", PERSON,
@@ -202,23 +214,29 @@ class TestCheckEvaluation:
     """
 
     def counted(self, monkeypatch):
+        """The propositions of the compiled check tests called, in order:
+        every test the clause compiles from now on records its calls."""
         calls = []
-        real = classifier.eval_ground_prop
+        real = clause.check_test
 
-        def counting(p, store):
-            calls.append(p)
-            return real(p, store)
+        def compiling(p):
+            test = real(p)
 
-        monkeypatch.setattr(classifier, "eval_ground_prop", counting)
+            def counting(subst, store):
+                calls.append(p)
+                return test(subst, store)
+            return counting
+
+        monkeypatch.setattr(clause, "check_test", compiling)
         return calls
 
     def test_each_check_is_evaluated_where_it_becomes_ground(self, monkeypatch):
         s = Store()
         insert_program(s, self.CORPUS)
         define_schema(s, "joe")
+        calls = self.counted(monkeypatch)
         s.mk_kb_class("big", related_with("big", T.conj(amount_over(100),
                                                         CHECKS["apart"])))
-        calls = self.counted(monkeypatch)
         find_members(s)
         ops = [p.op for p in calls]
         # driving s: each of the 3 orig-of links grounds the amount check at

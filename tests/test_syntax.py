@@ -54,6 +54,14 @@ class TestPrograms:
         fields = dict((c.name, v) for c, v in decls[1].body.fields)
         assert fields["birth-place"] == T.term_name("kentucky")
 
+    def test_bare_ident_naming_a_later_declaration_is_alias(self):
+        text = ('sue := {"birth-place" = kentucky, "home" = Ohio};'
+                'kentucky := {"name"="Kentucky"};')
+        decls = parse_program(text)
+        fields = dict((c.name, v) for c, v in decls[0].body.fields)
+        assert fields["birth-place"] == T.term_name("kentucky")
+        assert fields["home"] == T.atom("Ohio")
+
     def test_known_names_from_store_count_as_declared(self):
         (d,) = parse_program('sue := {"birth-place" = kentucky};',
                              known={"kentucky"})
