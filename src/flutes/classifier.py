@@ -89,9 +89,9 @@ def _pruned(store: Store, kcls: KbClass, names, lo: int, hi: int):
     alias in `names` (nonempty), via the containment graph, in index
     order."""
     idxs = min((kcls.by_alias.get(n, ()) for n in names), key=len)
-    members = kcls.members
+    members, holds = kcls.members, store.contains_map
     return [members[i] for i in idxs[bisect_left(idxs, lo):bisect_left(idxs, hi)]
-            if len(names) == 1 or names <= store.contains_map[members[i][0]]]
+            if len(names) == 1 or names.issubset(holds[members[i][0]])]
 
 
 # -- reports -------------------------------------------------------------------

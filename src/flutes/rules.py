@@ -36,9 +36,9 @@ def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
     Aliases evaluate to themselves; they are dereferenced through `env`
     only when a selection needs to look inside one.
     """
-    if isinstance(t, T.FieldSelection):
+    if type(t) is T.FieldSelection:
         return select(eval_term(t.base, env, tax), t.label, env, tax)
-    if isinstance(t, T.Var):
+    if type(t) is T.Var:
         raise EvalError(f"unbound variable {t.name!r}")
     return T.map_parts(t, lambda x: eval_term(x, env, tax))
 
@@ -47,7 +47,7 @@ def select(base: T.Term, label: Concept, env: Env, tax: Taxonomy) -> T.Term:
     """The part that `label` selects from the evaluated base, a record or
     an alias naming one."""
     base = deref(base, env)
-    if not isinstance(base, T.Record):
+    if type(base) is not T.Record:
         raise EvalError(f"selection from a non-record: {base!r}")
     value = T.select_field(base, label, tax)
     if value is None:
@@ -60,7 +60,7 @@ def deref(t: T.Term, env: Env) -> T.Term:
     """The term an alias chain names, or t itself when it is no alias; an
     alias that is not stored raises UnboundAliasError."""
     seen = set()
-    while isinstance(t, T.TermAlias):
+    while type(t) is T.TermAlias:
         if t.name in seen:
             raise EvalError(f"alias cycle at {t.name!r}")
         seen.add(t.name)

@@ -218,7 +218,9 @@ def _build(node, want=None):
     if entry is None:
         raise ParseError(f"unknown head symbol {head!r}")
     cls, arity, read, _ = entry
-    if want is not None and not issubclass(cls, want):
+    # issubclass by the MRO: issubclass takes the slow path on a class
+    # whose metaclass is not `type`
+    if want is not None and want not in cls.__mro__:
         raise ParseError(f"expected a {want.__name__.lower()}, got ({head} ...)")
     if arity is not None and len(node) - 1 != arity:
         raise ParseError(f"({head} ...) takes {arity} argument(s)")

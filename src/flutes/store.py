@@ -44,6 +44,7 @@ on the file `lock` serializes writer sessions per directory.
 from __future__ import annotations
 
 import fcntl
+import io
 import os
 import re
 import zlib
@@ -101,8 +102,11 @@ class Store:
         self.typed: dict[str, T.Term] = {}
         self.typed_list: list[tuple[str, T.Term]] = []
         self.classes: dict[str, KbClass] = {}
-        self.contains_map: dict[str, set[str]] = {}
-        self.contained_by_map: dict[str, set[str]] = {}
+        # the containment graph: name -> the alias names its term holds, a
+        # tuple, so the many terms that hold none share `()`; alias -> the
+        # names whose terms hold it, in the order they were added
+        self.contains_map: dict[str, tuple[str, ...]] = {}
+        self.contained_by_map: dict[str, list[str]] = {}
         self._type_memo: dict[str, T.Type | None] = {}
         self._class_types: dict[str, T.Type] = {}  # resolved
         self._batch: list[str] = []       # records rendered since the last commit
@@ -152,11 +156,17 @@ class Store:
             self._lock_fd = None
 
     def _log(self, head: str, *args):
-        """Add the record (head arg ...) to the current batch; an in-memory
-        store skips it before rendering anything."""
+        """Add the record (head arg ...) to the current batch."""
+        record = self._render(head, *args)
+        if record is not None:
+            self._batch.append(record)
+
+    def _render(self, head: str, *args) -> str | None:
+        """The record (head arg ...) as a log line; None for an in-memory
+        store, which renders nothing."""
         if self.path is None:
-            return
-        self._batch.append("(" + " ".join([head, *map(_field, args)]) + ")\n")
+            return None
+        return "(" + " ".join([head, *map(_field, args)]) + ")\n"
 
     def commit(self):
         """Append the batch and its (commit N crc) marker to the log with one
@@ -232,12 +242,15 @@ class Store:
     # -- term collections --
 
     def abox_insert(self, name: str, t: T.Term):
-        """Record a named term in the untyped collection."""
+        """Record a named term in the untyped collection.  Its record is
+        rendered first, so a term that cannot be rendered changes nothing."""
         if not name or not isinstance(name, str):
             raise StoreError("term name must be a nonempty string")
         T.check_labels(t)
+        record = self._render("term", name, t)
         self._put_term(name, t)
-        self._log("term", name, t)
+        if record is not None:
+            self._batch.append(record)
 
     def abox_insert_all(self, terms: list[tuple[str, T.Term]]):
         """Insert named terms in order, all or none: when abox_insert
@@ -260,7 +273,7 @@ class Store:
         del self.untyped[name]
         for ref in self.contains_map.pop(name):
             users = self.contained_by_map[ref]
-            users.discard(name)
+            users.remove(name)
             if not users:
                 del self.contained_by_map[ref]
 
@@ -289,11 +302,13 @@ class Store:
             seen.add(cur)
             stack.extend(self.contains_map.get(cur, ()))
 
-    def _add_adjacency(self, name: str, refs: set[str]):
-        """Record the alias names a term or member holds; keeps `refs`."""
-        self.contains_map[name] = refs
+    def _add_adjacency(self, name: str, refs: set[str]) -> tuple[str, ...]:
+        """Record the alias names a term or member holds; returns them as
+        the tuple `contains_map` keeps."""
+        refs = self.contains_map[name] = tuple(refs)
         for r in refs:
-            self.contained_by_map.setdefault(r, set()).add(name)
+            self.contained_by_map.setdefault(r, []).append(name)
+        return refs
 
     def _promote(self, name: str, ty: T.Type | None = None):
         """Move an untyped term into the typed collection; `ty`, when given,
@@ -382,10 +397,14 @@ class Store:
 
     def add_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
         """Insert and log a coerced member; returns False when the class
-        holds its name."""
-        if not self._put_member(class_name, member_name, t):
+        holds its name.  Its record is rendered first, so a term that cannot
+        be rendered changes nothing."""
+        if member_name in self.kb_class(class_name).by_name:
             return False
-        self._log("member", class_name, member_name, t)
+        record = self._render("member", class_name, member_name, t)
+        self._put_member(class_name, member_name, t)
+        if record is not None:
+            self._batch.append(record)
         return True
 
     def _put_member(self, class_name: str, member_name: str, t: T.Term,
@@ -397,8 +416,8 @@ class Store:
             return False
         known = self.contains_map.get(member_name)    # a static member's term
         if known is None:
-            known = T.alias_names(t) if refs is None else refs
-            self._add_adjacency(member_name, known)
+            known = self._add_adjacency(
+                member_name, T.alias_names(t) if refs is None else refs)
         idx = cls.by_name[member_name] = len(cls.members)
         cls.members.append((member_name, t))
         for ref in known:
@@ -541,23 +560,26 @@ class Store:
         self._header = [_VERSION] if version < 5 else []
 
     def dump_state(self) -> str:
-        """Canonical rendering of all in-memory state, for equality checks."""
-        lines = []
+        """Canonical rendering of all in-memory state, for equality checks,
+        one line each; written line by line into one buffer, which holds
+        less at its peak than a list of the lines and their join."""
+        out = io.StringIO()
+        write = out.write
         for name, t in sorted(self.untyped.items()):
-            lines.append(f"untyped {name} {render_sexp(t)}")
+            write(f"untyped {name} {render_sexp(t)}\n")
         for name, t in self.typed_list:
-            lines.append(f"typed {name} {render_sexp(t)}")
-        for name in sorted(self.contains_map):
-            refs = " ".join(sorted(self.contains_map[name]))
-            lines.append(f"adj {name} [{refs}]")
+            write(f"typed {name} {render_sexp(t)}\n")
+        adjacency = self.contains_map
+        for name in sorted(adjacency):
+            write(f"adj {name} [{' '.join(sorted(adjacency[name]))}]\n")
         for name, cls in sorted(self.classes.items()):
             marks = sorted((cls.dep_marks or {}).items())
             deps = " ".join(f"{k}={v}" for k, v in marks)
-            lines.append(f"class {name} wm={cls.watermark} deps=[{deps}] "
-                         f"{render_sexp(cls.definition)}")
+            write(f"class {name} wm={cls.watermark} deps=[{deps}] "
+                  f"{render_sexp(cls.definition)}\n")
             for mname, t in cls.members:
-                lines.append(f"member {name} {mname} {render_sexp(t)}")
-        return "\n".join(lines) + "\n"
+                write(f"member {name} {mname} {render_sexp(t)}\n")
+        return out.getvalue() or "\n"   # an empty store: one empty line
 
 
 def _field(x) -> str:

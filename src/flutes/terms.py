@@ -4,8 +4,9 @@ Terms are the graph values (objects are records, relationships are
 predicate-application records); types are graph schemas; propositions are
 the condition language of subset types.  All three are immutable values
 on one base, `Value`: each node class declares its fields as annotations,
-and the base gives it a positional constructor, equality and hash by class
-and field tuple, a `Name(field=value, ...)` repr, and refuses assignment.
+and the base gives it `__slots__` of those fields, a positional
+constructor, equality and hash by class and field tuple, a
+`Name(field=value, ...)` repr, and refuses assignment.
 The static types (`NumTy`, `StrTy`, `VoidTy`, `ListTy`, `RecordTy` and
 `EnumTy`) are hash-consed instead: each constructor is its class's intern
 table, so equal static types are one object and compare and hash by
@@ -45,14 +46,28 @@ from .taxonomy import Concept, Taxonomy, mk_concept, positional
 # data model
 
 
-class Value:
+class _ValueType(type):
+    """The metaclass of `Value`: a class's `__slots__` are its own annotated
+    fields, so a node class is one declaration and its instances hold no
+    `__dict__`.  `isinstance` and `issubclass` against a class whose
+    metaclass is not `type` take the interpreter's slow path, about three
+    times the cost, so hot code dispatches on `type(x)` instead."""
+
+    def __new__(mcls, name, bases, namespace, **kwargs):
+        namespace.setdefault("__slots__",
+                             tuple(namespace.get("__annotations__", ())))
+        return super().__new__(mcls, name, bases, namespace, **kwargs)
+
+
+class Value(metaclass=_ValueType):
     """A frozen value class.  A subclass's annotated fields, in order, are
-    set by its constructor (positional arguments) and never again; values
-    are equal when they have the same class and equal field tuples, hash as
-    their field tuple and print as `Name(field=value, ...)`, as frozen
-    dataclasses do, without compiling code per class.  A subclass declared
-    with `interned=True` is hash-consed: its constructor returns the one
-    instance per field tuple, and so do copy and pickle, so equality and
+    its slots, set by its constructor (positional arguments) and never
+    again; values are equal when they have the same class and equal field
+    tuples, hash as their field tuple and print as `Name(field=value, ...)`,
+    without compiling code per class.  Copy, deepcopy and pickle rebuild a
+    value through its constructor, so it checks and interns them as it does
+    any other.  A subclass declared with `interned=True` is hash-consed: its
+    constructor returns the one instance per field tuple, so equality and
     hash are `object`'s; its fields must hold values that are equal only
     when interchangeable, such as interned values and concepts.  The table
     only grows, by one entry per distinct value built."""
@@ -73,6 +88,9 @@ class Value:
         args = [f"{name}={getattr(self, name)!r}" for name in self._fields]
         return f"{self.__class__.__qualname__}({', '.join(args)})"
 
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, n) for n in self._fields])
+
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -85,7 +103,7 @@ class Value:
 def _intern_instances(cls: type) -> None:
     """Make cls's constructor its intern table, keyed by the arguments."""
     table: dict[tuple, Value] = {}
-    init, names = cls.__init__, cls._fields
+    init = cls.__init__
 
     def __new__(cls, *args):
         node = table.get(args)
@@ -98,8 +116,6 @@ def _intern_instances(cls: type) -> None:
     cls.__new__ = __new__
     cls.__init__ = object.__init__   # __new__ has set the fields
     cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-    # copy, deepcopy and pickle rebuild through the table too
-    cls.__reduce__ = lambda self: (cls, tuple([getattr(self, n) for n in names]))
 
 
 def _field_methods(names: tuple[str, ...]) -> tuple[Callable, ...]:
@@ -154,16 +170,36 @@ def _field_methods(names: tuple[str, ...]) -> tuple[Callable, ...]:
 
 
 class Term(Value):
-    __slots__ = ()
+    pass
 
 
 class Num(Term):
+    """A number, held as a finite float: an int is taken only when a float
+    holds it exactly, so a term renders and reads back as it was built."""
+
     value: float
 
     def __init__(self, value):
+        if type(value) is not float:
+            value = _float(value)
         if not math.isfinite(value):
             raise TermError("numeric terms must be finite")
         object.__setattr__(self, "value", value)
+
+
+def _float(value) -> float:
+    """What a Num holds for a value other than a float: a real number, not
+    a bool, as a float, and an int only when the float is exact."""
+    from numbers import Real
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TermError(f"a numeric term holds a real number, not {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise TermError("numeric terms must be finite") from None
+    if isinstance(value, int) and x != value:
+        raise TermError(f"{value} has no exact float")
+    return x
 
 
 class Str(Term):
@@ -204,7 +240,7 @@ class TermAlias(Term):
 
 
 class Type(Value):
-    __slots__ = ()
+    pass
 
 
 class NumTy(Type, interned=True):
@@ -250,7 +286,7 @@ class PredOp(Enum):
 
 
 class Prop(Value):
-    __slots__ = ()
+    pass
 
 
 class BuiltinPred(Prop):
@@ -302,7 +338,7 @@ Node = Union[Term, Type, Prop]
 
 
 def num_f(value: float) -> Num:
-    return Num(float(value))
+    return Num(value)
 
 
 def string(value: str) -> Str:
@@ -610,10 +646,11 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 def pred_app_parts(t: Node) -> tuple[Concept, tuple[Node, ...]] | None:
     """Decompose a predicate-application record, or record type, into
     (name, args), if it is one."""
-    if not (isinstance(t, (Record, RecordTy)) and len(t.fields) == 1):
+    cls = type(t)
+    if not ((cls is Record or cls is RecordTy) and len(t.fields) == 1):
         return None
     head, inner = t.fields[0]
-    if head.is_positional or type(inner) is not type(t):
+    if head.is_positional or type(inner) is not cls:
         return None
     args = []
     for i, (label, value) in enumerate(inner.fields):
@@ -633,7 +670,7 @@ def select_field(base: Node, label: Concept, tax: Taxonomy) -> Node | None:
         if parts is not None:
             args = parts[1]
             return args[label.position] if label.position < len(args) else None
-    if not isinstance(base, (Record, RecordTy)):
+    if type(base) is not Record and type(base) is not RecordTy:
         return None
     for flabel, part in base.fields:
         if tax.label_match(flabel, label):

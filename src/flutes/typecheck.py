@@ -107,7 +107,7 @@ def resolve_type(ty: T.Type, lookup: Resolve,
 
 
 class Proof(T.Value):
-    __slots__ = ()
+    pass
 
 
 class Leaf(Proof):
@@ -145,22 +145,25 @@ def prove_subtype_uncached(sub: T.Type, sup: T.Type,
                            tax: Taxonomy) -> Proof | None:
     """``prove_subtype`` without the memo: searches for the proof anew."""
     for ty in (sub, sup):
-        if isinstance(ty, (T.SubsetTy, T.TyAlias)):
+        if type(ty) is T.SubsetTy or type(ty) is T.TyAlias:
             raise TypeCheckError(f"prove_subtype needs static types, got {ty!r}")
-    if isinstance(sub, T.VoidTy):
+    cls = type(sub)
+    if cls is T.VoidTy:
         return Leaf(None)
-    if isinstance(sub, T.NumTy) and isinstance(sup, T.NumTy):
+    if cls is not type(sup):
+        return None
+    if cls is T.NumTy:
         return Leaf(T.Num)
-    if isinstance(sub, T.StrTy) and isinstance(sup, T.StrTy):
+    if cls is T.StrTy:
         return Leaf(T.Str)
-    if isinstance(sub, T.EnumTy) and isinstance(sup, T.EnumTy):
+    if cls is T.EnumTy:
         included = all(any(tax.equiv(c, d) for d in sup.concepts)
                        for c in sub.concepts)
         return Leaf(T.Atom) if included else None
-    if isinstance(sub, T.ListTy) and isinstance(sup, T.ListTy):
+    if cls is T.ListTy:
         child = prove_subtype_uncached(sub.elem, sup.elem, tax)
         return ListNode(child) if child is not None else None
-    if isinstance(sub, T.RecordTy) and isinstance(sup, T.RecordTy):
+    if cls is T.RecordTy:
         picks = _pairing(sub.fields, sup.fields, tax)
         if picks is None:
             return None
@@ -215,11 +218,11 @@ def is_identity_shaped(proof: Proof) -> bool:
 
     Leaves rewrite nothing, so they count.
     """
-    if isinstance(proof, RecordNode):
+    if type(proof) is RecordNode:
         return (not proof.dropped
                 and all(sup is sub and is_identity_shaped(child)
                         for sup, sub, child in proof.pairs))
-    if isinstance(proof, ListNode):
+    if type(proof) is ListNode:
         return is_identity_shaped(proof.child)
     return True
 
@@ -235,11 +238,13 @@ def apply_coercion(proof: Proof, t: T.Term) -> T.Term:
 
 def _coerce(proof: Proof, t: T.Term) -> T.Term:
     # aliases stay by-name (the referent is coerced where it lives) and an
-    # unknown essential value conforms to anything
-    if isinstance(t, (T.TermAlias, T.Bottom)):
+    # unknown essential value conforms to anything; dispatch is on exact
+    # classes, as no node class has subclasses
+    cls, kind = type(t), type(proof)
+    if cls is T.TermAlias or cls is T.Bottom:
         return t
-    if isinstance(proof, RecordNode):
-        if not isinstance(t, T.Record):
+    if kind is RecordNode:
+        if cls is not T.Record:
             raise CoercionDomainError(f"record coercion applied to {t!r}")
         fields = t.fields
         by_label = dict(fields)
@@ -255,13 +260,13 @@ def _coerce(proof: Proof, t: T.Term) -> T.Term:
                     and new is value)
             out.append((sup_label, new))
         return t if same else T.Record(T.sort_fields(out))
-    if isinstance(proof, ListNode):
-        if not isinstance(t, T.List):
+    if kind is ListNode:
+        if cls is not T.List:
             raise CoercionDomainError(f"list coercion applied to {t!r}")
         items = tuple(_coerce(proof.child, i) for i in t.items)
         return t if all(map(operator.is_, items, t.items)) else T.List(items)
-    if isinstance(proof, Leaf):
-        if isinstance(t, proof.admits or ()):   # no term inhabits void
+    if kind is Leaf:
+        if cls is proof.admits:   # None for void, which no term inhabits
             return t
         raise CoercionDomainError(f"{proof!r} applied to {t!r}")
     raise CoercionDomainError(f"unknown proof node {proof!r}")

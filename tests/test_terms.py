@@ -1,10 +1,15 @@
 import copy
 import dataclasses
+import importlib
 import itertools
 import pickle
+import pkgutil
 import re
 
 import pytest
+from hypothesis import given, strategies as st
+
+import flutes
 
 from flutes.errors import ArityError, MalformedRecordError, TermError
 from flutes.sexp import parse_sexp, render_sexp
@@ -308,6 +313,40 @@ class TestValues:
         with pytest.raises(TermError):
             T.Num(value)
 
+    @pytest.mark.parametrize("value", [True, False, "1", None, 1j,
+                                       2 ** 53 + 1, -(2 ** 53) - 1, 10 ** 400],
+                             ids=["True", "False", "str", "None", "complex",
+                                  "2**53+1", "-2**53-1", "10**400"])
+    def test_number_that_no_float_holds_is_refused(self, value):
+        # a bool would be logged as (num True), which no reader takes, and an
+        # int a float rounds would read back as another number
+        with pytest.raises(TermError):
+            T.Num(value)
+
+    def test_int_is_held_as_its_float(self, tmp_path):
+        assert T.Num(1).value == 1.0 and type(T.Num(1).value) is float
+        assert render_sexp(T.Num(1)) == render_sexp(T.num_f(1.0)) == "(num 1.0)"
+        assert T.Num(2 ** 53).value == 2.0 ** 53
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            s.abox_insert("one", T.Num(1))
+            s.abox_insert("big", T.Num(2 ** 53))
+            live = s.dump_state()
+        with Store(path) as s:
+            assert s.dump_state() == live
+
+    @given(st.one_of(st.integers(), st.integers(2 ** 52, 2 ** 64),
+                     st.floats(allow_nan=False, allow_infinity=False)))
+    def test_number_renders_as_it_reads_back(self, x):
+        try:
+            n = T.Num(x)
+        except TermError:
+            assert type(x) is int and float(x) != x
+            return
+        text = render_sexp(n)
+        assert parse_sexp(text) == n
+        assert render_sexp(parse_sexp(text)) == text
+
     def test_wrong_argument_count_is_refused(self):
         with pytest.raises(TypeError):
             T.Exists("x", T.num_ty)
@@ -388,3 +427,51 @@ class TestIdentity:
         assert first.type_of("a") is second.type_of("a")
         assert first.resolve_class_type("c") is second.resolve_class_type("c")
         assert first.type_of("a") is first.resolve_class_type("c")
+
+
+def _value_classes():
+    """Every subclass of Value, in every flutes module."""
+    for info in pkgutil.iter_modules(flutes.__path__):
+        importlib.import_module(f"flutes.{info.name}")
+    out, stack = [], [T.Value]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        stack.extend(subclasses)
+        out.extend(subclasses)
+    return out
+
+
+def _value_samples():
+    """One instance of every concrete value class."""
+    from flutes.rules import Analytic
+    from flutes.syntax import Declaration
+    from flutes.typecheck import Leaf, ListNode, RecordNode
+    leaf = Leaf(T.Num)
+    a = mk_concept("a")
+    return ([x for x, _ in _SAMPLES] + _LEAVES
+            + [leaf, Leaf(None), ListNode(leaf), RecordNode(((a, a, leaf),), (mk_concept("b"),)),
+               Analytic("an", "in", "out", repr),
+               Declaration("d", T.Str("x"))])
+
+
+class TestSlots:
+    """Every value class keeps its fields in slots, so no value holds a
+    `__dict__`, and copies rebuild through the constructor."""
+
+    def test_every_value_class_is_slotted(self):
+        for cls in _value_classes():
+            assert cls.__slots__ == tuple(cls.__dict__.get("__annotations__", ())), cls
+            assert cls.__dictoffset__ == 0, cls
+        concrete = {cls for cls in _value_classes() if not cls.__subclasses__()}
+        assert {type(x) for x in _value_samples()} == concrete
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                     lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_an_equal_value(self, how):
+        for x in _value_samples():
+            assert not hasattr(x, "__dict__")
+            again = how(x)
+            assert type(again) is type(x) and again == x
+            if type(x) in _STATIC_TYPES:
+                assert again is x
