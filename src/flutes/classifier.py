@@ -13,11 +13,11 @@ member) and by per-class watermarks, so re-runs only consider tuples
 that involve at least one member added since the previous run.
 
 A tuple's member is the binding term with the tuple's values in place,
-coerced to the class type.  `_Binding` compiles the binding when the
-class is first judged; a member whose coercion is skipped takes its
-storage form, which names it, from a template of the binding's filled
-with the values', and its alias names from theirs, so the member term is
-neither rendered nor walked.
+coerced to the class type, and is stored as the run finds it.  The store
+compiles the binding (`Binding`) as it registers the class; a member
+whose coercion is skipped takes its storage form, which names it, from a
+template of the binding's filled with the values', and its alias names
+from theirs, so the member term is neither rendered nor walked.
 
 A class's judgement (`judge`) is what applying its watermark record runs,
 live and on replay (see store.py), so derived members are never logged.
@@ -140,10 +140,10 @@ class FindReport:
 _MISS = object()
 
 
-class _Binding:
+class Binding:
     """A subset class's binding term, made into member terms; the store
-    keeps it in `KbClass.binding`, with its proof memo, until a taxonomy
-    edit drops it.
+    keeps it in `KbClass.binding`, and a taxonomy edit clears its proof
+    memo.
 
     The substituted binding's type is a function of its shape: the types
     of the variables' values and whether they all are aliases.  Each shape
@@ -162,9 +162,9 @@ class _Binding:
     reached is rendered and walked whole.
     """
 
-    def __init__(self, store: Store, cls: KbClass):
+    def __init__(self, cls: KbClass):
         self.term = cls.definition.binding_term
-        self.ty = store.resolve_class_type(cls.name)
+        self.ty = cls.ty
         self.vars = sorted(T.free_vars(self.term))
         self.selects = any(type(n) is T.FieldSelection
                            for n in T.nodes(self.term))
@@ -236,11 +236,11 @@ class _DisjunctRun:
     fixed candidate windows: `windows[i]` is the half-open member-index
     range that match literal i enumerates when its step enumerates."""
 
-    def __init__(self, store: Store, plans: DisjunctPlans, plan: Plan,
-                 windows, prune: bool, binding: _Binding, stats: ClassStats):
+    def __init__(self, store: Store, cls: KbClass, plans: DisjunctPlans,
+                 plan: Plan, windows, prune: bool, stats: ClassStats):
         self.store, self.plan, self.steps = store, plan, plan.steps
         self.windows, self.prune = windows, prune
-        self.binding, self.stats = binding, stats
+        self.name, self.binding, self.stats = cls.name, cls.binding, stats
         self.kclasses = [store.kb_class(c) for c in plans.classes]
         self.members = [(v, store.kb_class(c)) for v, c in plan.members]
         # an ungroundable check or an empty guard class fails every tuple
@@ -248,17 +248,15 @@ class _DisjunctRun:
                                          for c in plans.guards)
         self.waits = False   # a tuple failed on an alias not yet stored or typed
 
-    def solve(self) -> list[tuple[T.Term, str, set[str]]]:
-        """The coerced member term of every tuple the plan finds, with its
-        storage form and alias names.  One substitution serves the whole
-        run: a step's matcher binds the variables its step binds over the
-        values an earlier candidate left, and reads only those earlier
-        steps bound, so no candidate copies it."""
-        out: list[tuple[T.Term, str, set[str]]] = []
+    def solve(self):
+        """Store the coerced member term of every tuple the plan finds.
+        One substitution serves the whole run: a step's matcher binds the
+        variables its step binds over the values an earlier candidate left,
+        and reads only those earlier steps bound, so no candidate copies
+        it."""
         subst: dict[str, T.Term] = {}
         if self._holds(self.plan.checks, subst):
-            self._descend(0, subst, out)
-        return out
+            self._descend(0, subst)
 
     def _holds(self, checks, subst) -> bool:
         for c in checks:
@@ -282,24 +280,24 @@ class _DisjunctRun:
                 return _pruned(self.store, kcls, names, lo, hi)
         return kcls.members[lo:hi]
 
-    def _descend(self, k: int, subst, out):
+    def _descend(self, k: int, subst):
         if k == len(self.steps):
-            self._finish(subst, out)
+            self._finish(subst)
             return
         step = self.steps[k]
         match, checks = step.match, step.checks
         if not step.enumerates:
             # an earlier step bound the skolem; match its value
             if match(subst[step.skolem], subst) and self._holds(checks, subst):
-                self._descend(k + 1, subst, out)
+                self._descend(k + 1, subst)
             return
         candidates = self._candidates(step, subst)
         self.stats.candidates += len(candidates)
         for _, mterm in candidates:
             if match(mterm, subst) and (not checks or self._holds(checks, subst)):
-                self._descend(k + 1, subst, out)
+                self._descend(k + 1, subst)
 
-    def _finish(self, subst, out):
+    def _finish(self, subst):
         if not self.live:
             return
         for var, kcls in self.members:
@@ -322,7 +320,10 @@ class _DisjunctRun:
             self.waits |= isinstance(exc, UnboundAliasError)
             return
         if member is not None:
-            out.append(member)
+            t, text, names = member
+            if self.store._put_member(self.name, member_name(self.name, text),
+                                      t, names):
+                self.stats.matched += 1
 
 
 # -- the judgement ---------------------------------------------------------------
@@ -342,13 +343,12 @@ def judge(store: Store, cls: KbClass, watermark: int, prune: bool = True,
 
 
 def _run_static(store: Store, cls: KbClass, watermark: int, st: ClassStats):
-    target = store.resolve_class_type(cls.name)
     size = len(cls.members)
     for name, term in store.typed_list[cls.watermark:watermark]:
         if name in cls.by_name:   # judged before an edit rewound the class,
             continue              # or a version-1 member record
         ty = store.type_of(name)
-        proof = None if ty is None else prove_subtype(ty, target, store.tax)
+        proof = None if ty is None else prove_subtype(ty, cls.ty, store.tax)
         coerced = None if proof is None else coerce_term(store, proof, term)
         if coerced is not None:
             store._put_member(cls.name, name, coerced)
@@ -361,14 +361,12 @@ def _sizes(store: Store, cls: KbClass) -> dict[str, int]:
 
 
 def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
-    clause = cls.clause
-    binding = cls.binding = cls.binding or _Binding(store, cls)
     sizes = _sizes(store, cls)
     marks = {d: (cls.dep_marks or {}).get(d, 0) for d in sizes}
-    produced: list[tuple[T.Term, str, set[str]]] = []
     held = False
-
-    for plans in clause.plans:
+    # a class is never its own dependency, so the members a run stores lie
+    # outside every window
+    for plans in cls.clause.plans:
         deps = plans.classes
         if (not deps and cls.dep_marks is None
                 or any(marks[c] == 0 and sizes[c] for c in plans.guards)):
@@ -386,13 +384,9 @@ def _run_subset(store: Store, cls: KbClass, prune: bool, st: ClassStats):
                     for drive, (dep, plan) in enumerate(zip(deps, plans.drives))
                     if marks[dep] < sizes[dep]]
         for plan, windows in runs:
-            run = _DisjunctRun(store, plans, plan, windows, prune, binding, st)
-            produced.extend(run.solve())
+            run = _DisjunctRun(store, cls, plans, plan, windows, prune, st)
+            run.solve()
             held |= run.waits
-
-    for t, text, names in produced:
-        if store._put_member(cls.name, member_name(cls.name, text), t, names):
-            st.matched += 1
     if not held:
         # marks move only past final verdicts: a tuple that failed on an
         # alias not yet stored or typed is judged again from the old marks

@@ -45,13 +45,12 @@ def oracle_extensions(store: Store) -> dict[str, set[T.Term]]:
 
 
 def _static_ext(store: Store, cls: KbClass) -> dict[str, T.Term]:
-    target = store.resolve_class_type(cls.name)
     out = {}
     for name, term in store.typed_list:
         ty = store.type_of(name)
         if ty is None:
             continue
-        proof = prove_subtype_uncached(ty, target, store.tax)
+        proof = prove_subtype_uncached(ty, cls.ty, store.tax)
         if proof is None:
             continue
         coerced = coerce_term(store, proof, term)
@@ -130,7 +129,6 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
     skolems, matrix = _strip_exists(cls.definition.prop)
     sk_class = dict(skolems)
     binding = cls.definition.binding_term
-    bind_ty = store.resolve_class_type(cls.name)
     out: dict[str, T.Term] = {}
 
     def produce(binds, skval):
@@ -152,7 +150,7 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
         ty = infer_static_type(mt, store.tax, store.type_of)
         if ty is None:
             return
-        proof = prove_subtype_uncached(ty, bind_ty, store.tax)
+        proof = prove_subtype_uncached(ty, cls.ty, store.tax)
         if proof is None:
             return
         coerced = apply_coercion(proof, mt)

@@ -172,7 +172,7 @@ def run_analytic(store: Store, analytic: Analytic) -> RuleReport:
     """Apply the analytic to every input member; results that type-check
     against the output class are coerced and stored, everything else is a
     reported per-member failure."""
-    out_ty = store.resolve_class_type(analytic.output_class)
+    out_ty = store.kb_class(analytic.output_class).ty
     report = RuleReport(analytic.name)
     for mname, term in list(store.kb_class(analytic.input_class).members):
         report.processed += 1

@@ -285,15 +285,9 @@ def _read_num(x) -> T.Num:
 
 
 def _read_str(x) -> T.Str:
-    if not isinstance(x, str) or isinstance(x, _Sym):
+    if type(x) is not str:   # a number, or a bare symbol
         raise ParseError("(str ...) takes one quoted string")
     return T.Str(x)
-
-
-def _read_enum(labels) -> T.EnumTy:
-    if not _read_list(labels, "labels"):
-        raise ParseError("(enumty ...) takes a nonempty label list")
-    return T.EnumTy(tuple(map(_read_label, labels)))
 
 
 _OPS = {op.value: op for op in T.PredOp}
@@ -334,7 +328,9 @@ _HEADS = {
                lambda ty: f"(listty {_render(ty.elem)})"),
     "recordty": (T.RecordTy, 1, lambda fs: T.RecordTy(_read_fields(fs, T.Type)),
                  lambda ty: f"(recordty ({_fields(ty.fields)}))"),
-    "enumty": (T.EnumTy, 1, _read_enum,
+    "enumty": (T.EnumTy, 1,
+               lambda ls: T.EnumTy(tuple(map(_read_label,
+                                             _read_list(ls, "labels")))),
                lambda ty: f"(enumty ({' '.join(map(_label, ty.concepts))}))"),
     "subsetty": (T.SubsetTy, 3,
                  lambda t, ty, p: T.subset_ty(_term(t), _type(ty), _prop(p)),

@@ -48,11 +48,10 @@ import io
 import os
 import re
 import zlib
-from collections import ChainMap
 from functools import partial
 from typing import Container
 
-from .classifier import ClassStats, judge, promote_pass
+from .classifier import Binding, ClassStats, judge, promote_pass
 from .clause import SkolemClause, skolemize
 from .errors import (AliasCycleError, DuplicateNameError, StoreCorruptionError,
                      StoreError)
@@ -70,13 +69,14 @@ _MARKER = re.compile(rb"\(commit ([1-9][0-9]*) ([0-9]+)\)\n")
 
 
 class KbClass:
-    __slots__ = ("name", "definition", "clause", "members", "by_name",
+    __slots__ = ("name", "definition", "ty", "clause", "members", "by_name",
                  "by_alias", "watermark", "dep_marks", "binding")
 
-    def __init__(self, name: str, definition: T.Type,
-                 clause: SkolemClause | None = None):
+    def __init__(self, name: str, definition: T.Type, ty: T.Type,
+                 clause: SkolemClause | None):
         self.name = name
         self.definition = definition
+        self.ty = ty           # the fully alias-expanded static member type
         self.clause = clause   # compiled definition of a subset class
         # (name, term) in insertion order; a member is a named node, so two
         # members may hold equal terms
@@ -87,7 +87,9 @@ class KbClass:
         self.watermark = 0   # static: the typed ids judged; subset: 0
         # subset: members per dependency class judged; None while unsolved
         self.dep_marks: dict[str, int] | None = None
-        self.binding = None   # the classifier's, with its proof memo
+        # a subset class's binding compiled into member terms, with the
+        # proof memo that a taxonomy edit clears
+        self.binding = None if clause is None else Binding(self)
 
     @property
     def is_subset(self) -> bool:
@@ -98,8 +100,8 @@ class Store:
     def __init__(self, path: str | None = None):
         self.path = path
         self.tax = Taxonomy()
-        self.untyped: dict[str, T.Term] = {}
-        self.typed: dict[str, T.Term] = {}
+        self.terms: dict[str, T.Term] = {}     # every stored term, by name
+        self.untyped: dict[str, T.Term] = {}   # those not yet promoted
         self.typed_list: list[tuple[str, T.Term]] = []
         self.classes: dict[str, KbClass] = {}
         # the containment graph: name -> the alias names its term holds, a
@@ -108,7 +110,6 @@ class Store:
         self.contains_map: dict[str, tuple[str, ...]] = {}
         self.contained_by_map: dict[str, list[str]] = {}
         self._type_memo: dict[str, T.Type | None] = {}
-        self._class_types: dict[str, T.Type] = {}  # resolved
         self._batch: list[str] = []       # records rendered since the last commit
         self._log_fd: int | None = None
         self._log_size = 0                # bytes of log.fsx up to the last marker
@@ -235,17 +236,16 @@ class Store:
         # every verdict may change, so every class judges everything again;
         # members stay, and a static scan skips those it already holds
         for cls in self.classes.values():
-            cls.watermark, cls.binding = 0, None
+            cls.watermark = 0
             if cls.is_subset:
                 cls.dep_marks = None
+                cls.binding.proofs.clear()
 
     # -- term collections --
 
     def abox_insert(self, name: str, t: T.Term):
         """Record a named term in the untyped collection.  Its record is
         rendered first, so a term that cannot be rendered changes nothing."""
-        if not name or not isinstance(name, str):
-            raise StoreError("term name must be a nonempty string")
         T.check_labels(t)
         record = self._render("term", name, t)
         self._put_term(name, t)
@@ -270,7 +270,7 @@ class Store:
 
     def _drop_term(self, name: str):
         """Undo _put_term of a term that nothing has promoted or named yet."""
-        del self.untyped[name]
+        del self.untyped[name], self.terms[name]
         for ref in self.contains_map.pop(name):
             users = self.contained_by_map[ref]
             users.remove(name)
@@ -278,13 +278,15 @@ class Store:
                 del self.contained_by_map[ref]
 
     def _put_term(self, name: str, t: T.Term):
-        """Store an untyped term, live or on replay, refusing a bound name
-        and an alias cycle."""
+        """Store an untyped term, live or on replay, refusing a name that
+        is not a nonempty string, a bound name and an alias cycle."""
+        if not name or not isinstance(name, str):
+            raise StoreError("term name must be a nonempty string")
         if name in self.contains_map:     # a term's or a member's name
             raise DuplicateNameError(f"term {name!r} already bound")
         refs = T.alias_names(t)
         self._check_acyclic(name, refs)
-        self.untyped[name] = t
+        self.untyped[name] = self.terms[name] = t
         self._add_adjacency(name, refs)
 
     def _check_acyclic(self, name: str, refs: set[str]):
@@ -313,9 +315,7 @@ class Store:
     def _promote(self, name: str, ty: T.Type | None = None):
         """Move an untyped term into the typed collection; `ty`, when given,
         is its inferred type, which `type_of` then returns."""
-        t = self.untyped.pop(name)
-        self.typed[name] = t
-        self.typed_list.append((name, t))
+        self.typed_list.append((name, self.untyped.pop(name)))
         if ty is not None:
             self._type_memo[name] = ty
 
@@ -337,11 +337,10 @@ class Store:
 
     def term_names(self) -> Container[str]:
         """Every stored term name, typed or untyped, as a live view."""
-        return ChainMap(self.typed, self.untyped)
+        return self.terms
 
     def lookup(self, name: str) -> T.Term | None:
-        t = self.typed.get(name)
-        return self.untyped.get(name) if t is None else t
+        return self.terms.get(name)
 
     def type_of(self, name: str) -> T.Type | None:
         """Inferred type of a typed term; None for unknown or untyped names.
@@ -350,8 +349,8 @@ class Store:
         memo = self._type_memo
         if name in memo:        # only typed names are memoised
             return memo[name]
-        t = self.typed.get(name)
-        if t is None:
+        t = self.terms.get(name)
+        if t is None or name in self.untyped:
             return None
         ty = memo[name] = infer_static_type(t, self.tax, self.type_of)
         return ty
@@ -359,15 +358,20 @@ class Store:
     # -- classes --
 
     def mk_kb_class(self, name: str, ty: T.Type):
-        """Define a class; a subset class is compiled here, so one whose
-        proposition skolemize refuses is refused before it is logged."""
-        if not _CLASS_NAME.match(name or ""):
-            raise StoreError(f"invalid class name {name!r}")
+        """Define a class.  Its record is rendered first and the class is
+        compiled as it is registered, so a class that cannot be rendered or
+        compiled changes nothing."""
         T.check_labels(ty)
+        record = self._render("class", name, ty)
         self._put_class(name, ty)
-        self._log("class", name, ty)
+        if record is not None:
+            self._batch.append(record)
 
     def _put_class(self, name: str, ty: T.Type):
+        """Register a class, live or on replay, with its type resolved and,
+        for a subset class, its proposition and binding compiled."""
+        if not isinstance(name, str) or not _CLASS_NAME.match(name):
+            raise StoreError(f"invalid class name {name!r}")
         if name in self.classes:
             raise DuplicateNameError(f"class {name!r} already defined")
         # so the classes are always registered in dependency order
@@ -375,25 +379,14 @@ class Store:
             if ref not in self.classes:
                 raise StoreError(f"class {name!r} references unknown type {ref!r}")
         clause = skolemize(ty) if isinstance(ty, T.SubsetTy) else None
-        self.classes[name] = KbClass(name, ty, clause)
+        resolved = resolve_type(ty, lambda ref: self.classes[ref].ty)
+        self.classes[name] = KbClass(name, ty, resolved, clause)
 
     def kb_class(self, name: str) -> KbClass:
         cls = self.classes.get(name)
         if cls is None:
             raise StoreError(f"unknown class {name!r}")
         return cls
-
-    def resolve_class_type(self, name: str) -> T.Type:
-        """The class's fully alias-expanded static member type."""
-        ty = self._class_types.get(name)
-        if ty is None:
-            ty = self._class_types[name] = resolve_type(
-                self.kb_class(name).definition, self._class_lookup)
-        return ty
-
-    def _class_lookup(self, name: str) -> T.Type | None:
-        cls = self.classes.get(name)
-        return cls.definition if cls else None
 
     def add_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
         """Insert and log a coerced member; returns False when the class
@@ -480,7 +473,7 @@ class Store:
     def stats(self) -> dict[str, int]:
         out = {
             "untyped": len(self.untyped),
-            "typed": len(self.typed),
+            "typed": len(self.typed_list),
             "classes": len(self.classes),
         }
         for name, cls in self.classes.items():

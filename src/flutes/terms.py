@@ -19,8 +19,10 @@ enforce the record invariants: `record` and `record_ty` sort fields under
 the concept order and refuse labels the taxonomy makes equivalent, a
 repeated label included; they do that work once per shape (the labels in
 the order given), which the taxonomy memoises until its next edit.  A value
-built from the node classes directly skips those checks; the store and the
-storage reader refuse one whose record repeats a label (`check_labels`).
+built from the node classes directly skips those checks; the store refuses
+one whose record fields are not in that order (`check_labels`), which the
+storage reader sorts, so such a value would read back as another.  `Num`,
+`Str`, `TermAlias` and `EnumTy` check their own fields.
 
 `_SHAPES` is the one place node shapes live: for every node class that
 holds terms, types or propositions it names the parts and rebuilds the node
@@ -118,6 +120,11 @@ def _intern_instances(cls: type) -> None:
     cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
 
+# sets a field past Value.__setattr__; a global, not `object.__setattr__`,
+# whose attribute lookup on each call costs a tenth of building a Str
+_set_field = object.__setattr__
+
+
 def _field_methods(names: tuple[str, ...]) -> tuple[Callable, ...]:
     """__init__, __eq__ and __hash__ over the named fields, as closures of
     one shape per arity; the one- and two-field shapes, which most terms
@@ -184,7 +191,7 @@ class Num(Term):
             value = _float(value)
         if not math.isfinite(value):
             raise TermError("numeric terms must be finite")
-        object.__setattr__(self, "value", value)
+        _set_field(self, "value", value)
 
 
 def _float(value) -> float:
@@ -204,6 +211,13 @@ def _float(value) -> float:
 
 class Str(Term):
     value: str
+
+    def __init__(self, value):
+        # the exact type first, the cheaper test: the parser and the
+        # storage reader build many
+        if type(value) is not str and not isinstance(value, str):
+            raise TermError(f"a string term holds a str, not {value!r}")
+        _set_field(self, "value", value)
 
 
 class Atom(Term):
@@ -238,6 +252,11 @@ class TermAlias(Term):
 
     name: str
 
+    def __init__(self, name):
+        if type(name) is not str and not isinstance(name, str):
+            raise TermError(f"a term alias holds a str, not {name!r}")
+        _set_field(self, "name", name)
+
 
 class Type(Value):
     pass
@@ -261,6 +280,11 @@ class RecordTy(Type, interned=True):
 
 class EnumTy(Type, interned=True):
     concepts: tuple[Concept, ...]
+
+    def __init__(self, concepts):
+        if not concepts:
+            raise TermError("enum type needs at least one concept")
+        _set_field(self, "concepts", concepts)
 
 
 class VoidTy(Type, interned=True):
@@ -417,10 +441,7 @@ def record_ty(tax: Taxonomy, fields: Iterable[tuple[str | Concept, Type]]) -> Re
 
 
 def enum_ty(names: Iterable[str | Concept]) -> EnumTy:
-    concepts = tuple(map(mk_concept, names))
-    if not concepts:
-        raise TermError("enum type needs at least one concept")
-    return EnumTy(concepts)
+    return EnumTy(tuple(map(mk_concept, names)))
 
 
 def pred_ty(name: str, arg_types: Iterable[Type]) -> RecordTy:
@@ -564,19 +585,31 @@ def type_alias_names(node: Node) -> set[str]:
     return {x.name for x in nodes(node) if type(x) is TyAlias}
 
 
+_ORDERED: set[tuple[Concept, ...]] = set()   # label tuples check_labels took
+
+
 def check_labels(node: Node) -> None:
-    """Refuse a term or type that holds a record naming a label twice.
-    `record`, `record_ty` and the storage reader refuse one as they build it;
-    the store calls this for values built from the node classes directly,
-    which its log could otherwise not read back."""
+    """Refuse a term or type that holds a record whose labels are not in
+    strictly ascending concept order, a repeated label included: the order
+    `record`, `record_ty` and the storage reader build.  The store calls
+    this for values built from the node classes directly, which its log
+    would otherwise read back sorted, or not at all.  Each label tuple is
+    checked once."""
     for x in nodes(node):
         cls = type(x)
         if (cls is Record or cls is RecordTy) and len(x.fields) > 1:
-            labels = [l for l, _ in x.fields]
+            labels = tuple([l for l, _ in x.fields])
+            if labels in _ORDERED:
+                continue
             if len(set(labels)) < len(labels):
                 repeated = next(l for i, l in enumerate(labels)
                                 if l in labels[:i])
                 raise MalformedRecordError(f"repeated label {repeated!r}")
+            keys = [l.sort_key() for l in labels]
+            if keys != sorted(keys):
+                raise MalformedRecordError(
+                    f"record labels {list(labels)} are out of order")
+            _ORDERED.add(labels)
 
 
 Subst = Mapping[str, Term]

@@ -275,7 +275,7 @@ def test_9_analytic_type_safety_fuzz():
         assert total_failures > 0  # the fuzz actually produced bad outputs
         sink = store.kb_class("sink")
         assert len(sink.members) > 0
-        out_ty = store.resolve_class_type("sink")
+        out_ty = store.kb_class("sink").ty
         violations = 0
         for _, term in sink.members:
             ty = infer_static_type(term, store.tax)

@@ -23,8 +23,7 @@ from termgen import (WORKED_CORPUS, build_worked_store, define_target_class,
 
 
 def insert_program(store, text):
-    for d in parse_program(text, store.tax, known=frozenset(store.typed)
-                           | frozenset(store.untyped)):
+    for d in parse_program(text, store.tax, known=frozenset(store.terms)):
         store.abox_insert(d.name, d.body)
 
 
@@ -216,7 +215,7 @@ class TestPromoteUntyped:
         a := { "name": "base" };
         """)
         assert promote_untyped(s) == 3
-        assert set(s.typed) == {"a", "b", "c"}
+        assert {n for n, _ in s.typed_list} == {"a", "b", "c"}
         assert not s.untyped
 
     def test_dangling_reference_stays_untyped(self):
@@ -454,7 +453,7 @@ class TestIncrementality:
         assert len(store.kb_class("orig_of").members) == 1
         insert_program(store, 't5 := {"amount"=3.0, "type"=check()};')
         find_members(store)
-        assert "o5" in store.typed
+        assert "o5" in store.terms and "o5" not in store.untyped
         assert len(store.kb_class("orig_of").members) == 2
         assert T.triple("fi-related", T.term_name("joe"),
                         T.term_name("sue")) in \

@@ -2,6 +2,7 @@
 byte, and corruption before a valid commit marker."""
 
 import os
+import re
 import zlib
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from flutes import terms as T
 from flutes.classifier import find_members
 from flutes.cli import main
-from flutes.errors import DuplicateNameError, StoreCorruptionError
+from flutes.errors import DuplicateNameError, StoreCorruptionError, StoreError
 from flutes.oracle import oracle_members
 from flutes.rules import member_name, mk_analytic, run_analytic
 from flutes.sexp import render_sexp
@@ -374,6 +375,33 @@ def test_a_term_record_that_insertion_refuses_is_corruption(tmp_path, record,
     write_log(path, records + b"(commit 3 %d)\n" % zlib.crc32(records))
     with pytest.raises(StoreCorruptionError, match=rf"{LOG}:3: {want}"):
         Store(path)
+
+
+@pytest.mark.parametrize("record, live, want", [
+    ('(class "bad name!" (numty))', lambda s: s.mk_kb_class("bad name!", T.num_ty),
+     "invalid class name 'bad name!'"),
+    ('(term "" (num 1.0))', lambda s: s.abox_insert("", T.num_f(1)),
+     "term name must be a nonempty string"),
+], ids=["class-name", "empty-term-name"])
+def test_a_name_that_the_live_change_refuses_is_corruption(tmp_path, record,
+                                                           live, want):
+    # mk_kb_class and abox_insert check names in the _put_class and
+    # _put_term that replay runs, so replay refuses what they refuse
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = ("(flutes-log 5)\n" + record + "\n").encode()
+    data = records + b"(commit 2 %d)\n" % zlib.crc32(records)
+    write_log(path, data)
+    for _ in range(2):
+        with pytest.raises(StoreCorruptionError,
+                           match=rf"{LOG}:2: {re.escape(want)}"):
+            Store(path)
+    with open(os.path.join(path, LOG), "rb") as fh:
+        assert fh.read() == data
+    with Store(str(tmp_path / "live")) as s:
+        with pytest.raises(StoreError, match=re.escape(want)):
+            live(s)
+        assert s.dump_state() == "\n" and not s._batch
 
 
 def test_a_live_insert_of_a_bound_name_is_refused_before_logging(tmp_path):

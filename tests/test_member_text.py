@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from flutes import terms as T
 from flutes.benchgen import GenConfig, generate
-from flutes.classifier import _Binding, find_members
+from flutes.classifier import Binding, find_members
 from flutes.cli import Session
 from flutes.rules import member_name
 from flutes.sexp import parse_sexp, render_sexp, template
@@ -67,7 +67,7 @@ def classes():
 @settings(max_examples=150)
 @given(name=st.sampled_from(SUBSET_CLASSES), data=st.data())
 def test_composed_storage_equals_the_rendered_term(classes, name, data):
-    binding = _Binding(classes, classes.kb_class(name))
+    binding = Binding(classes.kb_class(name))
     subst = {v: data.draw(_values) for v in binding.vars}
     term = T.substitute(subst, binding.term)
     assert binding.build(subst) == term

@@ -347,14 +347,14 @@ def test_store_interns_inferred_and_class_types():
     classifier.promote_untyped(s)
     s.mk_kb_class("named", T.record_ty(s.tax, [("name", T.str_ty)]))
     assert s.type_of("a") is s.type_of("b")
-    assert s.resolve_class_type("named") is s.type_of("a")
-    proof = prove_subtype(s.type_of("a"), s.resolve_class_type("named"), s.tax)
-    assert prove_subtype(s.type_of("b"), s.resolve_class_type("named"), s.tax) is proof
+    assert s.kb_class("named").ty is s.type_of("a")
+    proof = prove_subtype(s.type_of("a"), s.kb_class("named").ty, s.tax)
+    assert prove_subtype(s.type_of("b"), s.kb_class("named").ty, s.tax) is proof
     s.same_as("name", "label")                 # an edit forgets the proofs
     assert not s.tax.proofs
     # and the inferred types, which are inferred again as the same instance
     assert s.type_of("a") is T.record_ty(s.tax, [("name", T.str_ty)])
-    assert s.resolve_class_type("named") is s.type_of("b")
+    assert s.kb_class("named").ty is s.type_of("b")
 
 
 # ---------------------------------------------------------------------------

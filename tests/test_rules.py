@@ -180,7 +180,7 @@ class TestAnalytics:
         a = mk_analytic(store, "project", "person", "names", project)
         report = run_analytic(store, a)
         assert report.inserted == 2 and not report.failures
-        out_ty = store.resolve_class_type("names")
+        out_ty = store.kb_class("names").ty
         for mname, t in store.kb_class("names").members:
             assert infer_static_type(t, store.tax, store.type_of) == out_ty
             assert mname.startswith("names#")

@@ -154,10 +154,11 @@ class TestRenderFailure:
         s = Store(path)
         s.abox_insert("b", T.List((T.term_name("q"),)))
         before = _snapshot(s)
-        with pytest.raises(AttributeError):    # a Str holding an int
-            s.abox_insert_all([("a", T.Str("ok")), ("x", T.Str(5))])
-        with pytest.raises(AttributeError):
-            s.abox_insert("y", T.List((T.term_name("q"), T.Str(5))))
+        with pytest.raises(TypeError):    # a bare str is no term
+            s.abox_insert_all([("a", T.Str("ok")),
+                               ("x", T.List((T.term_name("q"), "raw")))])
+        with pytest.raises(TypeError):
+            s.abox_insert("y", T.List((T.term_name("q"), "raw")))
         assert _snapshot(s) == before
         s.close()
         with Store(path) as s:
@@ -169,12 +170,31 @@ class TestRenderFailure:
         s.mk_kb_class("c", T.ListTy(T.str_ty))
         assert s.add_member("c", "m0", T.List((T.term_name("q"),)))
         before = _snapshot(s)
-        with pytest.raises(AttributeError):
-            s.add_member("c", "m1", T.List((T.term_name("q"), T.Str(5))))
+        with pytest.raises(TypeError):
+            s.add_member("c", "m1", T.List((T.term_name("q"), "raw")))
         assert _snapshot(s) == before
         s.close()
         with Store(path) as s:
             assert [m for m, _ in s.kb_class("c").members] == ["m0"]
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+    def test_class(self, tmp_path, on_disk):
+        # rendered before it is registered; a store in memory, which renders
+        # no record, refuses it as it compiles the binding
+        path = str(tmp_path / "kb") if on_disk else None
+        s = Store(path)
+        s.mk_kb_class("c", T.ListTy(T.str_ty))
+        before = _snapshot(s)
+        x = T.var("x")
+        with pytest.raises(TypeError):
+            s.mk_kb_class("d", T.subset_ty(
+                T.List((x, "raw")), T.ListTy(T.str_ty),
+                T.exists("y", T.type_name("c"), T.equals(x, T.var("y")))))
+        assert _snapshot(s) == before
+        s.close()
+        if on_disk:
+            with Store(path) as s:
+                assert list(s.classes) == ["c"]
 
 
 class TestClasses:
@@ -183,7 +203,7 @@ class TestClasses:
         s.mk_kb_class("person", person_ty(s))
         s.mk_kb_class("orig_of", T.triple_ty("orig-of", T.type_name("person"),
                                              T.num_ty))
-        resolved = s.resolve_class_type("orig_of")
+        resolved = s.kb_class("orig_of").ty
         assert resolved.fields[0][1].fields[0][1] == person_ty(s)
 
     def test_duplicate_class_rejected(self):
@@ -430,6 +450,29 @@ class TestPersistence:
                         T.equals(T.var("x"), T.List((term,)))))
         with Store(path) as s:
             assert set(s.untyped) == {"ok"} and s.classes == {}
+
+    @pytest.mark.parametrize("kind", ["term", "class", "nested"])
+    def test_labels_out_of_order_refused_before_the_log(self, tmp_path, kind):
+        # the reader sorts a record's fields, so the value would differ
+        # after a reopen
+        name, dob = mk_concept("name"), mk_concept("dob")
+        term = T.Record(((name, T.string("X")), (dob, T.string("1"))))
+        ty = T.RecordTy(((name, T.str_ty), (dob, T.str_ty)))
+        path = str(tmp_path / "kb")
+        with Store(path) as s:
+            s.abox_insert("ok", T.Record(((dob, T.string("1")),
+                                          (name, T.string("X")))))
+            with pytest.raises(MalformedRecordError, match="out of order"):
+                if kind == "term":
+                    s.abox_insert("x", term)
+                elif kind == "class":
+                    s.mk_kb_class("c", ty)
+                else:
+                    s.abox_insert("x", T.List((T.num_f(1), term)))
+            live = s.dump_state()
+        with Store(path) as s:
+            assert s.dump_state() == live
+            assert list(s.untyped) == ["ok"] and s.classes == {}
 
     def test_log_holding_a_repeated_label_does_not_open(self, tmp_path):
         # an older version logged such a class; replay names the record
