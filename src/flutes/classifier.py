@@ -30,9 +30,9 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from . import terms as T
-from .clause import DisjunctPlans, Plan, Step, check_test
+from .clause import DisjunctPlans, Plan, Step, check_test, evaluator
 from .errors import EvalError, UnboundAliasError
-from .rules import coerce_term, eval_term, member_name
+from .rules import coerce_term, member_name
 from .sexp import render_sexp, template
 from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
                         prove_subtype)
@@ -104,24 +104,18 @@ class ClassStats:
 
     __slots__ = ("scanned", "candidates", "tuples", "matched", "elapsed")
 
-    def __init__(self, scanned: int = 0, candidates: int = 0, tuples: int = 0,
-                 matched: int = 0, elapsed: float = 0.0):
-        self.scanned = scanned
-        self.candidates = candidates
-        self.tuples = tuples
-        self.matched = matched
-        self.elapsed = elapsed
+    def __init__(self):
+        self.scanned = self.candidates = self.tuples = self.matched = 0
+        self.elapsed = 0.0
 
 
 class FindReport:
     __slots__ = ("promoted", "per_class", "elapsed")
 
-    def __init__(self, promoted: int = 0,
-                 per_class: dict[str, ClassStats] | None = None,
-                 elapsed: float = 0.0):
+    def __init__(self, promoted: int):
         self.promoted = promoted
-        self.per_class = {} if per_class is None else per_class
-        self.elapsed = elapsed
+        self.per_class: dict[str, ClassStats] = {}
+        self.elapsed = 0.0
 
     def lines(self, timings: bool = True) -> list[str]:
         out = [f"promoted\t{self.promoted}"]
@@ -152,7 +146,8 @@ class Binding:
     alias it names has none yet raises UnboundAliasError.  Its coercion is
     skipped when the proof is identity shaped, or when the values all are
     aliases and the coercion left the shape's first term unchanged: a
-    coercion stops at aliases.  A binding that selects a field is evaluated
+    coercion stops at aliases.  A binding that selects a field is compiled
+    into an evaluator of the substitution (`clause.evaluator`), evaluated
     before it is typed, and keyed by the evaluated term's type, since a
     selection can reach a typeable part of a value that has no type.
 
@@ -169,6 +164,7 @@ class Binding:
         self.selects = any(type(n) is T.FieldSelection
                            for n in T.nodes(self.term))
         self.build = T.substituter(self.term)
+        self.evaluate = evaluator(self.term) if self.selects else None
         self.render = template(self.term, self.vars)
         self.aliases = T.alias_names(self.term)
         self.proofs: dict = {}   # shape -> (proof, unchanged) or None
@@ -177,7 +173,7 @@ class Binding:
         """The coerced member term that a tuple yields, with its storage
         form and alias names, or None."""
         if self.selects:
-            mt = eval_term(self.build(subst), store.lookup, store.tax)
+            mt = self.evaluate(subst, store)
             shape = (False, infer_static_type(mt, store.tax, store.type_of))
         else:
             try:

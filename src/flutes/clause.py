@@ -12,6 +12,13 @@ The plans run compiled: each step holds a matcher fixed to its pattern's
 shape and to the variables the order has bound there (`matcher`), and
 each check literal a test that reads its operands from the substitution
 (`check_test`).  The classifier only calls them, per candidate.
+
+Terms are evaluated here too, and only here: `evaluator` compiles a term
+into a function of a substitution and the store that yields the term with
+the values in place and every field selection done (`select`, through the
+aliases `deref` follows).  Check operands, selecting bindings, lambda rule
+bodies and coercion's fallback all evaluate this way (`evaluate` for a
+term evaluated once).
 """
 
 import operator
@@ -19,7 +26,6 @@ from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 
 from . import terms as T
 from .errors import EvalError, UnboundAliasError, UnsupportedPropError
-from .rules import deref, eval_term, select
 from .taxonomy import Concept
 
 if TYPE_CHECKING:   # the store compiles clauses
@@ -371,14 +377,24 @@ def check_test(p: T.Prop) -> Test:
 def _operand(x: T.Term) -> Operand:
     """An operand's value: the term x evaluates to with the substitution's
     values in place, dereferenced when it is an alias."""
-    ev = _evaluator(x)
-    return lambda s, store: deref(ev(s, store), store.lookup)
+    ev = evaluator(x)
+    return lambda s, store: deref(ev(s, store), store)
 
 
-def _evaluator(x: T.Term) -> Operand:
-    """`eval_term` of x with the substitution's values in place: a value is
-    evaluated as it is, and only the parts of x that hold a variable or a
-    selection are rebuilt."""
+# -- term evaluation ---------------------------------------------------------------
+
+def evaluate(t: T.Term, store: "Store") -> T.Term:
+    """t with every field selection in it done."""
+    return evaluator(t)({}, store)
+
+
+def evaluator(x: T.Term) -> Operand:
+    """The evaluation of x with the substitution's values in place,
+    compiled: aliases evaluate to themselves, and are dereferenced only
+    where a selection looks inside one; a variable's value is evaluated
+    in turn, and a variable the substitution does not bind raises
+    EvalError.  Only the parts of x that hold a variable or a selection
+    are rebuilt."""
     cls = type(x)
     if cls is T.Var:
         name, unbound = x.name, f"unbound variable {x.name!r}"
@@ -387,14 +403,41 @@ def _evaluator(x: T.Term) -> Operand:
             v = s.get(name)
             if v is None:
                 raise EvalError(unbound)
-            return v if type(v) in _PLAIN else eval_term(v, store.lookup, store.tax)
+            return v if type(v) in _PLAIN else evaluate(v, store)
         return var
     if cls is T.FieldSelection:
-        base, label = _evaluator(x.base), x.label
-        return lambda s, store: select(base(s, store), label, store.lookup,
-                                       store.tax)
+        base, label = evaluator(x.base), x.label
+        return lambda s, store: select(base(s, store), label, store)
     if not any(type(n) is T.Var or type(n) is T.FieldSelection
                for n in T.nodes(x)):
-        return lambda s, store: x      # it evaluates to an equal term
-    parts = {id(p): _evaluator(p) for p in T.parts(x)}
+        return lambda s, store: x      # it evaluates to itself
+    parts = {id(p): evaluator(p) for p in T.parts(x)}
     return lambda s, store: T.map_parts(x, lambda p: parts[id(p)](s, store))
+
+
+def select(base: T.Term, label: Concept, store: "Store") -> T.Term:
+    """The part that `label` selects from the evaluated base, a record or
+    an alias naming one."""
+    base = deref(base, store)
+    if type(base) is not T.Record:
+        raise EvalError(f"selection from a non-record: {base!r}")
+    value = T.select_field(base, label, store.tax)
+    if value is None:
+        raise EvalError(f"no argument {label.position}" if label.is_positional
+                        else f"no field matching {label!r}")
+    return value
+
+
+def deref(t: T.Term, store: "Store") -> T.Term:
+    """The term an alias chain names, or t itself when it is no alias; an
+    alias that is not stored raises UnboundAliasError."""
+    seen = set()
+    while type(t) is T.TermAlias:
+        if t.name in seen:
+            raise EvalError(f"alias cycle at {t.name!r}")
+        seen.add(t.name)
+        target = store.lookup(t.name)
+        if target is None:
+            raise UnboundAliasError(f"unbound alias {t.name!r}")
+        t = target
+    return t

@@ -16,8 +16,9 @@ memo cannot fool the engine and the oracle alike.
 
 from . import terms as T
 from .classifier import eval_ground_prop
+from .clause import evaluate
 from .errors import EvalError, UnsupportedPropError
-from .rules import coerce_term, eval_term, member_name
+from .rules import coerce_term, member_name
 from .sexp import render_sexp
 from .store import Store, KbClass
 from .typecheck import apply_coercion, infer_static_type, prove_subtype_uncached
@@ -128,7 +129,7 @@ def _denotes(value: T.Term, members: dict[str, T.Term]) -> bool:
 def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
     skolems, matrix = _strip_exists(cls.definition.prop)
     sk_class = dict(skolems)
-    binding = cls.definition.binding_term
+    build = T.substituter(cls.definition.binding_term)
     out: dict[str, T.Term] = {}
 
     def produce(binds, skval):
@@ -140,11 +141,11 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
                     return
             elif not ext[cname]:
                 return
-        mt = T.substitute(full, binding)
+        mt = build(full)
         if T.free_vars(mt):
             return
         try:
-            mt = eval_term(mt, store.lookup, store.tax)   # field selections
+            mt = evaluate(mt, store)   # field selections
         except EvalError:
             return
         ty = infer_static_type(mt, store.tax, store.type_of)
@@ -172,8 +173,8 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
     def check_all(checks, binds, skval):
         full = dict(binds)
         full.update(skval)
-        for prop, negd in checks:
-            p = T.substitute(full, prop)
+        for build_prop, negd in checks:
+            p = build_prop(full)
             if T.free_vars(p):
                 return False
             try:
@@ -189,13 +190,13 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
             if check_all(checks, binds, skval):
                 produce(binds, skval)
             return
-        pattern, sk = eqs[idx]
+        build_pattern, sk = eqs[idx]
         if sk in skval:
             candidates = [skval[sk]]
         else:
             candidates = ext[sk_class[sk]].values()
         for m in candidates:
-            raw = _match(T.substitute(binds, pattern), m, {})
+            raw = _match(build_pattern(binds), m, {})
             if raw is None:
                 continue
             merged = absorb(raw, binds, skval)
@@ -214,12 +215,12 @@ def _subset_ext(store: Store, cls: KbClass, ext: Ext) -> dict[str, T.Term]:
                     and prop.op is T.PredOp.EQ and not negd):
                 a, b = prop.args
                 if isinstance(b, T.Var) and b.name in sk_class:
-                    eqs.append((a, b.name))
+                    eqs.append((T.substituter(a), b.name))
                     placed = True
                 elif isinstance(a, T.Var) and a.name in sk_class:
-                    eqs.append((b, a.name))
+                    eqs.append((T.substituter(b), a.name))
                     placed = True
             if not placed:
-                checks.append((prop, negd))
+                checks.append((T.substituter(prop), negd))
         solve(eqs, 0, {}, {}, checks)
     return out

@@ -2,7 +2,8 @@
 
 An analytic rewrites each member of its input class through a host
 function; a lambda rule is the analytic whose function evaluates a term body
-(field selections, record building).  The result must be subsumed by the
+(field selections, record building), compiled once per rule by the one term
+evaluator, `clause.evaluator`.  The result must be subsumed by the
 output class's type, is coerced to it, and only then stored, so no rule can
 corrupt a class collection.  Failures are reported per member and never
 abort a run.
@@ -11,64 +12,17 @@ abort a run.
 from __future__ import annotations
 
 from hashlib import sha1
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
+from .clause import evaluate, evaluator
 from .errors import (CoercionDomainError, EvalError, RuleFailure, StoreError,
-                     TermError, UnboundAliasError)
+                     TermError)
 from .sexp import render_sexp
-from .taxonomy import Concept, Taxonomy
 from .typecheck import apply_coercion, infer_static_type, prove_subtype
 from . import terms as T
 
 if TYPE_CHECKING:          # the store imports the classifier, which imports this
     from .store import Store
-
-Env = Callable[[str], Optional[T.Term]]
-
-
-# ---------------------------------------------------------------------------
-# term evaluation
-
-
-def eval_term(t: T.Term, env: Env, tax: Taxonomy) -> T.Term:
-    """Evaluate selections within a term.
-
-    Aliases evaluate to themselves; they are dereferenced through `env`
-    only when a selection needs to look inside one.
-    """
-    if type(t) is T.FieldSelection:
-        return select(eval_term(t.base, env, tax), t.label, env, tax)
-    if type(t) is T.Var:
-        raise EvalError(f"unbound variable {t.name!r}")
-    return T.map_parts(t, lambda x: eval_term(x, env, tax))
-
-
-def select(base: T.Term, label: Concept, env: Env, tax: Taxonomy) -> T.Term:
-    """The part that `label` selects from the evaluated base, a record or
-    an alias naming one."""
-    base = deref(base, env)
-    if type(base) is not T.Record:
-        raise EvalError(f"selection from a non-record: {base!r}")
-    value = T.select_field(base, label, tax)
-    if value is None:
-        raise EvalError(f"no argument {label.position}" if label.is_positional
-                        else f"no field matching {label!r}")
-    return value
-
-
-def deref(t: T.Term, env: Env) -> T.Term:
-    """The term an alias chain names, or t itself when it is no alias; an
-    alias that is not stored raises UnboundAliasError."""
-    seen = set()
-    while type(t) is T.TermAlias:
-        if t.name in seen:
-            raise EvalError(f"alias cycle at {t.name!r}")
-        seen.add(t.name)
-        target = env(t.name)
-        if target is None:
-            raise UnboundAliasError(f"unbound alias {t.name!r}")
-        t = target
-    return t
 
 
 def coerce_term(store: Store, proof, t: T.Term) -> T.Term | None:
@@ -78,7 +32,7 @@ def coerce_term(store: Store, proof, t: T.Term) -> T.Term | None:
         return apply_coercion(proof, t)
     except CoercionDomainError:
         try:
-            return apply_coercion(proof, eval_term(t, store.lookup, store.tax))
+            return apply_coercion(proof, evaluate(t, store))
         except (CoercionDomainError, EvalError):
             return None
 
@@ -129,14 +83,14 @@ def lambda_rule(store: Store, name: str, param: str, input_class: str,
                 output_class: str, body: T.Term,
                 registry: dict[str, Analytic] | None = None) -> Analytic:
     """The lambda abstraction `param -> body` as an analytic: its function
-    evaluates the body with the member substituted for `param`."""
+    evaluates the body, compiled once here, with the member as `param`."""
     extra = T.free_vars(body) - {param}
     if extra:
         raise TermError(f"rule {name!r} body has unbound variables {sorted(extra)}")
+    run = evaluator(body)
 
     def rewrite(member: T.Term) -> T.Term:
-        return eval_term(T.substitute({param: member}, body),
-                         store.lookup, store.tax)
+        return run({param: member}, store)
 
     return mk_analytic(store, name, input_class, output_class, rewrite,
                        registry)
@@ -145,12 +99,11 @@ def lambda_rule(store: Store, name: str, param: str, input_class: str,
 class RuleReport:
     __slots__ = ("name", "processed", "inserted", "failures")
 
-    def __init__(self, name: str, processed: int = 0, inserted: int = 0,
-                 failures: list | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.processed = processed
-        self.inserted = inserted
-        self.failures = [] if failures is None else failures   # (member, message)
+        self.processed = 0
+        self.inserted = 0
+        self.failures: list[tuple[str, str]] = []   # (member, message)
 
     def lines(self) -> list[str]:
         out = [f"analytic\t{self.name}",

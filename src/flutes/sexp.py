@@ -74,7 +74,7 @@ def template(x: T.Term, names: list[str]):
     # a mark longer than any alias name in x, so no alias of x renders as a slot
     mark = "\0" * (1 + max(map(len, T.alias_names(x)), default=0))
     slots = {n: T.TermAlias(f"{mark}{i}") for i, n in enumerate(names)}
-    cut = re.split(f'\\(alias "{mark}(\\d+)"\\)', _render(T.substitute(slots, x)))
+    cut = re.split(f'\\(alias "{mark}(\\d+)"\\)', _render(T.substituter(x)(slots)))
     first = cut[0]
     rest = [(names[int(i)], piece) for i, piece in zip(cut[1::2], cut[2::2])]
 

@@ -28,9 +28,9 @@ storage reader sorts, so such a value would read back as another.  `Num`,
 holds terms, types or propositions it names the parts and rebuilds the node
 from new parts.  Every single-input structural walker goes through it:
 `nodes`, `parts` and `map_parts` here, the folds `free_vars`,
-`alias_names`, `type_alias_names` and `check_labels`, the map `substitute`
-and its compiled form `substituter`, and the generic cases of `unify`,
-`typecheck.resolve_type` and `rules.eval_term`.
+`alias_names`, `type_alias_names` and `check_labels`, the compiled
+substitution `substituter`, and the generic cases of `unify`,
+`typecheck.resolve_type` and `clause.evaluator`.
 """
 
 from __future__ import annotations
@@ -615,24 +615,14 @@ def check_labels(node: Node) -> None:
 Subst = Mapping[str, Term]
 
 
-def substitute(s: Subst, node: Node) -> Node:
-    """Capture-avoiding replacement of the free variables of a term, type
-    or proposition; bound occurrences are untouched."""
-    cls = type(node)
-    if cls is Var:
-        return s.get(node.name, node)
-    if cls is Exists:
-        return _substitute_exists(node, s)
-    shape = _SHAPES.get(cls)
-    return node if shape is None else shape[1](node, lambda x: substitute(s, x))
-
-
 def substituter(node: Node) -> Callable[[Subst], Node]:
-    """`substitute` compiled for a node that binds no variable, such as a
+    """Substitution compiled for a node that binds no variable, such as a
     subset class's binding term: the function maps a substitution to the
     node with its variables replaced, and rebuilds only the parts that
     hold one.  A record of one or two fields, the shape of a predicate
-    application and of its arguments, is built directly."""
+    application and of its arguments, is built directly.  A quantifier
+    with a free variable in it is refused (TermError): nothing substitutes
+    under one."""
     cls = type(node)
     if cls is Var:
         name = node.name
@@ -640,6 +630,8 @@ def substituter(node: Node) -> Callable[[Subst], Node]:
     shape = _SHAPES.get(cls)
     if shape is None or not free_vars(node):
         return lambda s: node
+    if cls is Exists:
+        raise TermError(f"cannot substitute under the quantifier on {node.var!r}")
     if cls is Record and len(node.fields) == 1:
         ((l0, v0),) = node.fields
         b0 = substituter(v0)
@@ -651,29 +643,6 @@ def substituter(node: Node) -> Callable[[Subst], Node]:
     build = {id(p): substituter(p) for p in shape[0](node)}
     rebuild = shape[1]
     return lambda s: rebuild(node, lambda p: build[id(p)](s))
-
-
-def _substitute_exists(p: Exists, s: Subst) -> Exists:
-    # the bound type lies outside the binder's scope, as free_vars reads it
-    ty = substitute(s, p.bound_type)
-    inner = {k: v for k, v in s.items() if k != p.var}
-    if not inner:
-        return Exists(p.var, ty, p.body)
-    inserted = set().union(*map(free_vars, inner.values()))
-    if p.var in inserted:
-        # the binder would capture an inserted variable: rename it to a name
-        # that no key, body variable or inserted variable uses
-        fresh = _fresh_name(p.var, set(inner) | free_vars(p.body) | inserted)
-        renamed = substitute({p.var: Var(fresh)}, p.body)
-        return Exists(fresh, ty, substitute(inner, renamed))
-    return Exists(p.var, ty, substitute(inner, p.body))
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    i = 1
-    while f"{base}__{i}" in taken:
-        i += 1
-    return f"{base}__{i}"
 
 
 def pred_app_parts(t: Node) -> tuple[Concept, tuple[Node, ...]] | None:

@@ -28,6 +28,7 @@ from flutes.syntax import insert_text
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 
 import termgen
+from interpreters import substitute
 
 GEN = runpy.run_path(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                   os.pardir, "perfbench", "gen.py"))
@@ -69,7 +70,7 @@ def classes():
 def test_composed_storage_equals_the_rendered_term(classes, name, data):
     binding = Binding(classes.kb_class(name))
     subst = {v: data.draw(_values) for v in binding.vars}
-    term = T.substitute(subst, binding.term)
+    term = substitute(subst, binding.term)
     assert binding.build(subst) == term
     assert binding.storage(subst) == (render_sexp(term), T.alias_names(term))
 
@@ -83,15 +84,15 @@ def test_template_renders_any_binding(seed, data):
     term = termgen.random_term(rng, tax, pool, 3)
     names = sorted(T.free_vars(term))
     subst = {v: data.draw(_values) for v in names}
-    assert template(term, names)(subst) == render_sexp(T.substitute(subst, term))
-    assert T.substituter(term)(subst) == T.substitute(subst, term)
+    assert template(term, names)(subst) == render_sexp(substitute(subst, term))
+    assert T.substituter(term)(subst) == substitute(subst, term)
 
 
 def test_template_keeps_aliases_and_strings_that_look_like_slots():
     term = T.List((T.TermAlias("\0" + "0"), T.Str('(alias "\0' + '0")'),
                    T.Var("x"), T.TermAlias("\0")))
     subst = {"x": T.TermAlias("p1")}
-    assert template(term, ["x"])(subst) == render_sexp(T.substitute(subst, term))
+    assert template(term, ["x"])(subst) == render_sexp(substitute(subst, term))
 
 
 def test_a_coerced_member_is_named_from_the_coerced_term():

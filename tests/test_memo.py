@@ -10,22 +10,23 @@ unification gives against a ground member.
 
 import operator
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flutes import terms as T
 from flutes import classifier
-from flutes.clause import check_test, matcher
+from flutes.clause import check_test, deref, evaluator, matcher
 from flutes.errors import (EvalError, LatticeCycleError, MalformedRecordError,
                            UnboundAliasError)
-from flutes.rules import deref, eval_term
 from flutes.store import Store
 from flutes.taxonomy import Concept, Taxonomy, mk_concept, positional
 from flutes.typecheck import prove_subtype, prove_subtype_uncached
 from flutes.unify import unify
 
 import termgen
+from interpreters import eval_term, substitute
 
 VARS = ["x", "y", "z"]
 
@@ -39,7 +40,7 @@ def match(pattern, member, subst):
 
 def ground(t: T.Term) -> T.Term:
     """t with every variable replaced by a string constant."""
-    return T.substitute({v: T.Str(v) for v in T.free_vars(t)}, t)
+    return substitute({v: T.Str(v) for v in T.free_vars(t)}, t)
 
 
 def subterms(t: T.Term) -> list[T.Term]:
@@ -165,14 +166,14 @@ _COMPARE = {T.PredOp.LT: operator.lt, T.PredOp.LE: operator.le,
 def interpreted(p: T.Prop, subst, store) -> bool:
     """The interpretive path a compiled check test replaces: substitute the
     values into the proposition, then evaluate the ground proposition."""
-    p = T.substitute(subst, p)
+    p = substitute(subst, p)
     if isinstance(p, T.TrueProp):
         return True
     if isinstance(p, T.FalseProp):
         return False
 
     def value(x):
-        return deref(eval_term(x, store.lookup, store.tax), store.lookup)
+        return deref(eval_term(x, store), store)
     if isinstance(p, T.BuiltinPred):
         a, b = value(p.args[0]), value(p.args[1])
         if p.op is T.PredOp.EQ:
@@ -227,12 +228,18 @@ check_leaves = st.one_of(
 check_labels = st.sampled_from([AMOUNT, DOB, mk_concept("name"),
                                 mk_concept("orig-of"), positional(0),
                                 positional(1), positional(2)])
-check_terms = st.recursive(check_leaves, lambda inner: st.one_of(
-    st.builds(T.FieldSelection, inner, check_labels),
-    st.builds(lambda v: T.Record(((AMOUNT, v),)), inner),
-    st.builds(lambda v, w: T.Record(((AMOUNT, v), (DOB, w))), inner, inner),
-    st.lists(inner, max_size=3).map(lambda xs: T.List(tuple(xs)))),
-    max_leaves=4)
+
+
+def terms_over(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(T.FieldSelection, inner, check_labels),
+        st.builds(lambda v: T.Record(((AMOUNT, v),)), inner),
+        st.builds(lambda v, w: T.Record(((AMOUNT, v), (DOB, w))), inner, inner),
+        st.lists(inner, max_size=3).map(lambda xs: T.List(tuple(xs)))),
+        max_leaves=4)
+
+
+check_terms = terms_over(check_leaves)
 checks = st.one_of(
     st.builds(lambda op, a, b: T.BuiltinPred(op, (a, b)),
               st.sampled_from(list(T.PredOp)), check_terms, check_terms),
@@ -265,6 +272,30 @@ def test_compiled_check_equals_substitute_then_evaluate(p, subst):
     store = CHECK_STORE
     assert (outcome(lambda: check_test(p)(subst, store))
             == outcome(lambda: interpreted(p, subst, store)))
+
+
+# the evaluator reads only `lookup` and `tax`, so a stand-in store can hold
+# the alias cycle a Store refuses
+CYCLE = {"c1": A("c2"), "c2": A("c1")}
+CYCLE_STORE = SimpleNamespace(
+    tax=CHECK_STORE.tax, lookup=lambda n: CYCLE.get(n) or CHECK_STORE.lookup(n))
+eval_terms = terms_over(st.one_of(check_leaves, st.just(A("c1"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_terms, st.dictionaries(st.sampled_from(VARS), eval_terms, max_size=3))
+@example(T.FieldSelection(X, AMOUNT), {})                        # unbound variable
+@example(T.FieldSelection(X, AMOUNT), {"x": A("five")})          # non-record
+@example(T.FieldSelection(A("ref"), DOB), {})                    # no matching field
+@example(T.Record(((AMOUNT, T.FieldSelection(X, DOB)),)), {"x": G})  # unbound alias
+@example(T.FieldSelection(X, AMOUNT), {"x": A("c1")})            # alias cycle
+# a value that selects is evaluated in turn
+@example(T.List((T.FieldSelection(A("r2"), AMOUNT), X)),
+         {"x": T.FieldSelection(A("ref"), AMOUNT)})
+def test_evaluator_equals_substitute_then_evaluate(x, subst):
+    store = CYCLE_STORE
+    assert (outcome(lambda: evaluator(x)(subst, store))
+            == outcome(lambda: eval_term(substitute(subst, x), store)))
 
 
 def test_ground_evaluation_is_the_check_test_under_no_substitution():

@@ -4,8 +4,9 @@ import pytest
 
 from flutes.classifier import find_members, promote_untyped
 from flutes.errors import EvalError, RuleFailure, StoreError, TermError
-from flutes.rules import (eval_term, lambda_rule, member_name, mk_analytic,
-                          run_analytic)
+from flutes import clause, rules
+from flutes.clause import evaluate, evaluator
+from flutes.rules import lambda_rule, member_name, mk_analytic, run_analytic
 from flutes.sexp import render_sexp
 from flutes.store import Store
 from flutes.syntax import parse_program
@@ -49,46 +50,40 @@ def person_members(store):
 class TestEvalTerm:
     def test_record_select(self, store):
         joe = store.lookup("joe")
-        out = eval_term(T.FieldSelection(joe, mk_concept("name")),
-                        store.lookup, store.tax)
+        out = evaluate(T.FieldSelection(joe, mk_concept("name")), store)
         assert out == T.string("Joe")
 
     def test_select_through_synonym(self, store):
         joe = store.lookup("joe")
         sel = T.FieldSelection(joe, mk_concept("dob"))  # stored as birth_date
-        assert eval_term(sel, store.lookup, store.tax) == T.string("1984-06-27")
+        assert evaluate(sel, store) == T.string("1984-06-27")
 
     def test_pred_arg_select(self, store):
         o1 = store.lookup("o1")
-        out = eval_term(T.FieldSelection(o1, positional(0)),
-                        store.lookup, store.tax)
+        out = evaluate(T.FieldSelection(o1, positional(0)), store)
         assert out == T.term_name("joe")
 
     def test_select_through_alias(self, store):
         sel = T.FieldSelection(T.term_name("joe"), mk_concept("name"))
-        assert eval_term(sel, store.lookup, store.tax) == T.string("Joe")
+        assert evaluate(sel, store) == T.string("Joe")
 
     def test_constants_evaluate_to_themselves(self, store):
         for t in [T.string("x"), T.num_f(3), T.atom("check"),
                   T.term_name("joe")]:
-            assert eval_term(t, store.lookup, store.tax) == t
+            assert evaluate(t, store) == t
 
     def test_errors(self, store):
         joe = store.lookup("joe")
         with pytest.raises(EvalError, match="no field"):
-            eval_term(T.FieldSelection(joe, mk_concept("absent")),
-                      store.lookup, store.tax)
+            evaluate(T.FieldSelection(joe, mk_concept("absent")), store)
         with pytest.raises(EvalError, match="argument 7"):
-            eval_term(T.FieldSelection(store.lookup("o1"), positional(7)),
-                      store.lookup, store.tax)
+            evaluate(T.FieldSelection(store.lookup("o1"), positional(7)), store)
         with pytest.raises(EvalError, match="unbound alias"):
-            eval_term(T.FieldSelection(T.term_name("ghost"), mk_concept("x")),
-                      store.lookup, store.tax)
+            evaluate(T.FieldSelection(T.term_name("ghost"), mk_concept("x")), store)
         with pytest.raises(EvalError, match="unbound variable"):
-            eval_term(T.Var("p"), store.lookup, store.tax)
+            evaluate(T.Var("p"), store)
         with pytest.raises(EvalError, match="non-record"):
-            eval_term(T.FieldSelection(T.num_f(3), mk_concept("x")),
-                      store.lookup, store.tax)
+            evaluate(T.FieldSelection(T.num_f(3), mk_concept("x")), store)
 
 
 class TestLambdaRules:
@@ -112,6 +107,26 @@ class TestLambdaRules:
         assert run_analytic(store, rule).inserted == 2
         assert (member_set(store.kb_class("people"))
                 == member_set(store.kb_class("person")))
+
+    def test_body_is_compiled_once_per_rule(self, store, monkeypatch):
+        # every compilation goes through `evaluator`, its own parts too
+        compiled = []
+
+        def counting(x):
+            compiled.append(x)
+            return evaluator(x)
+        monkeypatch.setattr(clause, "evaluator", counting)
+        monkeypatch.setattr(rules, "evaluator", counting)
+        person_members(store)
+        store.mk_kb_class("names", T.record_ty(store.tax, [("name", T.str_ty)]))
+        body = T.record(store.tax, [
+            ("name", T.FieldSelection(T.Var("p"), mk_concept("name")))])
+        rule = lambda_rule(store, "names", "p", "person", "names", body)
+        assert compiled[0] is body
+        n = len(compiled)
+        assert run_analytic(store, rule).inserted == 2
+        # a run evaluates the member bound to p, and compiles no body part
+        assert compiled[n:] == [t for _, t in store.kb_class("person").members]
 
     def test_unbound_body_vars_rejected(self, store):
         with pytest.raises(TermError):

@@ -132,43 +132,20 @@ class TestVariables:
         p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
         assert T.free_vars(p) == {"p"}
 
-    def test_substitute_only_free(self):
-        p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
-        q = T.substitute({"t": T.num_f(1), "p": T.num_f(2)}, p)
-        assert q == T.exists("t", T.num_ty, T.equals(T.Var("t"), T.num_f(2)))
-
-    def test_substitute_avoids_capture(self):
-        # replacing p with a term mentioning t must not capture t
-        p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
-        q = T.substitute({"p": T.Var("t")}, p)
-        assert isinstance(q, T.Exists)
-        assert q.var != "t"
-        assert q.body == T.equals(T.Var(q.var), T.Var("t"))
-
     def test_alias_names(self, tax):
         t = T.record(tax, [("a", T.term_name("joe")),
                            ("b", T.List((T.term_name("t1"),)))])
         assert T.alias_names(t) == {"joe", "t1"}
 
-    def test_fresh_binder_avoids_inserted_variables(self):
-        # the renamed binder must not be a free variable of a value
-        # substituted in, which it would then capture
-        p = T.exists("x", T.num_ty, T.equals(T.Var("x"), T.Var("y")))
-        inserted = T.List((T.Var("x"), T.Var("x__1")))
-        q = T.substitute({"y": inserted}, p)
-        assert T.free_vars(q) == {"x", "x__1"}
-        assert q.body == T.equals(T.Var(q.var), inserted)
-
-    def test_substitute_reaches_the_bound_type(self):
-        # the bound type lies outside the binder's scope, where free_vars
-        # counts its variables, so substitution replaces them too
-        nested = T.SubsetTy(T.Var("z"), T.num_ty, T.equals(T.Var("z"), T.Var("x")))
-        p = T.Exists("x", nested, T.equals(T.Var("x"), T.Var("z")))
-        assert T.free_vars(p) == {"x", "z"}
-        q = T.substitute({"z": T.num_f(1), "x": T.num_f(2)}, p)
-        assert T.free_vars(q) == set()
-        assert q == T.Exists("x", T.SubsetTy(T.num_f(1), T.num_ty, T.equals(
-            T.num_f(1), T.num_f(2))), T.equals(T.Var("x"), T.num_f(1)))
+    def test_substituter_refuses_a_quantifier(self):
+        # nothing substitutes under a binder, so none is compiled
+        p = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.Var("p")))
+        with pytest.raises(TermError, match="quantifier"):
+            T.substituter(p)
+        with pytest.raises(TermError, match="quantifier"):
+            T.substituter(T.And(T.TRUE, p))
+        closed = T.exists("t", T.num_ty, T.equals(T.Var("t"), T.num_f(1)))
+        assert T.substituter(closed)({"t": T.num_f(2)}) is closed
 
 
 def _marked_samples():
