@@ -23,8 +23,7 @@ from .sexp import parse_sexp, render_sexp
 from .store import KbClass, Store
 from .syntax import parse_program
 from .taxonomy import Concept, Taxonomy, mk_concept, positional
-from .typecheck import (apply_coercion, infer_static_type,
-                        is_identity_shaped, prove_subtype)
+from .typecheck import apply_coercion, infer_static_type, prove_subtype
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "StoreCorruptionError", "StoreError", "Taxonomy", "TypeCheckError",
     "UnsupportedPropError", "apply_coercion",
     "eval_ground_prop", "find_members", "generate", "infer_static_type",
-    "is_identity_shaped", "mk_analytic", "mk_concept", "oracle_extensions",
+    "mk_analytic", "mk_concept", "oracle_extensions",
     "parse_program", "parse_sexp", "positional", "promote_untyped",
     "prove_subtype", "render_sexp", "run_analytic", "run_experiment",
     "skolemize", "terms", "unify",

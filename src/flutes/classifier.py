@@ -34,8 +34,7 @@ from .clause import DisjunctPlans, Plan, Step, check_test, evaluator
 from .errors import EvalError, UnboundAliasError
 from .rules import coerce_term, member_name
 from .sexp import render_sexp, template
-from .typecheck import (apply_coercion, infer_static_type, is_identity_shaped,
-                        prove_subtype)
+from .typecheck import apply_coercion, coercer, infer_static_type, prove_subtype
 
 if TYPE_CHECKING:   # the store imports this module to apply watermark records
     from .store import KbClass, Store
@@ -144,12 +143,13 @@ class Binding:
     is proved once, and remembered only once every alias in its term has a
     type (which it keeps until an edit): a term that has no type because an
     alias it names has none yet raises UnboundAliasError.  Its coercion is
-    skipped when the proof is identity shaped, or when the values all are
-    aliases and the coercion left the shape's first term unchanged: a
-    coercion stops at aliases.  A binding that selects a field is compiled
-    into an evaluator of the substitution (`clause.evaluator`), evaluated
-    before it is typed, and keyed by the evaluated term's type, since a
-    selection can reach a typeable part of a value that has no type.
+    skipped when the proof's compiled coercion is the identity, or when the
+    values all are aliases and the coercion left the shape's first term
+    unchanged: a coercion stops at aliases.  A binding that selects a field
+    is compiled into an evaluator of the substitution (`clause.evaluator`),
+    evaluated before it is typed, and keyed by the evaluated term's type,
+    since a selection can reach a typeable part of a value that has no
+    type.
 
     Next to the memo, the binding is compiled into a builder of the
     substituted term, a template of its storage form and its own alias
@@ -221,7 +221,7 @@ class Binding:
         proof = prove_subtype(ty, self.ty, store.tax)
         if proof is None:
             return None
-        return proof, (is_identity_shaped(proof)
+        return proof, (coercer(proof).identity
                        or aliases and apply_coercion(proof, mt) is mt)
 
 
@@ -340,11 +340,12 @@ def judge(store: Store, cls: KbClass, watermark: int, prune: bool = True,
 
 def _run_static(store: Store, cls: KbClass, watermark: int, st: ClassStats):
     size = len(cls.members)
+    held, type_of, tax, ty = cls.by_name, store.type_of, store.tax, cls.ty
     for name, term in store.typed_list[cls.watermark:watermark]:
-        if name in cls.by_name:   # judged before an edit rewound the class,
-            continue              # or a version-1 member record
-        ty = store.type_of(name)
-        proof = None if ty is None else prove_subtype(ty, cls.ty, store.tax)
+        if name in held:   # judged before an edit rewound the class, or a
+            continue       # version-1 member record
+        sub = type_of(name)
+        proof = None if sub is None else prove_subtype(sub, ty, tax)
         coerced = None if proof is None else coerce_term(store, proof, term)
         if coerced is not None:
             store._put_member(cls.name, name, coerced)

@@ -140,10 +140,12 @@ def run_analytic(store: Store, analytic: Analytic) -> RuleReport:
         except RuleFailure as exc:
             report.failures.append((mname, str(exc)))
             continue
-        if store.add_member(analytic.output_class,
-                            member_name(analytic.output_class,
-                                        render_sexp(coerced)),
-                            coerced):
+        # a coercion's output is in label order; its storage form names the
+        # member and is its record's, so it is rendered once
+        text = render_sexp(coerced)
+        if store._add_member(analytic.output_class,
+                             member_name(analytic.output_class, text),
+                             coerced, text):
             report.inserted += 1
     store.commit()
     return report

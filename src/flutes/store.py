@@ -390,11 +390,24 @@ class Store:
 
     def add_member(self, class_name: str, member_name: str, t: T.Term) -> bool:
         """Insert and log a coerced member; returns False when the class
-        holds its name.  Its record is rendered first, so a term that cannot
-        be rendered changes nothing."""
+        holds its name.  A record whose labels are out of order is refused
+        (`terms.check_labels`), and the member's record is rendered first,
+        so a term that cannot be rendered changes nothing."""
+        T.check_labels(t)
+        return self._add_member(class_name, member_name, t)
+
+    def _add_member(self, class_name: str, member_name: str, t: T.Term,
+                    text: str | None = None) -> bool:
+        """`add_member` for a term whose records are in label order, as a
+        coercion's output is; `text`, when given, is its storage form, which
+        the member record then holds as it is."""
         if member_name in self.kb_class(class_name).by_name:
             return False
-        record = self._render("member", class_name, member_name, t)
+        record = None
+        if self.path is not None:   # the record _render would make
+            text = render_sexp(t) if text is None else text
+            record = (f"(member {quote_string(class_name)} "
+                      f"{quote_string(member_name)} {text})\n")
         self._put_member(class_name, member_name, t)
         if record is not None:
             self._batch.append(record)

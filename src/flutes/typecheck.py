@@ -9,15 +9,27 @@ order, each trying subtype fields in index order (`_pairing`).  A proof
 depends only on the two types and the taxonomy, so ``prove_subtype``
 memoises its answers (failures included) in the taxonomy's proof memo,
 which every taxonomy edit clears; ``prove_subtype_uncached`` is the
-recursive search behind it.  A coercion replays a proof over a term:
-matched fields are renamed to the supertype's labels, unmatched subtype
-fields are dropped, and a record or list in which nothing changes is
-returned as the same object.
+search behind it.
+
+Proofs are hash-consed like static types, and each proof's coercion is
+compiled once, into a closure (`Coercer`), when ``prove_subtype`` or
+``prove_subtype_uncached`` first finds the proof: matched fields are
+renamed to the supertype's labels, unmatched subtype fields are dropped,
+and a record or list in which nothing changes is returned as the same
+object.  The closure reads a record's fields by their positions in the
+subtype it was compiled for, checking each label by identity, and builds
+its output in the supertype's label order, which is canonical for every
+class type; aliases and bottoms pass through, and any other term outside
+the proof's domain raises CoercionDomainError.  A coercion depends on its
+proof alone, so a taxonomy edit that changes a proof reaches the coercion
+through the new proof.  ``apply_coercion`` runs the compiled form; there
+is no proof interpreter here (the tests keep one as the reference).
 """
 
 from __future__ import annotations
 
-import operator
+from operator import is_
+from sys import maxsize
 from typing import Callable, Optional
 
 from .errors import AliasCycleError, CoercionDomainError, TypeCheckError
@@ -110,15 +122,15 @@ class Proof(T.Value):
     pass
 
 
-class Leaf(Proof):
+class Leaf(Proof, interned=True):
     admits: type | None   # the term class its coercion accepts; None: void
 
 
-class ListNode(Proof):
+class ListNode(Proof, interned=True):
     child: Proof
 
 
-class RecordNode(Proof):
+class RecordNode(Proof, interned=True):
     # per supertype field: (sup_label, matched sub_label, child proof)
     pairs: tuple[tuple[Concept, Concept, Proof], ...]
     dropped: tuple[Concept, ...]
@@ -143,7 +155,15 @@ def prove_subtype(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
 
 def prove_subtype_uncached(sub: T.Type, sup: T.Type,
                            tax: Taxonomy) -> Proof | None:
-    """``prove_subtype`` without the memo: searches for the proof anew."""
+    """``prove_subtype`` without the memo: searches for the proof anew, and
+    compiles its coercion for sub's layout when the proof is new."""
+    proof = _prove(sub, sup, tax)
+    if proof is not None and proof not in _CODE:
+        _CODE[proof] = _compile(proof, sub)
+    return proof
+
+
+def _prove(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
     for ty in (sub, sup):
         if type(ty) is T.SubsetTy or type(ty) is T.TyAlias:
             raise TypeCheckError(f"prove_subtype needs static types, got {ty!r}")
@@ -161,7 +181,7 @@ def prove_subtype_uncached(sub: T.Type, sup: T.Type,
                        for c in sub.concepts)
         return Leaf(T.Atom) if included else None
     if cls is T.ListTy:
-        child = prove_subtype_uncached(sub.elem, sup.elem, tax)
+        child = _prove(sub.elem, sup.elem, tax)
         return ListNode(child) if child is not None else None
     if cls is T.RecordTy:
         picks = _pairing(sub.fields, sup.fields, tax)
@@ -199,7 +219,7 @@ def _pairing(sub_fields: tuple, sup_fields: tuple,
             child = children.get((j, i), _MISS)
             if child is _MISS:
                 child = children[j, i] = (
-                    prove_subtype_uncached(sub_fty, sup_fty, tax)
+                    _prove(sub_fty, sup_fty, tax)
                     if tax.label_match(sub_label, sup_label) else None)
             if child is not None:
                 taken.add(i)
@@ -213,61 +233,147 @@ def _pairing(sub_fields: tuple, sup_fields: tuple,
     return picks if extend(0) else None
 
 
-def is_identity_shaped(proof: Proof) -> bool:
-    """True when the proof's coercion maps every conforming term to itself.
-
-    Leaves rewrite nothing, so they count.
-    """
-    if type(proof) is RecordNode:
-        return (not proof.dropped
-                and all(sup is sub and is_identity_shaped(child)
-                        for sup, sub, child in proof.pairs))
-    if type(proof) is ListNode:
-        return is_identity_shaped(proof.child)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # coercions
 
 
+class Coercer:
+    """A proof's coercion, compiled: ``run(t)`` is t coerced to the
+    supertype, and ``identity`` says that run returns every term of its
+    domain itself, since the proof renames and drops no field anywhere."""
+
+    __slots__ = ("run", "identity")
+
+    def __init__(self, run: Callable[[T.Term], T.Term], identity: bool):
+        self.run = run
+        self.identity = identity
+
+
+# every proof found so far -> its coercion.  A proof is interned, so a
+# lookup hashes it by identity, and a coercion depends on its proof alone,
+# so an entry never goes stale; the table grows by one entry per distinct
+# proof, as the intern tables do
+_CODE: dict[Proof, Coercer] = {}
+
+_STOPS = frozenset((T.TermAlias, T.Bottom))   # conform to any type
+
+
 def apply_coercion(proof: Proof, t: T.Term) -> T.Term:
-    """The term t, coerced along a subtyping proof to the supertype."""
-    return _coerce(proof, t)
+    """The term t, coerced along a subtyping proof to the supertype; the
+    proof is one that ``prove_subtype`` or ``prove_subtype_uncached``
+    returned."""
+    return _CODE[proof].run(t)
 
 
-def _coerce(proof: Proof, t: T.Term) -> T.Term:
-    # aliases stay by-name (the referent is coerced where it lives) and an
-    # unknown essential value conforms to anything; dispatch is on exact
-    # classes, as no node class has subclasses
-    cls, kind = type(t), type(proof)
-    if cls is T.TermAlias or cls is T.Bottom:
-        return t
-    if kind is RecordNode:
-        if cls is not T.Record:
-            raise CoercionDomainError(f"record coercion applied to {t!r}")
-        fields = t.fields
-        by_label = dict(fields)
-        out = []
-        same = len(proof.pairs) == len(fields)   # no field dropped
-        for i, (sup_label, sub_label, child) in enumerate(proof.pairs):
-            if sub_label not in by_label:
-                raise CoercionDomainError(f"missing field {sub_label!r}")
-            value = by_label[sub_label]
-            new = _coerce(child, value)
-            # unchanged: the field keeps its label, its place and its value
-            same = (same and sup_label is sub_label is fields[i][0]
-                    and new is value)
-            out.append((sup_label, new))
-        return t if same else T.Record(T.sort_fields(out))
-    if kind is ListNode:
-        if cls is not T.List:
-            raise CoercionDomainError(f"list coercion applied to {t!r}")
-        items = tuple(_coerce(proof.child, i) for i in t.items)
-        return t if all(map(operator.is_, items, t.items)) else T.List(items)
+def coercer(proof: Proof) -> Coercer:
+    """The compiled coercion of a proof that ``prove_subtype`` or
+    ``prove_subtype_uncached`` returned."""
+    return _CODE[proof]
+
+
+def _compile(proof: Proof, sub: T.Type | None) -> Coercer:
+    """The proof's coercion as a closure.  `sub` is the subtype whose
+    layout a record's fields are read by, or None when it holds a
+    repeated label; a field that is not at its position is looked up by
+    label, so any term of the domain is coerced, and one out of the
+    domain raises CoercionDomainError.  Dispatch is on exact classes, as
+    no node class has subclasses."""
+    kind = type(proof)
     if kind is Leaf:
-        if cls is proof.admits:   # None for void, which no term inhabits
-            return t
-        raise CoercionDomainError(f"{proof!r} applied to {t!r}")
-    raise CoercionDomainError(f"unknown proof node {proof!r}")
+        admits = _admits(proof)
 
+        def coerce_leaf(t):
+            if type(t) in admits:
+                return t
+            raise CoercionDomainError(f"{proof!r} applied to {t!r}")
+
+        return Coercer(coerce_leaf, True)
+    if kind is ListNode:
+        child = _compile(proof.child, None if sub is None else sub.elem)
+        run = child.run
+
+        def coerce_list(t):
+            if type(t) is not T.List:
+                return _stop(t, "list")
+            items = t.items
+            out = tuple(map(run, items))
+            return t if all(map(is_, out, items)) else T.List(out)
+
+        return Coercer(coerce_list, child.identity)
+    at = {} if sub is None else {l: i for i, (l, _) in enumerate(sub.fields)}
+    if sub is not None and len(at) < len(sub.fields):   # a repeated label
+        at, sub = {}, None
+    # a record can stay itself only when no label is renamed
+    keeps = all(sup_label is sub_label
+                for sup_label, sub_label, _ in proof.pairs)
+    identity = keeps and not proof.dropped
+    # per supertype field, in its order: the subtype field's index (past
+    # any end when unknown) and label, the supertype label, and a leaf's
+    # term classes and proof, or None and the child's coercion
+    steps = []
+    for sup_label, sub_label, child in proof.pairs:
+        i = at.get(sub_label, maxsize)
+        if type(child) is Leaf:
+            steps.append((i, sub_label, sup_label, _admits(child), child))
+        else:
+            code = _compile(child, None if sub is None else sub.fields[i][1])
+            identity = identity and code.identity
+            steps.append((i, sub_label, sup_label, None, code.run))
+    steps = tuple(steps)
+    width = len(steps)
+
+    def coerce_record(t):
+        if type(t) is not T.Record:
+            return _stop(t, "record")
+        fields = t.fields
+        if keeps and len(fields) == width:
+            # t itself when each field is at its pair's place and no value
+            # changes; otherwise the fields are read as below
+            for (label, value), (_, sub_label, _, admits, code) in zip(fields, steps):
+                if label is not sub_label:
+                    break
+                if admits is None:
+                    if code(value) is not value:
+                        break
+                elif type(value) not in admits:
+                    raise CoercionDomainError(f"{code!r} applied to {value!r}")
+            else:
+                return t
+        out = []
+        for i, sub_label, sup_label, admits, code in steps:
+            try:
+                label, value = fields[i]
+            except IndexError:
+                label = None
+            if label is not sub_label:
+                value = _lookup(fields, sub_label)
+            if admits is None:
+                value = code(value)
+            elif type(value) not in admits:
+                raise CoercionDomainError(f"{code!r} applied to {value!r}")
+            out.append((sup_label, value))
+        return T.Record(tuple(out))
+
+    return Coercer(coerce_record, identity)
+
+
+def _admits(leaf: Leaf) -> frozenset:
+    """The term classes a leaf's coercion returns unchanged."""
+    return _STOPS if leaf.admits is None else _STOPS | {leaf.admits}
+
+
+def _stop(t: T.Term, what: str) -> T.Term:
+    """An alias or a bottom, which a coercion passes over (the referent is
+    coerced where it lives); any other term is outside the domain."""
+    if type(t) in _STOPS:
+        return t
+    raise CoercionDomainError(f"{what} coercion applied to {t!r}")
+
+
+def _lookup(fields: tuple, label: Concept) -> T.Term:
+    """The value of the label's last field (a record built outside the
+    store may repeat a label)."""
+    for l, value in reversed(fields):
+        if l is label:
+            return value
+    raise CoercionDomainError(f"missing field {label!r}")

@@ -18,9 +18,9 @@ from flutes.rules import mk_analytic, run_analytic
 from flutes.sexp import parse_sexp, render_sexp
 from flutes.store import Store
 from flutes.syntax import parse_program
-from flutes.typecheck import (apply_coercion, infer_static_type,
-                              is_identity_shaped, prove_subtype)
+from flutes.typecheck import apply_coercion, infer_static_type, prove_subtype
 
+from interpreters import is_identity_shaped
 from termgen import (WORKED_CORPUS, build_worked_store, inhabit,
                      make_taxonomy, member_set, narrow, random_record_type,
                      random_term, random_type)

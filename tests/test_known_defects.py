@@ -78,10 +78,9 @@ def test_add_member_refuses_a_term_outside_the_class_type(tmp_path):
     reopened.close()
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND 72: Store.add_member stores a "
-                   "record whose labels are out of order, which reads back "
-                   "sorted")
 def test_add_member_refuses_labels_out_of_order():
+    # FOUND 72, mended: the record used to be stored as given and read back
+    # sorted
     s = Store()
     s.mk_kb_class("person", T.record_ty(s.tax, [("name", T.str_ty),
                                                 ("dob", T.str_ty)]))

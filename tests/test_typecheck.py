@@ -8,13 +8,17 @@ from flutes.errors import (AliasCycleError, CoercionDomainError,
                            MalformedRecordError, TypeCheckError)
 from flutes.taxonomy import Taxonomy, mk_concept, positional
 from flutes import terms as T
+from flutes import typecheck
+from flutes.classifier import find_members
+from flutes.store import Store
 from flutes.typecheck import (
-    Leaf, ListNode, RecordNode, apply_coercion,
-    infer_static_type, is_identity_shaped, prove_subtype,
+    Leaf, ListNode, RecordNode, apply_coercion, coercer,
+    infer_static_type, prove_subtype,
     prove_subtype_uncached, resolve_type,
 )
 
 import termgen
+from interpreters import coerce, is_identity_shaped
 
 
 @pytest.fixture
@@ -354,6 +358,123 @@ class TestSharedCoercion:
         coerced = apply_coercion(proof, t)
         assert coerced == rebuild_coercion(proof, t)
         assert (coerced is t) == (not renames_or_drops(proof, t))
+
+
+def reverse_records(x):
+    """x with the fields of every record and record type in reverse order,
+    as a host function may build them; a term's inferred type follows its
+    fields' order."""
+    if isinstance(x, (T.Record, T.RecordTy)):
+        return type(x)(tuple((l, reverse_records(v))
+                             for l, v in reversed(x.fields)))
+    if isinstance(x, T.List):
+        return T.List(tuple(reverse_records(i) for i in x.items))
+    if isinstance(x, T.ListTy):
+        return T.ListTy(reverse_records(x.elem))
+    return x
+
+
+def domain_breaks(rng, proof, t):
+    """Records made from t that the proof's coercion must refuse: t without
+    a paired field, and t with a leaf field of the wrong class."""
+    if not isinstance(proof, RecordNode) or not isinstance(t, T.Record):
+        return []
+    by_label = dict(t.fields)
+    sup_label, sub_label, child = rng.choice(proof.pairs)
+    out = [T.Record(tuple(f for f in t.fields if f[0] is not sub_label))]
+    if isinstance(child, Leaf) and isinstance(by_label[sub_label], child.admits or ()):
+        wrong = T.string("x") if child.admits is not T.Str else T.num_f(1)
+        out.append(T.Record(tuple((l, wrong if l is sub_label else v)
+                                  for l, v in t.fields)))
+    return out
+
+
+class TestCompiledCoercion:
+    """The coercion compiled from each proof against the proof interpreter
+    kept as the reference (`interpreters.coerce`)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_the_interpreter(self, seed):
+        rng = random.Random(seed)
+        tax, pool = termgen.make_taxonomy(rng)
+        sup = termgen.random_static_type(rng, tax, pool, 3)
+        sub = sup if rng.random() < 0.3 else termgen.narrow(rng, tax, pool, sup)
+        t = termgen.inhabit(rng, tax, sub)
+        if rng.random() < 0.3:    # out of label order, typed as it stands
+            sub, t = reverse_records(sub), reverse_records(t)
+        proof = prove_subtype(sub, sup, tax)
+        assume(proof is not None)
+        if rng.random() < 0.5:
+            t = stub_parts(rng, t)
+        want = coerce(proof, t)
+        got = apply_coercion(proof, t)
+        assert got == want
+        assert (got is t) == (want is t)
+        assert coercer(proof).identity == is_identity_shaped(proof)
+        for bad in domain_breaks(rng, proof, t):
+            with pytest.raises(CoercionDomainError):
+                coerce(proof, bad)
+            with pytest.raises(CoercionDomainError):
+                apply_coercion(proof, bad)
+
+    def test_void_admits_only_aliases_and_bottoms(self, tax):
+        sub = T.record_ty(tax, [("name", T.str_ty), ("x", T.void_ty)])
+        sup = T.record_ty(tax, [("x", T.void_ty)])
+        proof = prove_subtype(sub, sup, tax)
+        for hole in (T.term_name("a"), T.Bottom(mk_concept("x"))):
+            t = T.record(tax, [("name", T.string("N")), ("x", hole)])
+            assert apply_coercion(proof, t) == coerce(proof, t) == T.record(
+                tax, [("x", hole)])
+        t = T.record(tax, [("name", T.string("N")), ("x", T.string("s"))])
+        for run in (coerce, apply_coercion):
+            with pytest.raises(CoercionDomainError):
+                run(proof, t)
+
+    def test_a_find_compiles_one_coercion_per_type_pair(self, monkeypatch):
+        compiled = []
+
+        class Recording(dict):
+            def __setitem__(self, proof, code):
+                compiled.append(proof)
+                super().__setitem__(proof, code)
+
+        monkeypatch.setattr(typecheck, "_CODE", Recording(typecheck._CODE))
+        s = Store()
+        # labels no other test uses, so the proof is new to the process
+        for i in range(40):
+            s.abox_insert(f"w{i}", T.record(s.tax, [
+                ("cc_name", T.string(f"W{i}")), ("cc_extra", T.num_f(i))]))
+        s.mk_kb_class("named", T.record_ty(s.tax, [("cc_name", T.str_ty)]))
+        find_members(s)
+        assert len(s.kb_class("named").members) == 40
+        sub = s.type_of("w0")
+        assert compiled == [prove_subtype(sub, s.kb_class("named").ty, s.tax)]
+
+    def test_an_edit_that_changes_a_proof_brings_its_own_coercion(self, tax):
+        a, b, c = (mk_concept(n) for n in ("cc_a", "cc_b", "cc_c"))
+        tax.add_is_a(c, a)
+        x = T.record(tax, [("cc_b", T.string("1")), ("cc_c", T.string("2"))])
+        sub, sup = infer_static_type(x, tax), T.record_ty(tax, [("cc_a", T.str_ty)])
+        before = prove_subtype(sub, sup, tax)
+        code = coercer(before)
+        assert apply_coercion(before, x) == T.record(tax, [("cc_a", T.string("2"))])
+        tax.add_is_a(b, a)           # b now pairs with a, ahead of c
+        assert not tax.proofs
+        after = prove_subtype(sub, sup, tax)
+        assert after is not before and coercer(after) is not code
+        assert apply_coercion(after, x) == T.record(tax, [("cc_a", T.string("1"))])
+
+    def test_an_edit_that_keeps_a_proof_keeps_its_coercion(self, tax):
+        # a coercion is a function of its proof alone, so one that an edit
+        # leaves in place stays right
+        sub = T.record_ty(tax, [("cc_p", T.str_ty), ("cc_q", T.num_ty)])
+        sup = T.record_ty(tax, [("cc_p", T.str_ty)])
+        before = prove_subtype(sub, sup, tax)
+        tax.same_as(mk_concept("cc_r"), mk_concept("cc_s"))
+        assert not tax.proofs
+        after = prove_subtype(sub, sup, tax)
+        assert after is before and coercer(after) is coercer(before)
 
 
 class TestResolveAndCheck:
