@@ -20,9 +20,10 @@ the concept order and refuse labels the taxonomy makes equivalent, a
 repeated label included; they do that work once per shape (the labels in
 the order given), which the taxonomy memoises until its next edit.  A value
 built from the node classes directly skips those checks; the store refuses
-one whose record fields are not in that order (`check_labels`), which the
-storage reader sorts, so such a value would read back as another.  `Num`,
-`Str`, `TermAlias` and `EnumTy` check their own fields.
+one whose record fields are not in that order or whose labels are not
+concepts (`check_labels`): the storage reader sorts fields, so such a value
+would read back as another, or not at all.  `Num`, `Str`, `TermAlias` and
+`EnumTy` check their own fields.
 
 `_SHAPES` is the one place node shapes live: for every node class that
 holds terms, types or propositions it names the parts and rebuilds the node
@@ -589,18 +590,20 @@ _ORDERED: set[tuple[Concept, ...]] = set()   # label tuples check_labels took
 
 
 def check_labels(node: Node) -> None:
-    """Refuse a term or type that holds a record whose labels are not in
-    strictly ascending concept order, a repeated label included: the order
-    `record`, `record_ty` and the storage reader build.  The store calls
-    this for values built from the node classes directly, which its log
-    would otherwise read back sorted, or not at all.  Each label tuple is
-    checked once."""
+    """Refuse a term or type that holds a label or concept that is not a
+    `Concept`, or a record whose labels are not in strictly ascending
+    concept order, a repeated label included: the order `record`,
+    `record_ty` and the storage reader build.  The store calls this for
+    values built from the node classes directly, which its log would
+    otherwise read back sorted, or not at all, and which nothing else could
+    match or render.  Each record label tuple is checked once."""
     for x in nodes(node):
         cls = type(x)
-        if (cls is Record or cls is RecordTy) and len(x.fields) > 1:
+        if cls is Record or cls is RecordTy:
             labels = tuple([l for l, _ in x.fields])
             if labels in _ORDERED:
                 continue
+            _check_concepts(labels)
             if len(set(labels)) < len(labels):
                 repeated = next(l for i, l in enumerate(labels)
                                 if l in labels[:i])
@@ -610,6 +613,18 @@ def check_labels(node: Node) -> None:
                 raise MalformedRecordError(
                     f"record labels {list(labels)} are out of order")
             _ORDERED.add(labels)
+        elif cls is Atom or cls is Bottom:
+            _check_concepts((x.concept,))
+        elif cls is FieldSelection:
+            _check_concepts((x.label,))
+        elif cls is EnumTy:
+            _check_concepts(x.concepts)
+
+
+def _check_concepts(labels: Iterable) -> None:
+    for label in labels:
+        if type(label) is not Concept:
+            raise TermError(f"label {label!r} is not a concept")
 
 
 Subst = Mapping[str, Term]

@@ -4,33 +4,33 @@ Inference produces only static types (never subset types), which are
 interned, so equal types are one object.  Subtype proofs are complete and
 deterministic: a record proof pairs every supertype field with its own
 subtype field that label-matches and proves recursively whenever such a
-pairing exists, and takes the first one with supertype fields in label
-order, each trying subtype fields in index order (`_pairing`).  A proof
-depends only on the two types and the taxonomy, so ``prove_subtype``
-memoises its answers (failures included) in the taxonomy's proof memo,
-which every taxonomy edit clears; ``prove_subtype_uncached`` is the
-search behind it.
+pairing exists, and takes the first one with the fields of both types in
+label order (`_pairing`).  A proof depends only on the subtype's field set
+(one whose labels are not distinct concepts proves nothing), the supertype
+and the taxonomy, so ``prove_subtype`` memoises its answers (failures
+included) in the taxonomy's proof memo, which every taxonomy edit clears;
+``prove_subtype_uncached`` is the search behind it.
 
 Proofs are hash-consed like static types, and each proof's coercion is
 compiled once, into a closure (`Coercer`), when ``prove_subtype`` or
 ``prove_subtype_uncached`` first finds the proof: matched fields are
 renamed to the supertype's labels, unmatched subtype fields are dropped,
 and a record or list in which nothing changes is returned as the same
-object.  The closure reads a record's fields by their positions in the
-subtype it was compiled for, checking each label by identity, and builds
-its output in the supertype's label order, which is canonical for every
-class type; aliases and bottoms pass through, and any other term outside
-the proof's domain raises CoercionDomainError.  A coercion depends on its
-proof alone, so a taxonomy edit that changes a proof reaches the coercion
-through the new proof.  ``apply_coercion`` runs the compiled form; there
-is no proof interpreter here (the tests keep one as the reference).
+object.  The closure reads a record's field at the position its label
+has among the proof's subtype labels in label order, as every stored
+record holds it, checking the label by identity, and looks up one found
+elsewhere by label; it builds its output in the supertype's label order.
+Aliases and bottoms pass through, and any other term outside the proof's
+domain raises CoercionDomainError.  A coercion depends on its proof alone,
+so a taxonomy edit that changes a proof reaches the coercion through the
+new proof.  ``apply_coercion`` runs the compiled form; there is no proof
+interpreter here (the tests keep one as the reference).
 """
 
 from __future__ import annotations
 
 from operator import is_
-from sys import maxsize
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import AliasCycleError, CoercionDomainError, TypeCheckError
 from .taxonomy import Concept, Taxonomy
@@ -86,7 +86,7 @@ def infer_static_type(t: T.Term, tax: Taxonomy,
         return resolve(t.name) if resolve is not None else None
     if cls is T.FieldSelection:
         base = infer_static_type(t.base, tax, resolve)
-        if base is None:
+        if base is None or type(t.label) is not Concept:
             return None
         # the type of what selecting the label from a term of that type gives
         return T.select_field(base, t.label, tax)
@@ -133,7 +133,7 @@ class ListNode(Proof, interned=True):
 class RecordNode(Proof, interned=True):
     # per supertype field: (sup_label, matched sub_label, child proof)
     pairs: tuple[tuple[Concept, Concept, Proof], ...]
-    dropped: tuple[Concept, ...]
+    dropped: tuple[Concept, ...]   # in label order
 
 
 _MISS = object()
@@ -156,10 +156,10 @@ def prove_subtype(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
 def prove_subtype_uncached(sub: T.Type, sup: T.Type,
                            tax: Taxonomy) -> Proof | None:
     """``prove_subtype`` without the memo: searches for the proof anew, and
-    compiles its coercion for sub's layout when the proof is new."""
+    compiles its coercion when the proof is new."""
     proof = _prove(sub, sup, tax)
     if proof is not None and proof not in _CODE:
-        _CODE[proof] = _compile(proof, sub)
+        _CODE[proof] = _compile(proof)
     return proof
 
 
@@ -184,14 +184,17 @@ def _prove(sub: T.Type, sup: T.Type, tax: Taxonomy) -> Proof | None:
         child = _prove(sub.elem, sup.elem, tax)
         return ListNode(child) if child is not None else None
     if cls is T.RecordTy:
-        picks = _pairing(sub.fields, sup.fields, tax)
+        fields = sub.fields
+        if len({l for l, _ in fields if type(l) is Concept}) < len(fields):
+            return None        # labels that are not distinct concepts
+        fields = T.sort_fields(fields)   # sup's, a class type's, already are
+        picks = _pairing(fields, sup.fields, tax)
         if picks is None:
             return None
-        pairs = tuple((sup_label, sub.fields[i][0], child)
+        pairs = tuple((sup_label, fields[i][0], child)
                       for (sup_label, _), (i, child) in zip(sup.fields, picks))
         taken = {i for i, _ in picks}
-        dropped = tuple(l for i, (l, _) in enumerate(sub.fields)
-                        if i not in taken)
+        dropped = tuple(l for i, (l, _) in enumerate(fields) if i not in taken)
         return RecordNode(pairs, dropped)
     return None
 
@@ -200,11 +203,11 @@ def _pairing(sub_fields: tuple, sup_fields: tuple,
              tax: Taxonomy) -> list[tuple[int, Proof]] | None:
     """The canonical pairing of record fields: per supertype field, the
     index of the subtype field it takes and the child proof; None when no
-    injective pairing proves every supertype field.  Supertype fields go in
-    label order, each trying the subtype fields it may take in index
-    order, and a field that finds none sends the search back to the field
-    before it; so the answer is the first complete pairing in that order,
-    which is first-fit's own whenever first-fit succeeds."""
+    injective pairing proves every supertype field.  Both types' fields
+    come in label order, each supertype field trying the subtype fields it
+    may take in turn, and a field that finds none sends the search back to
+    the field before it; so the answer is the first complete pairing in
+    that order, which is first-fit's own whenever first-fit succeeds."""
     children: dict[tuple[int, int], Proof | None] = {}  # (sup index, sub index)
     picks: list[tuple[int, Proof]] = []
     taken: set[int] = set()
@@ -237,16 +240,12 @@ def _pairing(sub_fields: tuple, sup_fields: tuple,
 # coercions
 
 
-class Coercer:
+class Coercer(NamedTuple):
     """A proof's coercion, compiled: ``run(t)`` is t coerced to the
     supertype, and ``identity`` says that run returns every term of its
     domain itself, since the proof renames and drops no field anywhere."""
-
-    __slots__ = ("run", "identity")
-
-    def __init__(self, run: Callable[[T.Term], T.Term], identity: bool):
-        self.run = run
-        self.identity = identity
+    run: Callable[[T.Term], T.Term]
+    identity: bool
 
 
 # every proof found so far -> its coercion.  A proof is interned, so a
@@ -271,13 +270,12 @@ def coercer(proof: Proof) -> Coercer:
     return _CODE[proof]
 
 
-def _compile(proof: Proof, sub: T.Type | None) -> Coercer:
-    """The proof's coercion as a closure.  `sub` is the subtype whose
-    layout a record's fields are read by, or None when it holds a
-    repeated label; a field that is not at its position is looked up by
-    label, so any term of the domain is coerced, and one out of the
-    domain raises CoercionDomainError.  Dispatch is on exact classes, as
-    no node class has subclasses."""
+def _compile(proof: Proof) -> Coercer:
+    """The proof's coercion as a closure.  A record's field is read at the
+    position of its label among the proof's subtype labels in label order,
+    or else looked up by label, so any term of the domain is coerced, and
+    one out of the domain raises CoercionDomainError.  Dispatch is on
+    exact classes, as no node class has subclasses."""
     kind = type(proof)
     if kind is Leaf:
         admits = _admits(proof)
@@ -289,7 +287,7 @@ def _compile(proof: Proof, sub: T.Type | None) -> Coercer:
 
         return Coercer(coerce_leaf, True)
     if kind is ListNode:
-        child = _compile(proof.child, None if sub is None else sub.elem)
+        child = _compile(proof.child)
         run = child.run
 
         def coerce_list(t):
@@ -300,23 +298,24 @@ def _compile(proof: Proof, sub: T.Type | None) -> Coercer:
             return t if all(map(is_, out, items)) else T.List(out)
 
         return Coercer(coerce_list, child.identity)
-    at = {} if sub is None else {l: i for i, (l, _) in enumerate(sub.fields)}
-    if sub is not None and len(at) < len(sub.fields):   # a repeated label
-        at, sub = {}, None
+    # the subtype's labels in label order: the layout of a stored record
+    labels = sorted([l for _, l, _ in proof.pairs] + list(proof.dropped),
+                    key=Concept.sort_key)
+    at = {l: i for i, l in enumerate(labels)}
     # a record can stay itself only when no label is renamed
     keeps = all(sup_label is sub_label
                 for sup_label, sub_label, _ in proof.pairs)
     identity = keeps and not proof.dropped
-    # per supertype field, in its order: the subtype field's index (past
-    # any end when unknown) and label, the supertype label, and a leaf's
-    # term classes and proof, or None and the child's coercion
+    # per supertype field, in its order: the subtype field's index and
+    # label, the supertype label, and a leaf's term classes and proof, or
+    # None and the child's coercion
     steps = []
     for sup_label, sub_label, child in proof.pairs:
-        i = at.get(sub_label, maxsize)
+        i = at[sub_label]
         if type(child) is Leaf:
             steps.append((i, sub_label, sup_label, _admits(child), child))
         else:
-            code = _compile(child, None if sub is None else sub.fields[i][1])
+            code = _compile(child)
             identity = identity and code.identity
             steps.append((i, sub_label, sup_label, None, code.run))
     steps = tuple(steps)
@@ -341,10 +340,7 @@ def _compile(proof: Proof, sub: T.Type | None) -> Coercer:
                 return t
         out = []
         for i, sub_label, sup_label, admits, code in steps:
-            try:
-                label, value = fields[i]
-            except IndexError:
-                label = None
+            label, value = fields[i] if i < len(fields) else (None, None)
             if label is not sub_label:
                 value = _lookup(fields, sub_label)
             if admits is None:

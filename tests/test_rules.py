@@ -253,6 +253,50 @@ class TestAnalytics:
         assert report.failures == []
         assert member_set(s.kb_class("out")) == {want}
 
+    def test_a_result_in_another_field_order_is_coerced_as_stored(self):
+        # is_a b a, is_a c a: the stored x coerces to {a: "1"}, and so must
+        # an analytic result holding x's fields in reverse order
+        s = Store()
+        s.add_is_a("b", "a")
+        s.add_is_a("c", "a")
+        s.abox_insert("x", T.record(s.tax, [("b", T.string("1")),
+                                            ("c", T.string("2"))]))
+        s.mk_kb_class("src", T.record_ty(s.tax, [("b", T.str_ty), ("c", T.str_ty)]))
+        s.mk_kb_class("out", T.record_ty(s.tax, [("a", T.str_ty)]))
+        # a subset class that admits nothing itself: only the analytic fills it
+        s.mk_kb_class("rev", T.subset_ty(T.var("v"), T.record_ty(
+            s.tax, [("a", T.str_ty)]), T.FALSE))
+        find_members(s)
+        want = T.record(s.tax, [("a", T.string("1"))])
+        assert member_set(s.kb_class("out")) == {want}
+        report = run_analytic(s, mk_analytic(
+            s, "reverse", "src", "rev", lambda m: T.Record(m.fields[::-1])))
+        assert (report.inserted, report.failures) == (1, [])
+        assert member_set(s.kb_class("rev")) == {want}
+
+    @pytest.mark.parametrize("bad", [
+        lambda m: T.Record(((mk_concept("name"), T.string("x")),
+                            (mk_concept("name"), T.string("y")))),
+        lambda m: T.Record((("name", T.string("x")),)),
+        lambda m: T.FieldSelection(m, "name"),
+    ], ids=["repeated-label", "str-label", "str-selection"])
+    def test_a_malformed_result_fails_its_member_only(self, store, bad):
+        person_members(store)
+        store.mk_kb_class("names", T.record_ty(store.tax, [("name", T.str_ty)]))
+        calls = []
+
+        def first_bad(m):
+            calls.append(m)
+            return bad(m) if len(calls) == 1 else T.record(
+                store.tax, [("name", T.string("ok"))])
+
+        report = run_analytic(store, mk_analytic(store, "b", "person",
+                                                 "names", first_bad))
+        assert (report.processed, report.inserted) == (2, 1)
+        assert [m for m, _ in report.failures] == ["joe"]
+        assert member_set(store.kb_class("names")) == {
+            T.record(store.tax, [("name", T.string("ok"))])}
+
     def test_raising_fn_reported_not_fatal(self, store):
         person_members(store)
 

@@ -474,6 +474,39 @@ class TestPersistence:
             assert s.dump_state() == live
             assert list(s.untyped) == ["ok"] and s.classes == {}
 
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+    @pytest.mark.parametrize("kind", ["record", "wide", "atom", "bottom",
+                                      "selection", "enum", "member"])
+    def test_label_that_is_not_a_concept_refused_at_the_door(self, tmp_path,
+                                                             on_disk, kind):
+        # nothing could match or render such a value: in memory it would
+        # wedge every later find and dump, and on disk the log
+        path = str(tmp_path / "kb") if on_disk else None
+        dob = mk_concept("dob")
+        bad = {"record": T.Record((("a", T.string("x")),)),
+               "wide": T.List((T.Record(((dob, T.string("1")),
+                                         ("name", T.string("X")))),)),
+               "atom": T.Atom("x"), "bottom": T.Bottom("x"),
+               "selection": T.FieldSelection(T.term_name("ok"), "b")}
+        s = Store(path)
+        s.abox_insert("ok", T.record(s.tax, [("b", T.string("1"))]))
+        s.mk_kb_class("c", T.record_ty(s.tax, [("b", T.str_ty)]))
+        with pytest.raises(TermError, match="is not a concept"):
+            if kind == "enum":
+                s.mk_kb_class("e", T.EnumTy(("x",)))
+            elif kind == "member":
+                s.add_member("c", "m", T.Record((("b", T.string("1")),)))
+            else:
+                s.abox_insert("bad", bad[kind])
+        find_members(s)
+        live = s.dump_state()
+        assert list(s.untyped) == [] and list(s.classes) == ["c"]
+        assert [m for m, _ in s.kb_class("c").members] == ["ok"]
+        s.close()
+        if on_disk:
+            with Store(path) as s:
+                assert s.dump_state() == live
+
     def test_log_holding_a_repeated_label_does_not_open(self, tmp_path):
         # an older version logged such a class; replay names the record
         path = str(tmp_path / "kb")

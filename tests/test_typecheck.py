@@ -234,6 +234,8 @@ def test_pairing_is_the_first_complete_injective_pairing(edges, records):
                                                      len(sup_ty.fields))
                   if all(fits(i, j) for j, i in enumerate(p))), None)
     proof = prove_subtype_uncached(sub_ty, sup_ty, tax)
+    # a proof depends on the subtype's field set, not on its field order
+    assert prove_subtype_uncached(reverse_records(sub_ty), sup_ty, tax) is proof
     if first is None:
         assert proof is None
         return
@@ -411,6 +413,8 @@ class TestCompiledCoercion:
         got = apply_coercion(proof, t)
         assert got == want
         assert (got is t) == (want is t)
+        # the subject in the other field order coerces to the same value
+        assert apply_coercion(proof, reverse_records(t)) == got
         assert coercer(proof).identity == is_identity_shaped(proof)
         for bad in domain_breaks(rng, proof, t):
             with pytest.raises(CoercionDomainError):
@@ -475,6 +479,56 @@ class TestCompiledCoercion:
         assert not tax.proofs
         after = prove_subtype(sub, sup, tax)
         assert after is before and coercer(after) is coercer(before)
+
+
+class TestLayoutFreeProofs:
+    """A record type is read as its set of fields: field order changes
+    neither a proof nor its compiled coercion."""
+
+    def test_a_host_built_layout_first_leaves_stored_records_at_their_places(
+            self, tax, monkeypatch):
+        # labels no other test uses, so the proof is new to the process; the
+        # dropped label sorts first, so the paired field's place in label
+        # order differs from its place in the host's order
+        lay_a, lay_z = mk_concept("lay_a"), mk_concept("lay_z")
+        host = T.RecordTy(((lay_z, T.str_ty), (lay_a, T.str_ty)))
+        sup = T.record_ty(tax, [("lay_z", T.str_ty)])
+        proof = prove_subtype(host, sup, tax)
+        stored = T.record_ty(tax, [("lay_a", T.str_ty), ("lay_z", T.str_ty)])
+        assert prove_subtype(stored, sup, tax) is proof
+        lookups = []
+
+        def counting(fields, label):
+            lookups.append(label)
+            return lookup(fields, label)
+
+        lookup = typecheck._lookup
+        monkeypatch.setattr(typecheck, "_lookup", counting)
+        for i in range(100):
+            t = T.record(tax, [("lay_a", T.string("a")),
+                               ("lay_z", T.string(f"z{i}"))])
+            assert apply_coercion(proof, t) == T.record(
+                tax, [("lay_z", T.string(f"z{i}"))])
+        assert lookups == []
+        # a record out of order, or missing the field, is read by label
+        t = T.Record(((lay_z, T.string("z")), (lay_a, T.string("a"))))
+        assert apply_coercion(proof, t) == T.record(tax, [("lay_z", T.string("z"))])
+        with pytest.raises(CoercionDomainError, match="missing field"):
+            apply_coercion(proof, T.Record(((lay_a, T.string("a")),)))
+        assert lookups == [lay_z, lay_z]
+
+    @pytest.mark.parametrize("labels", [
+        ("a", "a"), ("a", mk_concept("a")), (mk_concept("a"), mk_concept("a"))],
+        ids=["str-str", "str-concept", "repeated"])
+    def test_labels_that_are_not_distinct_concepts_prove_nothing(self, tax, labels):
+        odd = T.RecordTy(tuple((l, T.str_ty) for l in labels))
+        sup = T.record_ty(tax, [("a", T.str_ty)])
+        assert prove_subtype_uncached(odd, sup, tax) is None
+        assert prove_subtype_uncached(T.ListTy(odd), T.ListTy(sup), tax) is None
+
+    def test_a_selection_by_a_label_that_is_not_a_concept_has_no_type(self, tax):
+        sel = T.FieldSelection(joe(tax), "name")
+        assert infer_static_type(sel, tax) is None
 
 
 class TestResolveAndCheck:
