@@ -198,12 +198,13 @@ def read_node(text: str):
 def parse_sexp(text: str, want=None):
     """Parse one term, type, or proposition from its storage form; a value
     not of category `want` (T.Term, T.Type or T.Prop) is refused."""
-    return _build(read_node(text), want)
+    return build_value(read_node(text), want)
 
 
 def build_value(node, want=None):
     """Construct a term/type/prop from a node produced by read_node; a
-    value not of category `want` is refused."""
+    value not of category `want` is refused.  Readers enter here once per
+    value, `parse_sexp` too; recursion goes through `_build`."""
     return _build(node, want)
 
 

@@ -644,15 +644,16 @@ def _promotion(x) -> int | str:
     return _count(x) if isinstance(x, float) else str(x)
 
 
-# head -> (the method that applies it, live and on replay; its field readers)
+# head -> (the method that applies it, live and on replay; its field
+# readers, which look build_value up as they run, so a wrapper sees replay)
 _RECORDS = {
     "flutes-log": (Store._put_version, (_count,)),
     "same-as": (partial(Store._put_edit, edit=Taxonomy.same_as), (_concept,) * 2),
     "is-a": (partial(Store._put_edit, edit=Taxonomy.add_is_a), (_concept,) * 2),
-    "class": (Store._put_class, (str, partial(build_value, want=T.Type))),
-    "term": (Store._put_term, (str, partial(build_value, want=T.Term))),
+    "class": (Store._put_class, (str, lambda n: build_value(n, T.Type))),
+    "term": (Store._put_term, (str, lambda n: build_value(n, T.Term))),
     "promote": (Store._put_promotion, (_promotion,)),
-    "member": (Store._put_member, (str, str, partial(build_value, want=T.Term))),
+    "member": (Store._put_member, (str, str, lambda n: build_value(n, T.Term))),
     "watermark": (Store._put_watermark,
                   (str, _count,
                    lambda marks: {str(d): _count(m) for d, m in marks})),

@@ -99,6 +99,9 @@ def compare(a: Concept, b: Concept) -> int:
 class Taxonomy:
     """Mutable relation store.
 
+    Each synonym class's is-a edges are filed under its union-find root,
+    so the keys of the edge table are the roots of the classes with edges.
+
     Mutations (``same_as``, ``add_is_a``) are expected to be serialized by
     the caller; the query methods only read the relations.  The mutators are
     the taxonomy epoch: each that changes a relation clears the
@@ -109,12 +112,9 @@ class Taxonomy:
 
     def __init__(self):
         self._parent: dict[Concept, Concept] = {}
-        self._members: dict[Concept, set[Concept]] = {}
+        # synonym-class root -> the parents of the class's is-a edges
         self._isa: dict[Concept, set[Concept]] = {}
         self._match: dict[tuple[Concept, Concept], bool] = {}
-        # roots of the synonym classes with an outgoing is-a edge, built
-        # on first use after an edit
-        self._upward: set[Concept] | None = None
         # (sub, sup) -> Proof or None, filled by typecheck.prove_subtype
         self.proofs: dict[tuple[object, object], object] = {}
         # a record's labels in source order -> its sorted (concept, source
@@ -145,8 +145,8 @@ class Taxonomy:
         if compare(rb, ra) < 0:
             ra, rb = rb, ra
         self._parent[rb] = ra
-        group = self._members.setdefault(ra, {ra})
-        group.update(self._members.pop(rb, {rb}))
+        if rb in self._isa:   # the merged class's edges go to the new root
+            self._isa.setdefault(ra, set()).update(self._isa.pop(rb))
         self._forget()
         return True
 
@@ -159,7 +159,7 @@ class Taxonomy:
             raise LatticeCycleError(f"is-a edge {child!r} -> {parent!r} closes a cycle")
         if self.label_leq(child, parent):
             return False
-        self._isa.setdefault(child, set()).add(parent)
+        self._isa.setdefault(self.find(child), set()).add(parent)
         self._forget()
         return True
 
@@ -168,7 +168,6 @@ class Taxonomy:
         self._match.clear()
         self.proofs.clear()
         self.shapes.clear()
-        self._upward = None
 
     def label_leq(self, sub: Concept, sup: Concept) -> bool:
         """Reflexive-transitive is-a reachability, stepping through synonyms."""
@@ -179,12 +178,11 @@ class Taxonomy:
             rep = queue.pop()
             if rep is target:
                 return True
-            for c in self._members.get(rep, {rep}):
-                for parent in self._isa.get(c, ()):
-                    prep = self.find(parent)
-                    if prep not in seen:
-                        seen.add(prep)
-                        queue.append(prep)
+            for parent in self._isa.get(rep, ()):
+                prep = self.find(parent)
+                if prep not in seen:
+                    seen.add(prep)
+                    queue.append(prep)
         return False
 
     def label_match(self, sub_label: Concept, sup_label: Concept) -> bool:
@@ -221,8 +219,6 @@ class Taxonomy:
         roots: dict[Concept, Concept] = {}      # root -> first named label
         positions: dict[Concept, Concept] = {}  # positional label -> itself
         upward: list[Concept] = []              # labels whose class has is-a edges
-        if self._upward is None:
-            self._upward = {self.find(c) for c in self._isa}
         for label in labels:
             if label.is_positional:
                 table, key = positions, label
@@ -232,7 +228,7 @@ class Taxonomy:
             if first is not None:
                 return first, label
             table[key] = label
-            if key in self._upward:
+            if key in self._isa:
                 upward.append(label)
         for i, a in enumerate(upward):
             for b in upward[i + 1:]:

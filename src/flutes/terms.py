@@ -601,8 +601,11 @@ def check_labels(node: Node) -> None:
         cls = type(x)
         if cls is Record or cls is RecordTy:
             labels = tuple([l for l, _ in x.fields])
-            if labels in _ORDERED:
-                continue
+            try:
+                if labels in _ORDERED:
+                    continue
+            except TypeError:   # an unhashable label, refused just below
+                pass
             _check_concepts(labels)
             if len(set(labels)) < len(labels):
                 repeated = next(l for i, l in enumerate(labels)

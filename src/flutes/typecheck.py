@@ -16,10 +16,11 @@ compiled once, into a closure (`Coercer`), when ``prove_subtype`` or
 ``prove_subtype_uncached`` first finds the proof: matched fields are
 renamed to the supertype's labels, unmatched subtype fields are dropped,
 and a record or list in which nothing changes is returned as the same
-object.  The closure reads a record's field at the position its label
-has among the proof's subtype labels in label order, as every stored
-record holds it, checking the label by identity, and looks up one found
-elsewhere by label; it builds its output in the supertype's label order.
+object.  A record's closure is one loop over the supertype's fields: it
+reads each at the position its label has among the proof's subtype
+labels in label order, as every stored record holds it (checking the
+label by identity, else looking it up by label), runs a nested field's
+coercion once, and builds its output in the supertype's label order.
 Aliases and bottoms pass through, and any other term outside the proof's
 domain raises CoercionDomainError.  A coercion depends on its proof alone,
 so a taxonomy edit that changes a proof reaches the coercion through the
@@ -302,10 +303,8 @@ def _compile(proof: Proof) -> Coercer:
     labels = sorted([l for _, l, _ in proof.pairs] + list(proof.dropped),
                     key=Concept.sort_key)
     at = {l: i for i, l in enumerate(labels)}
-    # a record can stay itself only when no label is renamed
-    keeps = all(sup_label is sub_label
-                for sup_label, sub_label, _ in proof.pairs)
-    identity = keeps and not proof.dropped
+    identity = not proof.dropped and all(
+        sup_label is sub_label for sup_label, sub_label, _ in proof.pairs)
     # per supertype field, in its order: the subtype field's index and
     # label, the supertype label, and a leaf's term classes and proof, or
     # None and the child's coercion
@@ -320,35 +319,30 @@ def _compile(proof: Proof) -> Coercer:
             steps.append((i, sub_label, sup_label, None, code.run))
     steps = tuple(steps)
     width = len(steps)
+    # a record can come back as itself only when no label is renamed and
+    # each field is read at its own place in the output
+    whole = all(i == j and sup_label is sub_label
+                for j, (i, sub_label, sup_label, _, _) in enumerate(steps))
 
     def coerce_record(t):
         if type(t) is not T.Record:
             return _stop(t, "record")
         fields = t.fields
-        if keeps and len(fields) == width:
-            # t itself when each field is at its pair's place and no value
-            # changes; otherwise the fields are read as below
-            for (label, value), (_, sub_label, _, admits, code) in zip(fields, steps):
-                if label is not sub_label:
-                    break
-                if admits is None:
-                    if code(value) is not value:
-                        break
-                elif type(value) not in admits:
-                    raise CoercionDomainError(f"{code!r} applied to {value!r}")
-            else:
-                return t
+        n = len(fields)
+        same = whole and n == width
         out = []
         for i, sub_label, sup_label, admits, code in steps:
-            label, value = fields[i] if i < len(fields) else (None, None)
+            label, value = fields[i] if i < n else (None, None)
             if label is not sub_label:
-                value = _lookup(fields, sub_label)
+                value, same = _lookup(fields, sub_label), False
             if admits is None:
-                value = code(value)
+                new = code(value)
+                if new is not value:
+                    value, same = new, False
             elif type(value) not in admits:
                 raise CoercionDomainError(f"{code!r} applied to {value!r}")
             out.append((sup_label, value))
-        return T.Record(tuple(out))
+        return t if same else T.Record(tuple(out))
 
     return Coercer(coerce_record, identity)
 

@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+from flutes import store as store_module
 from flutes import terms as T
 from flutes.classifier import find_members
 from flutes.cli import main
@@ -414,6 +415,53 @@ def test_a_live_insert_of_a_bound_name_is_refused_before_logging(tmp_path):
     with Store(path) as s:
         assert s.dump_state() == state
         assert s.lookup("a") == T.num_f(1)
+
+
+@pytest.mark.parametrize("records, want", [
+    ('(term "x" (num 1.0))', rf"{LOG}:1: expected \(flutes-log 5\)"),
+    ("(flutes-log 9)", rf"{LOG}:1: unknown log version 9"),
+    ("(flutes-log 5)\n42", rf"{LOG}:2: not a record"),
+    ("(flutes-log 5)\n()", rf"{LOG}:2: not a record"),
+    ("(flutes-log 5)\n(1 2)", rf"{LOG}:2: not a record"),
+], ids=["no-version-first", "unknown-version", "bare-number", "empty-list",
+        "untagged-list"])
+def test_a_log_that_replay_cannot_read_is_corruption(tmp_path, records, want):
+    path = str(tmp_path / "kb")
+    os.makedirs(path)
+    records = (records + "\n").encode()
+    write_log(path, records + b"(commit %d %d)\n" % (records.count(b"\n"),
+                                                   zlib.crc32(records)))
+    with pytest.raises(StoreCorruptionError, match=want):
+        Store(path)
+
+
+def test_a_failed_fsync_cuts_the_batch_back_off_the_log(tmp_path, monkeypatch):
+    # a batch that may be only partly on disk is cut off, so the next
+    # batch's marker cannot seal it; the batch stays pending
+    path = str(tmp_path / "kb")
+    log = os.path.join(path, LOG)
+    s = small_store(path)
+    s.commit()
+    size = os.path.getsize(log)
+    add(s, MORE)
+    fsync, failures = store_module.os.fsync, [OSError("injected")]
+
+    def fail_once(fd):
+        if failures:
+            raise failures.pop()
+        fsync(fd)
+
+    monkeypatch.setattr(store_module.os, "fsync", fail_once)
+    with pytest.raises(OSError, match="injected"):
+        s.commit()
+    assert os.path.getsize(log) == size
+    s.commit()
+    assert os.path.getsize(log) > size
+    live = s.dump_state()
+    s.close()
+    with Store(path) as again:
+        assert again.torn_tail is None
+        assert again.dump_state() == live
 
 
 class TestTornTail:

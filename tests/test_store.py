@@ -476,7 +476,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
     @pytest.mark.parametrize("kind", ["record", "wide", "atom", "bottom",
-                                      "selection", "enum", "member"])
+                                      "selection", "enum", "member",
+                                      "unhashable", "unhashable-class",
+                                      "unhashable-member"])
     def test_label_that_is_not_a_concept_refused_at_the_door(self, tmp_path,
                                                              on_disk, kind):
         # nothing could match or render such a value: in memory it would
@@ -487,7 +489,8 @@ class TestPersistence:
                "wide": T.List((T.Record(((dob, T.string("1")),
                                          ("name", T.string("X")))),)),
                "atom": T.Atom("x"), "bottom": T.Bottom("x"),
-               "selection": T.FieldSelection(T.term_name("ok"), "b")}
+               "selection": T.FieldSelection(T.term_name("ok"), "b"),
+               "unhashable": T.Record((([1], T.string("x")),))}
         s = Store(path)
         s.abox_insert("ok", T.record(s.tax, [("b", T.string("1"))]))
         s.mk_kb_class("c", T.record_ty(s.tax, [("b", T.str_ty)]))
@@ -496,6 +499,12 @@ class TestPersistence:
                 s.mk_kb_class("e", T.EnumTy(("x",)))
             elif kind == "member":
                 s.add_member("c", "m", T.Record((("b", T.string("1")),)))
+            elif kind == "unhashable-class":
+                s.mk_kb_class("e", T.subset_ty(
+                    T.var("x"), T.type_name("c"),
+                    T.equals(T.var("x"), bad["unhashable"])))
+            elif kind == "unhashable-member":
+                s.add_member("c", "m", bad["unhashable"])
             else:
                 s.abox_insert("bad", bad[kind])
         find_members(s)

@@ -221,7 +221,7 @@ class TestLabelMemo:
 
 # -- model-based check of the memo against an uncached reference ---------------
 
-POOL = [mk_concept(n) for n in ("a", "b", "c")] + [positional(0)]
+POOL = [mk_concept(n) for n in ("a", "b", "c", "d", "e")] + [positional(0)]
 NAMED = POOL[:-1]
 
 
@@ -293,6 +293,13 @@ def check_record(tax, ref, labels):
 @given(operations)
 @example([("is_a", NAMED[0], NAMED[1]), ("is_a", NAMED[1], NAMED[2]),
           ("same_as", NAMED[0], NAMED[2])])
+# c's edge moves to the new root a, so a <= d
+@example([("is_a", NAMED[2], NAMED[3]), ("same_as", NAMED[0], NAMED[2])])
+# two roots with edges merge, then the merged class gains an edge through
+# the member that was not the root
+@example([("is_a", NAMED[1], NAMED[0]), ("is_a", NAMED[3], NAMED[4]),
+          ("same_as", NAMED[3], NAMED[1]), ("is_a", NAMED[3], NAMED[2]),
+          ("same_as", NAMED[4], NAMED[2])])
 def test_memo_agrees_with_uncached_reference(ops):
     tax, ref = Taxonomy(), Reference()
     for op in ops:
@@ -310,6 +317,8 @@ def test_memo_agrees_with_uncached_reference(ops):
                 ref.isa.append((op[1], op[2]))
         else:
             check_record(tax, ref, op[1])
+        # is-a edges are filed under synonym-class roots only
+        assert all(tax.find(key) is key for key in tax._isa)
         # query every pair after every step, so a stale memo entry shows
         for a in POOL:
             for b in POOL:
